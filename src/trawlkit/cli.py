@@ -138,9 +138,10 @@ def cmd_kernels(args) -> int:
         writer = csv.writer(fh)
         if args.what == "sigma_a":
             writer.writerow(["s", "r", "value"])
-            for s in grid:
-                for r in grid:
-                    writer.writerow([repr(float(s)), repr(float(r)), repr(kern.sigma_a_matrix(s, r))])
+            s, r = np.meshgrid(grid, grid, indexing="ij")
+            values = kern.sigma_a_matrix(s, r)
+            for row in zip(s.ravel(), r.ravel(), values.ravel()):
+                writer.writerow([repr(float(x)) for x in row])
         elif args.what == "sigma_a_sq":
             writer.writerow(["t", "value"])
             for t in grid:

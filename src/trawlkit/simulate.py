@@ -148,6 +148,13 @@ def _substream(master_seed: int, *key):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(master_seed, spawn_key=key)))
 
 
+def _stream_record(scheme: GridScheme, rng) -> dict:
+    """Provenance of the draws: the master seed, unless the caller passed a generator."""
+    if rng is None:
+        return {"master_seed": scheme.master_seed}
+    return {"master_seed": None, "rng": "external"}
+
+
 def simulate_slices(
     trawl: TrawlSpec,
     seed: LevySeedSpec,
@@ -163,7 +170,8 @@ def simulate_slices(
 
     Slices at a fixed offset m = j - i share one counter-based substream, so
     paths are reproducible bit-for-bit from ``scheme.master_seed`` alone when
-    no explicit generator is passed.
+    no explicit generator is passed; with one, the provenance records
+    ``"rng": "external"`` and no master seed.
     """
     n, delta = scheme.n, scheme.delta
     exact = scheme.horizon == "exact"
@@ -227,7 +235,7 @@ def simulate_slices(
         "horizon": horizon,
         "n": n,
         "delta": delta,
-        "master_seed": scheme.master_seed,
+        **_stream_record(scheme, rng),
         "trawl": trawl.to_dict(),
         "seed_spec": seed.to_dict(),
     }
@@ -252,6 +260,7 @@ def simulate_points(
     if not isinstance(seed, PoissonSeed):
         raise TypeError("simulate_points requires a Poisson seed")
     n, delta = scheme.n, scheme.delta
+    record = _stream_record(scheme, rng)
     if rng is None:
         rng = _substream(scheme.master_seed, 3)
 
@@ -294,7 +303,7 @@ def simulate_points(
         "simulator": "points",
         "n": n,
         "delta": delta,
-        "master_seed": scheme.master_seed,
+        **record,
         "trawl": trawl.to_dict(),
         "seed_spec": seed.to_dict(),
     }

@@ -1,13 +1,12 @@
 """Acceptance suite: one quantitative gate per headline result.
 
-Each test prints a single PASS/FAIL line (also appended to
-``acceptance_report.txt`` next to this file's package root) with the measured
-value and its tolerance, then asserts it.
+Each test prints a single PASS/FAIL line (also collected in
+``acceptance_report.txt`` in the session's pytest temporary directory) with
+the measured value and its tolerance, then asserts it.
 """
 
 import math
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,16 +34,23 @@ from trawlkit import (
 )
 from trawlkit.simulate import SampledPath, residual_area, slice_area
 
-REPORT = Path(__file__).resolve().parent.parent / "acceptance_report.txt"
 MASTER = 777
 
 
-def _report(num, ok, detail):
-    line = f"ACCEPTANCE {num:>2} {'PASS' if ok else 'FAIL'}: {detail}"
-    print(line)
-    with REPORT.open("a") as fh:
-        fh.write(line + "\n")
-    assert ok, line
+@pytest.fixture(scope="session")
+def report(tmp_path_factory):
+    """Print, collect and assert one gate's verdict line."""
+    path = tmp_path_factory.getbasetemp() / "acceptance_report.txt"
+    path.write_text("")
+
+    def verdict(num, ok, detail):
+        line = f"ACCEPTANCE {num:>2} {'PASS' if ok else 'FAIL'}: {detail}"
+        print(line)
+        with path.open("a") as fh:
+            fh.write(line + "\n")
+        assert ok, line
+
+    return verdict
 
 
 def _exp_poisson_config(**overrides):
@@ -65,27 +71,27 @@ def _exp_poisson_config(**overrides):
 
 @pytest.fixture(scope="module")
 def tail_bias_runs():
-    """Full and windowed tail-functional estimates on identical paths."""
+    """Full and windowed tail-functional estimates on identical paths, and their wall time."""
+    start = time.perf_counter()
     full = run_experiment(_exp_poisson_config(theorem="T3"))
     windowed = run_experiment(_exp_poisson_config(theorem="T4"))
-    return full, windowed
+    return full, windowed, time.perf_counter() - start
 
 
-def test_01_tail_sum_bias_factor(tail_bias_runs):
-    start = time.time()
-    full, _ = tail_bias_runs
+def test_01_tail_sum_bias_factor(tail_bias_runs, report):
+    full, _, elapsed = tail_bias_runs
     mean = full.summaries[2**14]["mean"]
-    ok = abs(mean - 1.0) <= 0.15 and abs(mean - 0.5) > 0.3 and time.time() - start < 300
-    _report(
+    ok = abs(mean - 1.0) <= 0.15 and abs(mean - 0.5) > 0.3 and elapsed < 300
+    report(
         1,
         ok,
         f"mean full tail sum = {mean:.4f} (target 1.0 +/- 0.15, "
-        f"distance from 0.5 = {abs(mean - 0.5):.3f} > 0.3)",
+        f"distance from 0.5 = {abs(mean - 0.5):.3f} > 0.3), both runs {elapsed:.1f}s < 300s",
     )
 
 
-def test_02_windowed_tail_sum_correction(tail_bias_runs):
-    full, windowed = tail_bias_runs
+def test_02_windowed_tail_sum_correction(tail_bias_runs, report):
+    full, windowed, _ = tail_bias_runs
     mean = windowed.summaries[2**14]["mean"]
     close = abs(mean - 0.5) <= 0.15
     # per-replication discrimination: the windowed estimate sits nearer the
@@ -94,7 +100,7 @@ def test_02_windowed_tail_sum_correction(tail_bias_runs):
         np.abs(windowed.stats[2**14] - 0.5) < np.abs(full.stats[2**14] - 0.5)
     )
     ok = close and wins > 0.5
-    _report(
+    report(
         2,
         ok,
         f"mean windowed tail sum = {mean:.4f} (target 0.5 +/- 0.15), "
@@ -102,17 +108,17 @@ def test_02_windowed_tail_sum_correction(tail_bias_runs):
     )
 
 
-def test_03_head_functional_convergence_rate():
+def test_03_head_functional_convergence_rate(report):
     cfg = _exp_poisson_config(theorem="T1", t=1.0, n_grid=[2**12, 2**13, 2**14])
     res = run_experiment(cfg)
     target = (1 - math.exp(-2)) / 2
     assert res.theory["psi"] == pytest.approx(target)
     slope = res.summaries[2**12]["convergence_slope"]
     ok = -0.65 <= slope <= -0.35
-    _report(3, ok, f"log-RMSE slope vs log(n*delta) = {slope:.3f} (target [-0.65, -0.35])")
+    report(3, ok, f"log-RMSE slope vs log(n*delta) = {slope:.3f} (target [-0.65, -0.35])")
 
 
-def test_04_head_functional_clt():
+def test_04_head_functional_clt(report):
     cfg = _exp_poisson_config(theorem="T5", t=1.0, replications=500)
     res = run_experiment(cfg)
     summary = res.summaries[2**14]
@@ -120,7 +126,7 @@ def test_04_head_functional_clt():
     ks = summary["ks_distance"]
     ks_crit = 1.63 / math.sqrt(500)
     ok = 0.8 <= ratio <= 1.25 and ks < ks_crit
-    _report(
+    report(
         4,
         ok,
         f"variance ratio = {ratio:.3f} (target [0.8, 1.25]), "
@@ -128,7 +134,7 @@ def test_04_head_functional_clt():
     )
 
 
-def test_05_tail_functional_clt():
+def test_05_tail_functional_clt(report):
     # The tail statistic approaches its Gaussian limit slowly in n*delta
     # (the residual quadratic term decays like (n*delta)^(-1/2)), so this
     # check runs in a wider-horizon regime than the head-functional CLT.
@@ -144,10 +150,10 @@ def test_05_tail_functional_clt():
     res = run_experiment(cfg)
     ratio = res.summaries[2**15]["variance_ratio"]
     ok = 0.8 <= ratio <= 1.25
-    _report(5, ok, f"|x|^4 tail CLT variance ratio = {ratio:.3f} (target [0.8, 1.25])")
+    report(5, ok, f"|x|^4 tail CLT variance ratio = {ratio:.3f} (target [0.8, 1.25])")
 
 
-def test_06_tdependence_test_behavior():
+def test_06_tdependence_test_behavior(report):
     # Regime choice matters here: the alternative's scaled statistic is the
     # sum of a slowly shrinking noise term and a sqrt(n*delta) signal; the
     # wider-horizon regime below lets the signal dominate by n = 2^14.
@@ -161,7 +167,7 @@ def test_06_tdependence_test_behavior():
     alt_med = [alt.summaries[n]["median_abs_scaled"] for n in grids]
     null_q95 = null.summaries[grids[-1]]["q95_abs_scaled"]
     ok = null_med[1] < null_med[0] and alt_med[1] > alt_med[0] and alt_med[1] > null_q95
-    _report(
+    report(
         6,
         ok,
         f"null median |scaled tau| {null_med[0]:.3f} -> {null_med[1]:.3f} (down), "
@@ -169,7 +175,7 @@ def test_06_tdependence_test_behavior():
     )
 
 
-def test_07_quadrature_identities():
+def test_07_quadrature_identities(report):
     start = time.time()
     rng = np.random.default_rng(11)
     families = [ExponentialTrawl(1.0), PowerLawTrawl(2.5, 1.0), CompactTriangleTrawl(1.5)]
@@ -183,7 +189,7 @@ def test_07_quadrature_identities():
             worst_dec = max(worst_dec, kern.decomposition_residual(s, r))
     elapsed = time.time() - start
     ok = worst_diag < 1e-8 and worst_dec < 1e-6 and elapsed < 60
-    _report(
+    report(
         7,
         ok,
         f"max |sigma_a_sq - diag| = {worst_diag:.2e} < 1e-8, "
@@ -191,7 +197,7 @@ def test_07_quadrature_identities():
     )
 
 
-def test_08_simulator_exactness():
+def test_08_simulator_exactness(report):
     # (a) area conservation on an n = 512 grid for every k
     n, delta = 512, 0.1
     worst = 0.0
@@ -242,7 +248,7 @@ def test_08_simulator_exactness():
     var_ok = abs(var - target) / target < 0.05
 
     ok = area_ok and agree_ok and var_ok
-    _report(
+    report(
         8,
         ok,
         f"area defect = {worst:.2e} < 1e-10; cross-simulator deviations "
@@ -251,7 +257,7 @@ def test_08_simulator_exactness():
     )
 
 
-def test_09_fft_naive_equivalence_and_speed():
+def test_09_fft_naive_equivalence_and_speed(report):
     rng = np.random.default_rng(3)
     worst = 0.0
     for _ in range(100):
@@ -275,7 +281,7 @@ def test_09_fft_naive_equivalence_and_speed():
     worst = max(worst, float(np.max(np.abs(a - b)) / np.max(np.abs(b))))
     speedup = naive_time / fft_time
     ok = worst <= 1e-10 and speedup >= 20.0
-    _report(
+    report(
         9,
         ok,
         f"max relative FFT/naive deviation = {worst:.2e} <= 1e-10; "
@@ -283,7 +289,7 @@ def test_09_fft_naive_equivalence_and_speed():
     )
 
 
-def test_10_bitwise_determinism():
+def test_10_bitwise_determinism(report):
     cfg1 = _exp_poisson_config(n_grid=[512], replications=20, threads=1)
     cfg3 = _exp_poisson_config(n_grid=[512], replications=20, threads=3)
     r1, r3 = run_experiment(cfg1), run_experiment(cfg3)
@@ -302,7 +308,7 @@ def test_10_bitwise_determinism():
     )
     path_ok = np.array_equal(path.values, replay.values)
     ok = mc_ok and path_ok
-    _report(
+    report(
         10,
         ok,
         f"thread-count bitwise equality = {mc_ok}; provenance replay bitwise = {path_ok}",

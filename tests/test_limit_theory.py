@@ -14,6 +14,7 @@ quadrature down hard:
     limit_cov_lambda(|x|^4; 0, 0)  = 8 k4 / 7 + 1/2
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -29,9 +30,71 @@ from trawlkit import (
     power_function,
     square_function,
 )
+from trawlkit.limit_theory import _INNER_NODES
 
 EXP = ExponentialTrawl(1.0)
 FAMILIES = [EXP, PowerLawTrawl(2.5, 1.0), CompactTriangleTrawl(1.5)]
+ORACLE_FAMILIES = [PowerLawTrawl(2.5, 1.0), PowerLawTrawl(1.5, 1.0), CompactTriangleTrawl(1.5)]
+
+
+# -- adaptive oracle of the limit covariances -----------------------------
+#
+# Iterated adaptive quadrature of dg(a(u)) Sigma_a(u, r) dg(a(r)), the inner
+# integral split at the ridge r = u, with the inner tolerance 10 * abs_tol.
+# It shares only Sigma_a with the product rule, and Sigma_a is checked
+# against the adaptive sigma kernels below; one node count keeps the many
+# scalar calls affordable.
+
+
+def _scalar_sigma_a(kern):
+    m = _INNER_NODES[-1]
+    return lambda u, r: float(kern._sigma_a(np.array([u]), np.array([r]), m)[0])
+
+
+def _inner_kernel(kern):
+    return dataclasses.replace(kern, abs_tol=10.0 * kern.abs_tol)
+
+
+def _outer_quad(inner, lo, hi):
+    res, _ = integrate.quad(inner, lo, hi, epsabs=1e-7, epsrel=1e-5, limit=80)
+    if not math.isfinite(res):
+        raise QuadratureError("outer quadrature diverged")
+    return res
+
+
+def adaptive_limit_cov_psi(kern, g, t, s):
+    sigma, inner_kern = _scalar_sigma_a(kern), _inner_kernel(kern)
+
+    def inner(u):
+        du = float(g.dg(kern.trawl.a(u)))
+
+        def f(r):
+            return float(g.dg(kern.trawl.a(r))) * sigma(u, r)
+
+        lo_part = inner_kern._quad(f, 0.0, min(u, s))
+        hi_part = inner_kern._quad(f, min(u, s), s)
+        return du * (lo_part + hi_part)
+
+    return _outer_quad(inner, 0.0, t)
+
+
+def adaptive_limit_cov_lambda(kern, g, t, s):
+    sigma, inner_kern = _scalar_sigma_a(kern), _inner_kernel(kern)
+
+    def inner(u):
+        du = float(g.dg(kern.trawl.a(u)))
+        if du == 0.0:
+            return 0.0
+
+        def f(r):
+            return float(g.dg(kern.trawl.a(r))) * sigma(u, r)
+
+        mid = max(u, s)
+        lo_part = inner_kern._quad(f, s, mid)
+        hi_part = inner_kern._quad(f, mid, math.inf)
+        return du * (lo_part + hi_part)
+
+    return _outer_quad(inner, t, kern.trawl.support_end)
 
 
 def exp_sigma_a(s, r, k4):
@@ -83,6 +146,23 @@ def test_sigma_a_matrix_symmetric(trawl):
     for _ in range(10):
         s, r = rng.uniform(0.0, 2.0, 2)
         assert kern.sigma_a_matrix(s, r) == pytest.approx(kern.sigma_a_matrix(r, s), abs=1e-9)
+
+
+@pytest.mark.parametrize("trawl", ORACLE_FAMILIES + [EXP, PowerLawTrawl(1.2, 1.0)], ids=repr)
+def test_sigma_a_matrix_arrays_match_sigma_kernels(trawl):
+    """The C/K identity on array input against the adaptive sigma kernels."""
+    kern = AvarKernel(trawl, k4=0.6)
+    rng = np.random.default_rng(7)
+    s = np.concatenate([[0.0, 0.9, 1.5], rng.uniform(0.0, 3.0, 12)])
+    r = np.concatenate([[0.0, 0.9, 0.2], rng.uniform(0.0, 3.0, 12)])
+    expect = [
+        kern.sigma1(u, v) + kern.sigma2(u, v) + kern.sigma2(v, u) + kern.sigma3(u, v) + kern.sigma3(v, u)
+        for u, v in zip(s, r)
+    ]
+    got = kern.sigma_a_matrix(s.reshape(3, 5), r.reshape(3, 5))
+    assert got.shape == (3, 5)
+    np.testing.assert_allclose(got.ravel(), expect, rtol=0.0, atol=1e-9)
+    assert isinstance(kern.sigma_a_matrix(0.4, 1.1), float)
 
 
 def test_sigma2_via_raw_quadrature():
@@ -169,6 +249,48 @@ def test_limit_cov_lambda_exponential_closed_form(k4):
     kern = AvarKernel(EXP, k4=k4)
     expect = 8.0 * k4 / 7.0 + 0.5
     assert kern.limit_cov_lambda(power_function(4.0), 0.0, 0.0) == pytest.approx(expect, rel=1e-5)
+
+
+@pytest.mark.parametrize("trawl", ORACLE_FAMILIES, ids=repr)
+def test_limit_cov_psi_matches_adaptive_oracle(trawl):
+    kern = AvarKernel(trawl, k4=1.0)
+    g = square_function()
+    expect = adaptive_limit_cov_psi(kern, g, 1.0, 0.4)
+    assert kern.limit_cov_psi(g, 1.0, 0.4) == pytest.approx(expect, rel=1e-6)
+
+
+@pytest.mark.parametrize("trawl", ORACLE_FAMILIES, ids=repr)
+def test_limit_cov_lambda_matches_adaptive_oracle(trawl):
+    kern = AvarKernel(trawl, k4=1.0)
+    g = power_function(4.0)
+    expect = adaptive_limit_cov_lambda(kern, g, 0.3, 0.8)
+    assert kern.limit_cov_lambda(g, 0.3, 0.8) == pytest.approx(expect, rel=1e-6)
+
+
+def test_limit_cov_psi_constant_beyond_support_end():
+    """dg(a(u)) vanishes beyond the support end; the rule splits at the kinks there."""
+    kern = AvarKernel(CompactTriangleTrawl(1.0), k4=1.0)
+    g = square_function()
+    inside = kern.limit_cov_psi(g, 1.0, 1.0)
+    assert kern.limit_cov_psi(g, 2.0, 2.0) == pytest.approx(inside, rel=1e-12)
+    assert kern.limit_cov_psi(g, 3.0, 1.2) == pytest.approx(inside, rel=1e-12)
+
+
+def test_limit_cov_symmetric_in_times():
+    kern = AvarKernel(PowerLawTrawl(2.5, 1.0), k4=1.0)
+    g = power_function(4.0)
+    assert kern.limit_cov_psi(g, 1.0, 0.4) == pytest.approx(kern.limit_cov_psi(g, 0.4, 1.0), rel=1e-12)
+    assert kern.limit_cov_lambda(g, 0.3, 0.8) == pytest.approx(kern.limit_cov_lambda(g, 0.8, 0.3), rel=1e-12)
+
+
+def test_under_resolved_integrand_raises():
+    """An integrand the fixed rules cannot resolve surfaces as an error."""
+    from trawlkit import TestFunction
+
+    kern = AvarKernel(EXP, k4=1.0)
+    wiggly = TestFunction(g=lambda x: -np.cos(300.0 * x) / 300.0, dg=lambda x: np.sin(300.0 * x))
+    with pytest.raises(QuadratureError):
+        kern.limit_cov_psi(wiggly, 1.0, 1.0)
 
 
 def test_limit_cov_psi_zero_time():

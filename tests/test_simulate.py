@@ -188,6 +188,21 @@ def test_provenance_reproduces_path(trawl, seed_spec):
     np.testing.assert_array_equal(path.values, again.values)
 
 
+@pytest.mark.parametrize("simulate", [simulate_slices, simulate_points], ids=lambda f: f.__name__)
+def test_provenance_of_explicit_rng(simulate):
+    """A caller's generator is recorded as external; the same state replays the path."""
+    trawl, seed = ExponentialTrawl(1.0), PoissonSeed(1.0)
+    scheme = GridScheme(n=64, delta=0.2, master_seed=5)
+    path = simulate(trawl, seed, scheme, rng=np.random.default_rng(11))
+    assert path.provenance["rng"] == "external"
+    assert path.provenance["master_seed"] is None
+    again = simulate(trawl, seed, scheme, rng=np.random.default_rng(11))
+    np.testing.assert_array_equal(path.values, again.values)
+    seeded = simulate(trawl, seed, scheme)
+    assert seeded.provenance["master_seed"] == 5 and "rng" not in seeded.provenance
+    assert not np.array_equal(path.values, seeded.values)
+
+
 # -- scheme validation ---------------------------------------------------
 
 
