@@ -34,7 +34,6 @@ from .models import (
     PoissonSeed,
     PowerLawTrawl,
     TrawlSpec,
-    sample_seed,
     seed_from_dict,
     trawl_from_dict,
 )

@@ -26,7 +26,7 @@ from .inference import tau_test
 from .limit_theory import AvarKernel
 from .mc import ExperimentConfig, run_experiment, test_function_from_dict
 from .models import seed_from_dict, trawl_from_dict
-from .simulate import GridScheme, export_csv, ingest_csv, simulate_points, simulate_slices
+from .simulate import SIMULATORS, GridScheme, export_csv, ingest_csv, simulate
 
 USAGE_ERROR = 2
 RUNTIME_ERROR = 3
@@ -52,8 +52,7 @@ def cmd_simulate(args) -> int:
     for key, val in (("n", args.n), ("delta", args.delta), ("seed", args.seed)):
         if val is not None:
             spec[key] = val
-    if args.method is not None:
-        spec["simulator"] = args.method
+    spec["simulator"] = args.method or spec.get("simulator", "auto")
     trawl = trawl_from_dict(spec["trawl"])
     seed_spec = seed_from_dict(spec["seed_spec"])
     scheme = GridScheme(
@@ -62,13 +61,7 @@ def cmd_simulate(args) -> int:
         master_seed=int(spec.get("seed", 0)),
         horizon=spec.get("horizon"),
     )
-    simulator = spec.get("simulator", "slices")
-    if simulator == "points":
-        path = simulate_points(trawl, seed_spec, scheme)
-    elif simulator == "slices":
-        path = simulate_slices(trawl, seed_spec, scheme)
-    else:
-        raise SystemExit2(f"unknown simulator {simulator!r}")
+    path = simulate(trawl, seed_spec, scheme, spec["simulator"])
     export_csv(path, args.out)
     _sidecar(args.out, {"command": "simulate", "spec": {**spec, "trawl": trawl.to_dict(), "seed_spec": seed_spec.to_dict()}})
     return 0
@@ -156,10 +149,6 @@ def cmd_kernels(args) -> int:
     return 0
 
 
-class SystemExit2(ValueError):
-    """Configuration error mapped to exit code 2."""
-
-
 def build_parser():
     parser = argparse.ArgumentParser(prog="trawlkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -169,7 +158,7 @@ def build_parser():
     p.add_argument("--n", type=int)
     p.add_argument("--delta", type=float)
     p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--method", choices=["slices", "points"])
+    p.add_argument("--method", choices=SIMULATORS, help="simulator (default: auto)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 
@@ -220,7 +209,7 @@ def _parse_g(text: str) -> dict:
         return {"kind": "square"}
     if text.startswith("power:"):
         return {"kind": "power", "exponent": float(text.split(":", 1)[1])}
-    raise SystemExit2(f"cannot parse test function {text!r}")
+    raise ValueError(f"cannot parse test function {text!r}")
 
 
 def main(argv=None) -> int:
@@ -234,7 +223,7 @@ def main(argv=None) -> int:
     except KeyError as exc:
         print(f"error: missing required field {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (ValueError, FileNotFoundError, SystemExit2) as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except Exception as exc:  # noqa: BLE001 - stable exit-code contract

@@ -38,7 +38,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TestFunction:
-    """A test function g with optional derivatives and smoothness metadata.
+    """A test function g with an optional derivative and smoothness metadata.
 
     ``d``, ``p``, ``q`` describe membership in the class of d-times
     continuously differentiable functions whose first d-1 derivatives vanish
@@ -48,11 +48,9 @@ class TestFunction:
 
     g: Callable[[np.ndarray], np.ndarray]
     dg: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    d2g: Optional[Callable[[np.ndarray], np.ndarray]] = None
     d: Optional[int] = None
     p: Optional[float] = None
     q: Optional[float] = None
-    label: str = "custom"
     #: Set when g(x) = |x|^exponent; enables closed-form target functionals.
     exponent: Optional[float] = None
 
@@ -66,11 +64,9 @@ def power_function(exponent: float) -> TestFunction:
     return TestFunction(
         g=lambda x: np.abs(x) ** e,
         dg=lambda x: e * np.abs(x) ** (e - 1) * np.sign(x),
-        d2g=lambda x: e * (e - 1) * np.abs(x) ** (e - 2),
         d=math.floor(e),
         p=frac,
         q=frac,
-        label=f"|x|^{e:g}",
         exponent=e,
     )
 
@@ -80,11 +76,9 @@ def square_function() -> TestFunction:
     return TestFunction(
         g=lambda x: np.square(x),
         dg=lambda x: 2.0 * x,
-        d2g=lambda x: np.full_like(np.asarray(x, dtype=float), 2.0),
         d=2,
         p=0.0,
         q=0.0,
-        label="x^2",
         exponent=2.0,
     )
 

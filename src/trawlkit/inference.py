@@ -46,7 +46,7 @@ class TestReport:
         return json.dumps(asdict(self), **kwargs)
 
 
-def tau_test(path: SampledPath, T: float, p: float = 4.0, method: str = "fft") -> TestReport:
+def tau_test(path: SampledPath, T: float, p: float = 4.0) -> TestReport:
     """Compute the T-dependence ratio statistic on an observed path.
 
     ``p`` defaults to 4, the smallest integer satisfying the p > 3 moment
@@ -59,7 +59,7 @@ def tau_test(path: SampledPath, T: float, p: float = 4.0, method: str = "fft") -
     n, delta = path.n, path.delta
     if T > (n - 1) * delta:
         raise ValueError("T exceeds the observed horizon (n-1)*delta")
-    est = estimate_trawl(path, method=method)
+    est = estimate_trawl(path)
     powers = np.abs(est.a_hat) ** p
     head_terms = int(math.ceil(T / delta - 1e-12))
     denominator = float(delta * np.sum(powers[:head_terms]))

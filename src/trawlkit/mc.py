@@ -20,6 +20,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -37,8 +38,8 @@ from .estimators import (
 )
 from .inference import tau_test
 from .limit_theory import AvarKernel
-from .models import PoissonSeed, seed_from_dict, trawl_from_dict
-from .simulate import GridScheme, simulate_points, simulate_slices
+from .models import seed_from_dict, trawl_from_dict
+from .simulate import GridScheme, simulate
 
 __all__ = [
     "ExperimentConfig",
@@ -76,8 +77,7 @@ def true_lambda(trawl, g: TestFunction, t: float) -> float:
     """Ground-truth tail functional ``int_t^inf g(a(s)) ds``."""
     if g.exponent is not None and g.exponent >= 1:
         return float(trawl.power_tail_integral(t, g.exponent))
-    hi = trawl.support_end if trawl.support_end < math.inf else math.inf
-    res, _ = integrate.quad(lambda s: float(g.g(trawl.a(s))), t, hi, limit=200)
+    res, _ = integrate.quad(lambda s: float(g.g(trawl.a(s))), t, trawl.support_end, limit=200)
     return res
 
 
@@ -207,57 +207,35 @@ def _rep_seed(master_seed: int, n: int, rep: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _simulate(cfg: ExperimentConfig, n: int, rep: int):
+def _one_replication(cfg: ExperimentConfig, n: int, rep: int) -> float:
+    """One replication's raw statistic: psi_n (T1, T5), lambda_n (T2, T3,
+    T6), the windowed lambda_bar_n (T4) or the scaled ratio tau (C1)."""
     trawl = trawl_from_dict(cfg.trawl)
     seed = seed_from_dict(cfg.seed_spec)
-    scheme = GridScheme(n=n, delta=cfg.delta_for(n), master_seed=_rep_seed(cfg.master_seed, n, rep))
-    sim = cfg.simulator
-    if sim == "auto":
-        sim = "points" if isinstance(seed, PoissonSeed) else "slices"
-    if sim == "points":
-        return simulate_points(trawl, seed, scheme)
-    if sim == "slices":
-        return simulate_slices(trawl, seed, scheme)
-    if sim == "slices-exact":
-        scheme = GridScheme(n=n, delta=scheme.delta, master_seed=scheme.master_seed, horizon="exact")
-        return simulate_slices(trawl, seed, scheme)
-    raise ValueError(f"unknown simulator {sim!r}")
-
-
-def _one_replication(cfg: ExperimentConfig, n: int, rep: int) -> float:
-    trawl = trawl_from_dict(cfg.trawl)
     g = test_function_from_dict(cfg.test_function)
-    path = _simulate(cfg, n, rep)
+    delta = cfg.delta_for(n)
+    scheme = GridScheme(n=n, delta=delta, master_seed=_rep_seed(cfg.master_seed, n, rep))
+    path = simulate(trawl, seed, scheme, cfg.simulator)
     if cfg.theorem == "C1":
         return tau_test(path, T=cfg.tdep_T, p=cfg.tdep_p).scaled
     est = estimate_trawl(path, method="fft")
-    delta = path.delta
-    if cfg.theorem == "T1":
+    if cfg.theorem in ("T1", "T5"):
         return psi_n(est, g, cfg.t)
-    if cfg.theorem in ("T2", "T3"):
+    if cfg.theorem in ("T2", "T3", "T6"):
         return lambda_n(est, g, cfg.t)
-    if cfg.theorem == "T4":
-        window = choose_window(
-            n, cfg.varpi, cfg.theta, cfg.kappa, alpha=trawl.tail_exponent, p=g.p or 0.0
-        )
-        return lambda_bar_n(est, g, cfg.t, max(window, int(cfg.t / delta) + 1))
-    if cfg.theorem == "T5":
-        return math.sqrt(n * delta) * (psi_n(est, g, cfg.t) - true_psi(trawl, g, cfg.t))
-    if cfg.theorem == "T6":
-        return math.sqrt(n * delta) * (lambda_n(est, g, cfg.t) - true_lambda(trawl, g, cfg.t))
-    raise AssertionError(cfg.theorem)
-
-
-def _rep_star(args):
-    return _one_replication(*args)
+    window = choose_window(
+        n, cfg.varpi, cfg.theta, cfg.kappa, alpha=trawl.tail_exponent, p=g.p or 0.0
+    )
+    return lambda_bar_n(est, g, cfg.t, max(window, int(cfg.t / delta) + 1))
 
 
 def run_experiment(cfg: ExperimentConfig) -> McResult:
     """Run all replications over the n-grid and summarize.
 
     Replications are independent work units; with ``threads > 1`` they run
-    in a process pool, gathered by replication index, so the result is
-    bit-identical at any worker count.
+    in one process pool for the whole n-grid, gathered in order, so the
+    result is bit-identical at any worker count.  T5 and T6 centre and scale
+    the gathered estimates as sqrt(n delta) (estimate - target).
     """
     trawl = trawl_from_dict(cfg.trawl)
     seed = seed_from_dict(cfg.seed_spec)
@@ -268,26 +246,25 @@ def run_experiment(cfg: ExperimentConfig) -> McResult:
         theory["psi"] = true_psi(trawl, g, cfg.t)
     if cfg.theorem in ("T2", "T3", "T4", "T6"):
         theory["lambda"] = true_lambda(trawl, g, cfg.t)
-    if cfg.theorem == "T5":
+    if cfg.theorem in ("T5", "T6"):
         kern = AvarKernel(trawl, k4=seed.k4_levy)
-        theory["limit_variance"] = kern.limit_cov_psi(g, cfg.t, cfg.t)
-    if cfg.theorem == "T6":
-        kern = AvarKernel(trawl, k4=seed.k4_levy)
-        theory["limit_variance"] = kern.limit_cov_lambda(g, cfg.t, cfg.t)
+        limit_cov = kern.limit_cov_psi if cfg.theorem == "T5" else kern.limit_cov_lambda
+        theory["limit_variance"] = limit_cov(g, cfg.t, cfg.t)
 
-    all_stats = {}
-    for n in cfg.n_grid:
-        jobs = [(cfg, n, rep) for rep in range(cfg.replications)]
-        if cfg.threads > 1:
-            with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
-                values = list(pool.map(_rep_star, jobs, chunksize=8))
-        else:
-            values = [_rep_star(job) for job in jobs]
-        all_stats[n] = np.asarray(values)
+    ns = [n for n in cfg.n_grid for _ in range(cfg.replications)]
+    reps = list(range(cfg.replications)) * len(cfg.n_grid)
+    if cfg.threads > 1:
+        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
+            values = list(pool.map(_one_replication, repeat(cfg), ns, reps, chunksize=8))
+    else:
+        values = list(map(_one_replication, repeat(cfg), ns, reps))
 
-    summaries = {}
-    for n in cfg.n_grid:
-        vals = all_stats[n]
+    all_stats, summaries = {}, {}
+    for n, vals in zip(cfg.n_grid, np.reshape(values, (len(cfg.n_grid), cfg.replications))):
+        if cfg.theorem in ("T5", "T6"):
+            target = theory["psi"] if cfg.theorem == "T5" else theory["lambda"]
+            vals = math.sqrt(n * cfg.delta_for(n)) * (vals - target)
+        all_stats[n] = vals
         summary = {
             "n": n,
             "delta": cfg.delta_for(n),

@@ -25,7 +25,6 @@ __all__ = [
     "GaussianSeed",
     "PoissonSeed",
     "GammaSeed",
-    "sample_seed",
     "trawl_from_dict",
     "seed_from_dict",
 ]
@@ -36,6 +35,15 @@ def _check_nonneg(name, value):
     if np.any(arr < 0):
         raise ValueError(f"{name} must be non-negative, got {value!r}")
     return arr
+
+
+def _check_area(area):
+    # A float takes one comparison: the slice sampler draws once per diagonal.
+    if isinstance(area, float):
+        if area < 0:
+            raise ValueError(f"area must be non-negative, got {area!r}")
+        return area
+    return _check_nonneg("area", area)
 
 
 class TrawlSpec:
@@ -82,12 +90,6 @@ class TrawlSpec:
     def leb_A(self):
         """Lebesgue measure of the trawl set, ``int_0^inf a(s) ds``."""
         return float(self.tail_integral(0.0))
-
-    def eval_a(self, s):
-        """Evaluate the trawl function at ``s >= 0``."""
-        s = _check_nonneg("s", s)
-        out = self.a(s)
-        return float(out) if out.ndim == 0 else out
 
     def autocorrelation(self, h):
         """Autocorrelation of the trawl process, ``A(h) / A(0)``."""
@@ -278,16 +280,10 @@ class LevySeedSpec:
         """Fourth moment of the Levy measure (excludes any Gaussian part)."""
         raise NotImplementedError
 
-    @property
-    def unit_variance(self):
-        return math.isclose(self.kappa2, 1.0, rel_tol=0.0, abs_tol=1e-12)
-
-    def sample(self, area, rng):
+    def sample(self, area, rng, size=None):
+        """Draw L(B) for regions of Lebesgue measure ``area`` (a scalar or an
+        array, broadcast against ``size`` as numpy's samplers do)."""
         raise NotImplementedError
-
-    def sample_iid(self, area: float, size: int, rng):
-        """Draw ``size`` independent copies of L(B) for a common area."""
-        return self.sample(np.full(size, area), rng)
 
     def to_dict(self):
         raise NotImplementedError
@@ -316,14 +312,10 @@ class GaussianSeed(LevySeedSpec):
     def kappa2(self):
         return self.var
 
-    def sample(self, area, rng):
-        area = _check_nonneg("area", area)
-        return self.mean * area + math.sqrt(self.var) * np.sqrt(area) * rng.standard_normal(area.shape)
-
-    def sample_iid(self, area, size, rng):
-        if area < 0:
-            raise ValueError("area must be non-negative")
-        return self.mean * area + math.sqrt(self.var * area) * rng.standard_normal(size)
+    def sample(self, area, rng, size=None):
+        area = _check_area(area)
+        z = rng.standard_normal(np.shape(area) if size is None else size)
+        return self.mean * area + np.sqrt(self.var * area) * z
 
     def to_dict(self):
         return {"family": "gaussian", "mean": self.mean, "var": self.var}
@@ -359,14 +351,9 @@ class PoissonSeed(LevySeedSpec):
     def k4_levy(self):
         return self.rate
 
-    def sample(self, area, rng):
-        area = _check_nonneg("area", area)
-        return np.asarray(rng.poisson(self.rate * area), dtype=float)
-
-    def sample_iid(self, area, size, rng):
-        if area < 0:
-            raise ValueError("area must be non-negative")
-        return rng.poisson(self.rate * area, size).astype(float)
+    def sample(self, area, rng, size=None):
+        area = _check_area(area)
+        return np.asarray(rng.poisson(self.rate * area, size), dtype=float)
 
     def to_dict(self):
         return {"family": "poisson", "rate": self.rate}
@@ -408,27 +395,12 @@ class GammaSeed(LevySeedSpec):
     def k4_levy(self):
         return self.kappa4
 
-    def sample(self, area, rng):
-        area = _check_nonneg("area", area)
-        return rng.gamma(self.shape * area, self.scale)
-
-    def sample_iid(self, area, size, rng):
-        if area < 0:
-            raise ValueError("area must be non-negative")
+    def sample(self, area, rng, size=None):
+        area = _check_area(area)
         return rng.gamma(self.shape * area, self.scale, size)
 
     def to_dict(self):
         return {"family": "gamma", "shape": self.shape, "scale": self.scale}
-
-
-def sample_seed(seed: LevySeedSpec, area, rng):
-    """Draw L(B) for a region of the given Lebesgue measure.
-
-    ``area`` may be a scalar or an array; a zero area yields an exact zero.
-    """
-    out = np.asarray(seed.sample(area, rng), dtype=float)
-    out = np.where(np.asarray(area, dtype=float) == 0.0, 0.0, out)
-    return float(out) if out.ndim == 0 else out
 
 
 _TRAWL_FAMILIES = {

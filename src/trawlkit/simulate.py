@@ -17,14 +17,15 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from .models import LevySeedSpec, PoissonSeed, TrawlSpec, sample_seed
+from .models import LevySeedSpec, PoissonSeed, TrawlSpec
 
 __all__ = [
+    "SIMULATORS",
     "GridScheme",
     "SampledPath",
     "NonUniformGrid",
@@ -33,12 +34,20 @@ __all__ = [
     "truncation_horizon",
     "simulate_slices",
     "simulate_points",
+    "simulate",
     "ingest_csv",
     "export_csv",
 ]
 
+#: Names accepted by :func:`simulate`; ``auto`` picks ``points`` for a
+#: Poisson seed and ``slices`` otherwise.
+SIMULATORS = ("auto", "slices", "slices-exact", "points")
+
 #: Exact mode draws O(n^2/2) slices; refuse silently quadratic work above this.
-DEFAULT_EXACT_CAP = 4096
+EXACT_CAP = 4096
+
+#: Relative tail mass below which the slice sampler truncates its horizon.
+EPS_TRUNC = 1e-8
 
 
 class NonUniformGrid(ValueError):
@@ -50,16 +59,14 @@ class GridScheme:
     """Equidistant sampling design: n+1 observations at step ``delta``.
 
     ``horizon`` is the forward-slice truncation count J; ``None`` requests
-    the smallest J with tail_integral(J*delta) <= eps_trunc * tail_integral(0)
-    and ``"exact"`` disables truncation entirely (capped at ``exact_cap``).
+    the smallest J with tail_integral(J*delta) <= EPS_TRUNC * tail_integral(0)
+    and ``"exact"`` disables truncation entirely (up to n = EXACT_CAP).
     """
 
     n: int
     delta: float
     master_seed: int = 0
     horizon: object = None
-    eps_trunc: float = 1e-8
-    exact_cap: int = DEFAULT_EXACT_CAP
 
     def __post_init__(self):
         if self.n < 2:
@@ -77,8 +84,6 @@ class SampledPath:
     delta: float
     values: np.ndarray
     provenance: dict = field(default_factory=dict)
-    trawl: Optional[TrawlSpec] = None
-    seed_spec: Optional[LevySeedSpec] = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -126,7 +131,7 @@ def residual_area(trawl: TrawlSpec, delta: float, n: int, i: int) -> float:
     return float(_interval_mass(trawl, delta, n - i))
 
 
-def truncation_horizon(trawl: TrawlSpec, delta: float, eps: float = 1e-8) -> int:
+def truncation_horizon(trawl: TrawlSpec, delta: float, eps: float = EPS_TRUNC) -> int:
     """Smallest J >= 1 with tail_integral(J*delta) <= eps * tail_integral(0)."""
     total = trawl.leb_A
     if trawl.support_end < math.inf:
@@ -176,13 +181,11 @@ def simulate_slices(
     n, delta = scheme.n, scheme.delta
     exact = scheme.horizon == "exact"
     if exact:
-        if n > scheme.exact_cap:
-            raise ValueError(
-                f"exact mode draws O(n^2) slices; n={n} exceeds cap {scheme.exact_cap}"
-            )
+        if n > EXACT_CAP:
+            raise ValueError(f"exact mode draws O(n^2) slices; n={n} exceeds cap {EXACT_CAP}")
         horizon = n
     elif scheme.horizon is None:
-        horizon = truncation_horizon(trawl, delta, scheme.eps_trunc)
+        horizon = truncation_horizon(trawl, delta)
     else:
         horizon = int(scheme.horizon)
     horizon = min(horizon, n)
@@ -198,8 +201,8 @@ def simulate_slices(
     j0 = np.arange(min(horizon, n))
     areas0 = _interval_mass(trawl, delta, j0)
     g = streams(0) if streams else rng
-    row0 = sample_seed(seed, areas0, g)
-    diff[0] += np.sum(row0) + sample_seed(seed, float(trawl.tail_integral(len(j0) * delta)), g)
+    row0 = seed.sample(areas0, g)
+    diff[0] += np.sum(row0) + seed.sample(float(trawl.tail_integral(len(j0) * delta)), g)
     diff[1 : len(j0) + 1] -= row0
 
     # Rows i >= 1, grouped by offset m = j - i: every slice at offset m has
@@ -212,7 +215,7 @@ def simulate_slices(
             break
         g = streams(1, m) if streams else rng
         area = float(diffB[m])
-        vals = seed.sample_iid(area, count, g) if area > 0 else np.zeros(count)
+        vals = seed.sample(area, g, count) if area > 0 else np.zeros(count)
         diff[1 : count + 1] += vals  # start at k = i
         diff[m + 2 : m + 2 + count] -= vals  # end after k = i + m
 
@@ -225,7 +228,7 @@ def simulate_slices(
         cut = n - i > horizon  # rows whose slice range j-i in [0, horizon] missed mass
         res_areas = np.where(cut, _interval_mass(trawl, delta, float(horizon + 1)), res_areas)
     g = streams(2) if streams else rng
-    res_vals = sample_seed(seed, res_areas, g)
+    res_vals = seed.sample(res_areas, g)
     diff[1 : n + 1] += res_vals
 
     values = np.cumsum(diff[: n + 1])
@@ -239,7 +242,7 @@ def simulate_slices(
         "trawl": trawl.to_dict(),
         "seed_spec": seed.to_dict(),
     }
-    return SampledPath(delta, values, provenance, trawl=trawl, seed_spec=seed)
+    return SampledPath(delta, values, provenance)
 
 
 def simulate_points(
@@ -307,7 +310,31 @@ def simulate_points(
         "trawl": trawl.to_dict(),
         "seed_spec": seed.to_dict(),
     }
-    return SampledPath(delta, values, provenance, trawl=trawl, seed_spec=seed)
+    return SampledPath(delta, values, provenance)
+
+
+def simulate(
+    trawl: TrawlSpec,
+    seed: LevySeedSpec,
+    scheme: GridScheme,
+    method: str = "auto",
+) -> SampledPath:
+    """Sample a path with the simulator named by ``method`` (see SIMULATORS).
+
+    ``slices-exact`` is the slice sampler with ``horizon="exact"``; a scheme
+    that sets a numeric horizon contradicts it and is rejected.
+    """
+    if method == "auto":
+        method = "points" if isinstance(seed, PoissonSeed) else "slices"
+    if method == "points":
+        return simulate_points(trawl, seed, scheme)
+    if method == "slices-exact":
+        if scheme.horizon not in (None, "exact"):
+            raise ValueError(f"simulator 'slices-exact' conflicts with horizon={scheme.horizon!r}")
+        return simulate_slices(trawl, seed, replace(scheme, horizon="exact"))
+    if method == "slices":
+        return simulate_slices(trawl, seed, scheme)
+    raise ValueError(f"unknown simulator {method!r}; choose from {SIMULATORS}")
 
 
 def ingest_csv(path, delta: Optional[float] = None) -> SampledPath:

@@ -41,6 +41,7 @@ def test_simulate_writes_csv_and_sidecar(tmp_path, sim_spec_file):
     assert len(rows) == SIM_SPEC["n"] + 2
     sidecar = json.loads((tmp_path / "path.csv.provenance.json").read_text())
     assert sidecar["command"] == "simulate"
+    assert sidecar["spec"]["simulator"] == "auto"
     assert "config_hash" in sidecar and "version" in sidecar
 
 
@@ -63,6 +64,22 @@ def test_simulate_bad_config(tmp_path):
     bad.write_text(json.dumps({**SIM_SPEC, "trawl": {"family": "nope"}}))
     assert main(["simulate", "--spec", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
     assert main(["simulate", "--spec", str(tmp_path / "missing.json"), "--out", "x.csv"]) == 2
+    assert main(["simulate", "--spec", str(bad), "--method", "bogus", "--out", str(tmp_path / "x.csv")]) == 2
+    bad.write_text(json.dumps({**SIM_SPEC, "simulator": "bogus"}))
+    assert main(["simulate", "--spec", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
+    bad.write_text(json.dumps({**SIM_SPEC, "horizon": 5}))
+    assert main(["simulate", "--spec", str(bad), "--method", "slices-exact", "--out", str(tmp_path / "x.csv")]) == 2
+
+
+def test_simulate_method_recorded_and_replayed(tmp_path, sim_spec_file):
+    """The sidecar's spec names the simulator, so replaying it reproduces the path."""
+    out = _simulate(tmp_path, sim_spec_file, "exact.csv", extra=["--n", "64", "--method", "slices-exact"])
+    spec = json.loads((tmp_path / "exact.csv.provenance.json").read_text())["spec"]
+    assert spec["simulator"] == "slices-exact"
+    replay = tmp_path / "replay.json"
+    replay.write_text(json.dumps(spec))
+    assert _simulate(tmp_path, replay, "again.csv").read_text() == out.read_text()
+    assert _simulate(tmp_path, sim_spec_file, "auto.csv", extra=["--n", "64"]).read_text() != out.read_text()
 
 
 def test_estimate_pipeline(tmp_path, sim_spec_file):

@@ -40,7 +40,8 @@ ORACLE_FAMILIES = [PowerLawTrawl(2.5, 1.0), PowerLawTrawl(1.5, 1.0), CompactTria
 # -- adaptive oracle of the limit covariances -----------------------------
 #
 # Iterated adaptive quadrature of dg(a(u)) Sigma_a(u, r) dg(a(r)), the inner
-# integral split at the ridge r = u, with the inner tolerance 10 * abs_tol.
+# integral split at the ridge r = u, with the inner tolerance 10 * abs_tol;
+# the outer integral is split at u = s, where the inner one has a kink.
 # It shares only Sigma_a with the product rule, and Sigma_a is checked
 # against the adaptive sigma kernels below; one node count keeps the many
 # scalar calls affordable.
@@ -55,8 +56,12 @@ def _inner_kernel(kern):
     return dataclasses.replace(kern, abs_tol=10.0 * kern.abs_tol)
 
 
-def _outer_quad(inner, lo, hi):
-    res, _ = integrate.quad(inner, lo, hi, epsabs=1e-7, epsrel=1e-5, limit=80)
+def _outer_quad(inner, lo, hi, kink):
+    cuts = [lo, kink, hi] if lo < kink < hi else [lo, hi]
+    res = sum(
+        integrate.quad(inner, a, b, epsabs=1e-7, epsrel=1e-5, limit=80)[0]
+        for a, b in zip(cuts, cuts[1:])
+    )
     if not math.isfinite(res):
         raise QuadratureError("outer quadrature diverged")
     return res
@@ -75,7 +80,7 @@ def adaptive_limit_cov_psi(kern, g, t, s):
         hi_part = inner_kern._quad(f, min(u, s), s)
         return du * (lo_part + hi_part)
 
-    return _outer_quad(inner, 0.0, t)
+    return _outer_quad(inner, 0.0, t, s)
 
 
 def adaptive_limit_cov_lambda(kern, g, t, s):
@@ -94,7 +99,7 @@ def adaptive_limit_cov_lambda(kern, g, t, s):
         hi_part = inner_kern._quad(f, mid, math.inf)
         return du * (lo_part + hi_part)
 
-    return _outer_quad(inner, t, kern.trawl.support_end)
+    return _outer_quad(inner, t, kern.trawl.support_end, s)
 
 
 def exp_sigma_a(s, r, k4):
@@ -259,12 +264,16 @@ def test_limit_cov_psi_matches_adaptive_oracle(trawl):
     assert kern.limit_cov_psi(g, 1.0, 0.4) == pytest.approx(expect, rel=1e-6)
 
 
-@pytest.mark.parametrize("trawl", ORACLE_FAMILIES, ids=repr)
-def test_limit_cov_lambda_matches_adaptive_oracle(trawl):
+@pytest.mark.parametrize(
+    "trawl,t,s",
+    [pytest.param(trawl, 0.3, 0.8, id=repr(trawl)) for trawl in ORACLE_FAMILIES]
+    + [pytest.param(CompactTriangleTrawl(1.5), 0.8, 1.1, id="CompactTriangleTrawl(support=1.5)-0.8-1.1")],
+)
+def test_limit_cov_lambda_matches_adaptive_oracle(trawl, t, s):
     kern = AvarKernel(trawl, k4=1.0)
     g = power_function(4.0)
-    expect = adaptive_limit_cov_lambda(kern, g, 0.3, 0.8)
-    assert kern.limit_cov_lambda(g, 0.3, 0.8) == pytest.approx(expect, rel=1e-6)
+    expect = adaptive_limit_cov_lambda(kern, g, t, s)
+    assert kern.limit_cov_lambda(g, t, s) == pytest.approx(expect, rel=1e-6)
 
 
 def test_limit_cov_psi_constant_beyond_support_end():

@@ -103,6 +103,8 @@ def test_config_validation():
         _config(n_grid=[])
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({"trawl": {}, "bogus_field": 1})
+    with pytest.raises(ValueError, match="unknown simulator"):
+        run_experiment(_config(simulator="bogus"))  # rejected by the dispatcher
     # CLT regime guard: n * delta^3 must vanish
     with pytest.raises(ValueError):
         _config(theorem="T5", varpi=2.9, c=2.0, n_grid=[64])
@@ -119,11 +121,14 @@ def test_config_hash_stable_and_sensitive():
 
 
 def test_run_deterministic_and_thread_invariant():
-    res1 = run_experiment(_config())
-    res2 = run_experiment(_config())
-    res_threads = run_experiment(_config(threads=2))
-    np.testing.assert_array_equal(res1.stats[256], res2.stats[256])
-    np.testing.assert_array_equal(res1.stats[256], res_threads.stats[256])
+    """One pool serves the whole n-grid, and T5 centres after the gather."""
+    for overrides in ({}, {"theorem": "T5", "t": 1.0}):
+        res1 = run_experiment(_config(n_grid=[128, 256], **overrides))
+        res2 = run_experiment(_config(n_grid=[128, 256], **overrides))
+        res_threads = run_experiment(_config(n_grid=[128, 256], threads=2, **overrides))
+        for n in (128, 256):
+            np.testing.assert_array_equal(res1.stats[n], res2.stats[n])
+            np.testing.assert_array_equal(res1.stats[n], res_threads.stats[n])
     assert not np.array_equal(res1.stats[256], run_experiment(_config(master_seed=9)).stats[256])
 
 

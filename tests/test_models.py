@@ -15,7 +15,6 @@ from trawlkit import (
     GaussianSeed,
     PoissonSeed,
     PowerLawTrawl,
-    sample_seed,
     seed_from_dict,
     trawl_from_dict,
 )
@@ -124,41 +123,50 @@ def test_seed_cumulants():
     assert gam.k4_levy == gam.kappa4
 
 
-def test_unit_variance_flag():
-    assert GaussianSeed(0.0, 1.0).unit_variance
-    assert PoissonSeed(1.0).unit_variance
-    assert not GammaSeed(2.0, 0.5).unit_variance
+def _draws(seed_spec, area, size, rng):
+    """``size`` draws for one area, as a scalar area with ``size`` and as an array of areas."""
+    return seed_spec.sample(area, rng, size), seed_spec.sample(np.full(size, area), rng)
 
 
 def test_sample_moments(seed_spec):
     rng = np.random.default_rng(123)
     area = 1.7
-    draws = seed_spec.sample_iid(area, 200_000, rng)
-    se_mean = math.sqrt(seed_spec.kappa2 * area / len(draws))
-    assert np.mean(draws) == pytest.approx(seed_spec.kappa1 * area, abs=6 * se_mean)
-    assert np.var(draws) == pytest.approx(seed_spec.kappa2 * area, rel=0.03)
+    for draws in _draws(seed_spec, area, 200_000, rng):
+        se_mean = math.sqrt(seed_spec.kappa2 * area / len(draws))
+        assert np.mean(draws) == pytest.approx(seed_spec.kappa1 * area, abs=6 * se_mean)
+        assert np.var(draws) == pytest.approx(seed_spec.kappa2 * area, rel=0.03)
 
 
 def test_sample_additivity(seed_spec):
     """L(B1 u B2) =d L(B1) + L(B2): variance of split draws matches."""
     rng = np.random.default_rng(5)
-    split = seed_spec.sample_iid(0.6, 100_000, rng) + seed_spec.sample_iid(0.4, 100_000, rng)
-    whole = seed_spec.sample_iid(1.0, 100_000, rng)
-    assert np.mean(split) == pytest.approx(np.mean(whole), abs=0.05 * max(1.0, seed_spec.kappa1))
-    assert np.var(split) == pytest.approx(np.var(whole), rel=0.05)
+    pieces = [_draws(seed_spec, area, 100_000, rng) for area in (0.6, 0.4, 1.0)]
+    for part1, part2, whole in zip(*pieces):
+        split = part1 + part2
+        assert np.mean(split) == pytest.approx(np.mean(whole), abs=0.05 * max(1.0, seed_spec.kappa1))
+        assert np.var(split) == pytest.approx(np.var(whole), rel=0.05)
+
+
+def test_sample_scalar_and_array_areas_agree(seed_spec):
+    """A scalar area with ``size`` gives the same draws as an array of areas."""
+    scalar = seed_spec.sample(0.7, np.random.default_rng(9), 50)
+    array = seed_spec.sample(np.full(50, 0.7), np.random.default_rng(9))
+    np.testing.assert_array_equal(scalar, array)
 
 
 def test_sample_seed_zero_area(seed_spec):
     rng = np.random.default_rng(0)
-    assert sample_seed(seed_spec, 0.0, rng) == 0.0
-    out = sample_seed(seed_spec, np.array([0.0, 1.0, 0.0]), rng)
+    assert seed_spec.sample(0.0, rng) == 0.0
+    assert np.all(seed_spec.sample(0.0, rng, 4) == 0.0)
+    out = seed_spec.sample(np.array([0.0, 1.0, 0.0]), rng)
     assert out[0] == 0.0 and out[2] == 0.0
 
 
 def test_sample_seed_rejects_negative_area(seed_spec):
     rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        sample_seed(seed_spec, -0.1, rng)
+    for area, size in ((-0.1, None), (-0.1, 5), (np.array([0.5, -0.1]), None)):
+        with pytest.raises(ValueError):
+            seed_spec.sample(area, rng, size)
 
 
 # -- dict round trips and validation -------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from trawlkit import (
     CompactTriangleTrawl,
     ExponentialTrawl,
+    GammaSeed,
     GaussianSeed,
     GridScheme,
     NonUniformGrid,
@@ -24,6 +25,7 @@ from trawlkit import (
     slice_area,
     truncation_horizon,
 )
+from trawlkit.simulate import simulate
 
 from conftest import ALL_TRAWLS
 
@@ -156,6 +158,40 @@ def test_exact_mode_cap():
         )
 
 
+# -- dispatcher ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "seed,sampler",
+    [
+        (PoissonSeed(1.0), simulate_points),
+        (GaussianSeed(0.0, 1.0), simulate_slices),
+        (GammaSeed(2.0, 0.5), simulate_slices),
+    ],
+    ids=["poisson", "gaussian", "gamma"],
+)
+def test_simulate_auto_picks_points_for_poisson_seeds(seed, sampler):
+    trawl, scheme = ExponentialTrawl(1.0), GridScheme(n=64, delta=0.2, master_seed=3)
+    path = simulate(trawl, seed, scheme)
+    np.testing.assert_array_equal(path.values, sampler(trawl, seed, scheme).values)
+    assert path.provenance["simulator"] == sampler.__name__.removeprefix("simulate_")
+
+
+def test_simulate_slices_exact_is_the_exact_horizon():
+    trawl, seed = PowerLawTrawl(2.5, 1.0), GaussianSeed(0.0, 1.0)
+    path = simulate(trawl, seed, GridScheme(n=100, delta=0.1, master_seed=4), "slices-exact")
+    expect = simulate_slices(trawl, seed, GridScheme(n=100, delta=0.1, master_seed=4, horizon="exact"))
+    assert path.provenance["mode"] == "exact"
+    np.testing.assert_array_equal(path.values, expect.values)
+    with pytest.raises(ValueError, match="conflicts with horizon=5"):
+        simulate(trawl, seed, GridScheme(n=100, delta=0.1, horizon=5), "slices-exact")
+
+
+def test_simulate_rejects_unknown_method():
+    with pytest.raises(ValueError, match="unknown simulator"):
+        simulate(ExponentialTrawl(1.0), PoissonSeed(1.0), GridScheme(n=10, delta=0.1), "exact")
+
+
 # -- determinism ---------------------------------------------------------
 
 
@@ -188,17 +224,17 @@ def test_provenance_reproduces_path(trawl, seed_spec):
     np.testing.assert_array_equal(path.values, again.values)
 
 
-@pytest.mark.parametrize("simulate", [simulate_slices, simulate_points], ids=lambda f: f.__name__)
-def test_provenance_of_explicit_rng(simulate):
+@pytest.mark.parametrize("sampler", [simulate_slices, simulate_points], ids=lambda f: f.__name__)
+def test_provenance_of_explicit_rng(sampler):
     """A caller's generator is recorded as external; the same state replays the path."""
     trawl, seed = ExponentialTrawl(1.0), PoissonSeed(1.0)
     scheme = GridScheme(n=64, delta=0.2, master_seed=5)
-    path = simulate(trawl, seed, scheme, rng=np.random.default_rng(11))
+    path = sampler(trawl, seed, scheme, rng=np.random.default_rng(11))
     assert path.provenance["rng"] == "external"
     assert path.provenance["master_seed"] is None
-    again = simulate(trawl, seed, scheme, rng=np.random.default_rng(11))
+    again = sampler(trawl, seed, scheme, rng=np.random.default_rng(11))
     np.testing.assert_array_equal(path.values, again.values)
-    seeded = simulate(trawl, seed, scheme)
+    seeded = sampler(trawl, seed, scheme)
     assert seeded.provenance["master_seed"] == 5 and "rng" not in seeded.provenance
     assert not np.array_equal(path.values, seeded.values)
 
