@@ -14,7 +14,7 @@ from .estimators import (
     square_function,
     window_exponent_bounds,
 )
-from .inference import TestReport, tau_test, tdep_characterization
+from .inference import TestReport, tau_test
 from .limit_theory import AvarKernel, QuadratureError
 from .mc import (
     ExperimentConfig,

@@ -31,6 +31,9 @@ from .simulate import SIMULATORS, GridScheme, export_csv, ingest_csv, simulate
 USAGE_ERROR = 2
 RUNTIME_ERROR = 3
 
+#: The keys a ``simulate --spec`` file may hold; any other key is an error.
+SIMULATE_SPEC_KEYS = ("trawl", "seed_spec", "n", "delta", "seed", "simulator")
+
 
 def _load_json(path):
     with open(path) as fh:
@@ -49,6 +52,9 @@ def _sidecar(path, payload):
 
 def cmd_simulate(args) -> int:
     spec = _load_json(args.spec) if args.spec else {}
+    unknown = set(spec) - set(SIMULATE_SPEC_KEYS)
+    if unknown:
+        raise ValueError(f"unknown simulate spec keys {sorted(unknown)}; allowed: {SIMULATE_SPEC_KEYS}")
     for key, val in (("n", args.n), ("delta", args.delta), ("seed", args.seed)):
         if val is not None:
             spec[key] = val
@@ -59,7 +65,6 @@ def cmd_simulate(args) -> int:
         n=int(spec["n"]),
         delta=float(spec["delta"]),
         master_seed=int(spec.get("seed", 0)),
-        horizon=spec.get("horizon"),
     )
     path = simulate(trawl, seed_spec, scheme, spec["simulator"])
     export_csv(path, args.out)

@@ -38,49 +38,32 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TestFunction:
-    """A test function g with an optional derivative and smoothness metadata.
+    """A test function g with an optional derivative.
 
-    ``d``, ``p``, ``q`` describe membership in the class of d-times
-    continuously differentiable functions whose first d-1 derivatives vanish
-    at 0 and whose d-th derivative is O(|x|^p) at 0 and O(|x|^q) at infinity.
-    They are needed only when asymptotic covariances are requested.
+    ``exponent`` is set when g(x) = |x|^exponent; it enables closed-form
+    target functionals and is the order at 0 that the tail CLT checks.
     """
 
     g: Callable[[np.ndarray], np.ndarray]
     dg: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    d: Optional[int] = None
-    p: Optional[float] = None
-    q: Optional[float] = None
-    #: Set when g(x) = |x|^exponent; enables closed-form target functionals.
     exponent: Optional[float] = None
 
 
 def power_function(exponent: float) -> TestFunction:
-    """g(x) = |x|^exponent; lies in the smoothness class with d = floor(exponent)."""
+    """g(x) = |x|^exponent."""
     if exponent <= 0:
         raise ValueError("exponent must be positive")
     e = exponent
-    frac = e - math.floor(e)
     return TestFunction(
         g=lambda x: np.abs(x) ** e,
         dg=lambda x: e * np.abs(x) ** (e - 1) * np.sign(x),
-        d=math.floor(e),
-        p=frac,
-        q=frac,
         exponent=e,
     )
 
 
 def square_function() -> TestFunction:
     """g(x) = x^2, the quadratic case with the tail-sum bias."""
-    return TestFunction(
-        g=lambda x: np.square(x),
-        dg=lambda x: 2.0 * x,
-        d=2,
-        p=0.0,
-        q=0.0,
-        exponent=2.0,
-    )
+    return power_function(2.0)
 
 
 @dataclass

@@ -22,10 +22,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .estimators import estimate_trawl
-from .models import TrawlSpec
 from .simulate import SampledPath
 
-__all__ = ["TestReport", "tau_test", "tdep_characterization"]
+__all__ = ["TestReport", "tau_test"]
 
 
 @dataclass(frozen=True)
@@ -64,7 +63,9 @@ def tau_test(path: SampledPath, T: float, p: float = 4.0) -> TestReport:
     head_terms = int(math.ceil(T / delta - 1e-12))
     denominator = float(delta * np.sum(powers[:head_terms]))
     full = float(delta * np.sum(powers))
-    numerator = full - denominator  # tail part, = Lambda_T^n(|x|^p)
+    # Tail part: the lags l >= ceil(T/delta).  lambda_n(est, |x|^p, T) starts
+    # at floor(T/delta), so the two agree only when T/delta is an integer.
+    numerator = full - denominator
     if denominator <= 0.0:
         raise ValueError("degenerate path: head functional vanished")
     tau = full / denominator - 1.0
@@ -79,10 +80,3 @@ def tau_test(path: SampledPath, T: float, p: float = 4.0) -> TestReport:
         delta=delta,
         p_below_clt_threshold=p <= 3.0,
     )
-
-
-def tdep_characterization(trawl: TrawlSpec, T: float) -> bool:
-    """Analytic ground truth: is the trawl process T-dependent?"""
-    if T < 0:
-        raise ValueError("T must be non-negative")
-    return float(trawl.tail_integral(T)) == 0.0

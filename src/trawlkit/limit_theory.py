@@ -212,12 +212,12 @@ class AvarKernel:
         """
         _check_times(t, s)
         _require_dg(g)
-        if g.p is None or g.d is None:
-            raise ValueError("tail covariance needs smoothness metadata (d, p, q)")
-        if g.d + g.p <= 3.0 and not self.trawl.support_end < math.inf:
+        if g.exponent is None:
+            raise ValueError("tail covariance needs a power test function (exponent)")
+        if g.exponent <= 3.0 and not self.trawl.support_end < math.inf:
             raise ValueError(
                 "tail CLT needs a test function of power order > 3 (quadratic g has a "
-                "non-central limit instead); got d + p = {:g}".format(g.d + g.p)
+                "non-central limit instead); got exponent {:g}".format(g.exponent)
             )
         end = self.trawl.support_end
         if end < math.inf:

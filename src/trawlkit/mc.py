@@ -24,7 +24,7 @@ from itertools import repeat
 from typing import Optional
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import integrate, special
 
 from .estimators import (
     TestFunction,
@@ -184,7 +184,7 @@ def ks_distance(samples) -> float:
     m = len(samples)
     if m < 20:
         raise ValueError("need at least 20 samples")
-    cdf = stats.norm.cdf(samples)
+    cdf = special.ndtr(samples)
     upper = np.max(np.arange(1, m + 1) / m - cdf)
     lower = np.max(cdf - np.arange(0, m) / m)
     return float(max(upper, lower))
@@ -223,9 +223,9 @@ def _one_replication(cfg: ExperimentConfig, n: int, rep: int) -> float:
         return psi_n(est, g, cfg.t)
     if cfg.theorem in ("T2", "T3", "T6"):
         return lambda_n(est, g, cfg.t)
-    window = choose_window(
-        n, cfg.varpi, cfg.theta, cfg.kappa, alpha=trawl.tail_exponent, p=g.p or 0.0
-    )
+    # The floor(e)-th derivative of |x|^e is O(|x|^p) at 0.
+    p = g.exponent - math.floor(g.exponent)
+    window = choose_window(n, cfg.varpi, cfg.theta, cfg.kappa, alpha=trawl.tail_exponent, p=p)
     return lambda_bar_n(est, g, cfg.t, max(window, int(cfg.t / delta) + 1))
 
 

@@ -54,11 +54,6 @@ class TrawlSpec:
     methods accept scalars or arrays and are vectorized.
     """
 
-    #: True when the family does not admit a strictly positive density phi
-    #: with a(s) = int_s^inf phi(y) dy; such trawls realize exact
-    #: T-dependence and are reserved for null-hypothesis experiments.
-    violates_assumption1 = False
-
     #: Tail exponent alpha with phi(s) = O(s^{-alpha-1}); infinity for
     #: super-polynomially decaying families.
     tail_exponent = math.inf
@@ -80,10 +75,6 @@ class TrawlSpec:
 
     def tail_integral_inverse(self, m):
         """Solve ``tail_integral(t) = m`` for t (used by the point sampler)."""
-        raise NotImplementedError
-
-    def phi(self, s):
-        """Density of the trawl function: a(s) = int_s^inf phi(y) dy."""
         raise NotImplementedError
 
     @property
@@ -133,9 +124,6 @@ class ExponentialTrawl(TrawlSpec):
     def tail_integral_inverse(self, m):
         m = np.asarray(m, dtype=float)
         return -np.log(self.rate * m) / self.rate
-
-    def phi(self, s):
-        return self.rate * np.exp(-self.rate * np.asarray(s, dtype=float))
 
     def to_dict(self):
         return {"family": "exponential", "rate": self.rate}
@@ -187,10 +175,6 @@ class PowerLawTrawl(TrawlSpec):
         base = (self.alpha - 1) * m / self.scale
         return self.scale * (base ** (1.0 / (1.0 - self.alpha)) - 1.0)
 
-    def phi(self, s):
-        s = np.asarray(s, dtype=float)
-        return self.alpha / self.scale * (1.0 + s / self.scale) ** (-self.alpha - 1.0)
-
     def to_dict(self):
         return {"family": "powerlaw", "alpha": self.alpha, "scale": self.scale}
 
@@ -206,8 +190,6 @@ class CompactTriangleTrawl(TrawlSpec):
     """
 
     support: float = 1.0
-
-    violates_assumption1 = True
 
     def __post_init__(self):
         if self.support <= 0:
@@ -243,10 +225,6 @@ class CompactTriangleTrawl(TrawlSpec):
         m = np.asarray(m, dtype=float)
         return self.support * (1.0 - np.sqrt(2.0 * m / self.support))
 
-    def phi(self, s):
-        s = np.asarray(s, dtype=float)
-        return np.where(s < self.support, 1.0 / self.support, 0.0)
-
     def to_dict(self):
         return {"family": "triangle", "support": self.support}
 
@@ -254,9 +232,9 @@ class CompactTriangleTrawl(TrawlSpec):
 class LevySeedSpec:
     """Base class for infinitely divisible Levy seed laws.
 
-    Exposes the per-unit-area cumulants kappa1..kappa4 of the seed L' and the
-    fourth moment of the Levy measure ``k4_levy = int x^4 nu(dx)`` which
-    drives the leading term of the asymptotic variance kernel.
+    Exposes the per-unit-area cumulants kappa1, kappa2, kappa4 of the seed
+    L' and the fourth moment of the Levy measure ``k4_levy = int x^4 nu(dx)``
+    which drives the leading term of the asymptotic variance kernel.
     """
 
     @property
@@ -265,10 +243,6 @@ class LevySeedSpec:
 
     @property
     def kappa2(self):
-        raise NotImplementedError
-
-    @property
-    def kappa3(self):
         raise NotImplementedError
 
     @property
@@ -300,7 +274,6 @@ class GaussianSeed(LevySeedSpec):
         if self.var <= 0:
             raise ValueError("var must be positive")
 
-    kappa3 = 0.0
     kappa4 = 0.0
     k4_levy = 0.0
 
@@ -337,10 +310,6 @@ class PoissonSeed(LevySeedSpec):
 
     @property
     def kappa2(self):
-        return self.rate
-
-    @property
-    def kappa3(self):
         return self.rate
 
     @property
@@ -382,10 +351,6 @@ class GammaSeed(LevySeedSpec):
     @property
     def kappa2(self):
         return self.shape * self.scale**2
-
-    @property
-    def kappa3(self):
-        return 2.0 * self.shape * self.scale**3
 
     @property
     def kappa4(self):

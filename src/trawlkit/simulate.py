@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -56,25 +56,17 @@ class NonUniformGrid(ValueError):
 
 @dataclass(frozen=True)
 class GridScheme:
-    """Equidistant sampling design: n+1 observations at step ``delta``.
-
-    ``horizon`` is the forward-slice truncation count J; ``None`` requests
-    the smallest J with tail_integral(J*delta) <= EPS_TRUNC * tail_integral(0)
-    and ``"exact"`` disables truncation entirely (up to n = EXACT_CAP).
-    """
+    """Equidistant sampling design: n+1 observations at step ``delta``."""
 
     n: int
     delta: float
     master_seed: int = 0
-    horizon: object = None
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("n must be at least 2")
         if self.delta <= 0:
             raise ValueError("delta must be positive")
-        if self.horizon not in (None, "exact") and int(self.horizon) < 1:
-            raise ValueError("horizon must be >= 1, None, or 'exact'")
 
 
 @dataclass
@@ -108,27 +100,35 @@ def _interval_mass(trawl: TrawlSpec, delta: float, m):
     return trawl.tail_integral(m * delta) - trawl.tail_integral((m + 1.0) * delta)
 
 
-def slice_area(trawl: TrawlSpec, delta: float, i: int, j: int) -> float:
+def slice_area(trawl: TrawlSpec, delta: float, i: int, j):
     """Lebesgue measure of slice (i, j) of the grid partition.
 
     Row 0 extends to s = -inf, so its slices carry the full interval mass
     B(j); rows i >= 1 live on a single grid cell and carry the second
-    difference B(j-i) - B(j-i+1).
+    difference B(j-i) - B(j-i+1).  ``j`` may be an array of column indices; a
+    scalar ``j`` gives a float, computed by the same array arithmetic.
     """
-    if i < 0 or j < i:
+    cols = np.atleast_1d(j)
+    if i < 0 or np.any(cols < i):
         raise ValueError("need 0 <= i <= j")
     if i == 0:
-        return float(_interval_mass(trawl, delta, j))
-    return float(_interval_mass(trawl, delta, j - i) - _interval_mass(trawl, delta, j - i + 1))
+        area = _interval_mass(trawl, delta, cols)
+    else:
+        area = _interval_mass(trawl, delta, cols - i) - _interval_mass(trawl, delta, cols - i + 1)
+    return area if np.ndim(j) else float(area[0])
 
 
-def residual_area(trawl: TrawlSpec, delta: float, n: int, i: int) -> float:
-    """Lebesgue measure of the union of slices (i, j) over j >= n."""
-    if not 0 <= i <= n:
+def residual_area(trawl: TrawlSpec, delta: float, n: int, i):
+    """Lebesgue measure of the union of slices (i, j) over j >= n.
+
+    ``i`` may be an array of row indices; a scalar ``i`` gives a float.
+    """
+    rows = np.atleast_1d(i)
+    if np.any(rows < 0) or np.any(rows > n):
         raise ValueError("need 0 <= i <= n")
-    if i == 0:
-        return float(trawl.tail_integral(n * delta))
-    return float(_interval_mass(trawl, delta, n - i))
+    row0 = trawl.tail_integral(np.full(rows.shape, n * delta))
+    area = np.where(rows == 0, row0, _interval_mass(trawl, delta, n - rows))
+    return area if np.ndim(i) else float(area[0])
 
 
 def truncation_horizon(trawl: TrawlSpec, delta: float, eps: float = EPS_TRUNC) -> int:
@@ -153,44 +153,27 @@ def _substream(master_seed: int, *key):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(master_seed, spawn_key=key)))
 
 
-def _stream_record(scheme: GridScheme, rng) -> dict:
-    """Provenance of the draws: the master seed, unless the caller passed a generator."""
-    if rng is None:
-        return {"master_seed": scheme.master_seed}
-    return {"master_seed": None, "rng": "external"}
-
-
 def simulate_slices(
     trawl: TrawlSpec,
     seed: LevySeedSpec,
     scheme: GridScheme,
-    rng: Optional[np.random.Generator] = None,
+    exact: bool = False,
 ) -> SampledPath:
     """Sample a path by drawing one seed variate per grid slice.
 
-    Works for any seed family and is exact when ``scheme.horizon`` is
-    ``"exact"``.  In truncated mode slices with j - i > J fold into the
-    row residual, giving a per-point mean bias of at most
-    kappa1 * tail_integral(J*delta) and the analogous variance error.
+    Works for any seed family.  By default slices with j - i > J, for the
+    smallest J with tail_integral(J*delta) <= EPS_TRUNC * tail_integral(0),
+    fold into the row residual, giving a per-point mean bias of at most
+    kappa1 * tail_integral(J*delta) and the analogous variance error;
+    ``exact=True`` keeps every slice (up to n = EXACT_CAP).
 
     Slices at a fixed offset m = j - i share one counter-based substream, so
-    paths are reproducible bit-for-bit from ``scheme.master_seed`` alone when
-    no explicit generator is passed; with one, the provenance records
-    ``"rng": "external"`` and no master seed.
+    paths are reproducible bit-for-bit from ``scheme.master_seed`` alone.
     """
     n, delta = scheme.n, scheme.delta
-    exact = scheme.horizon == "exact"
-    if exact:
-        if n > EXACT_CAP:
-            raise ValueError(f"exact mode draws O(n^2) slices; n={n} exceeds cap {EXACT_CAP}")
-        horizon = n
-    elif scheme.horizon is None:
-        horizon = truncation_horizon(trawl, delta)
-    else:
-        horizon = int(scheme.horizon)
-    horizon = min(horizon, n)
-
-    streams = None if rng is not None else (lambda *key: _substream(scheme.master_seed, *key))
+    if exact and n > EXACT_CAP:
+        raise ValueError(f"exact mode draws O(n^2) slices; n={n} exceeds cap {EXACT_CAP}")
+    horizon = n if exact else min(truncation_horizon(trawl, delta), n)
 
     # diff[k] accumulates contributions starting at index k and diff[k'+1]
     # removes them; the path is the prefix sum.
@@ -198,9 +181,9 @@ def simulate_slices(
 
     # Row 0 (the infinite past): slices j = 0..J-1 with areas B(j), residual
     # tail_integral(J*delta) active for every k.
-    j0 = np.arange(min(horizon, n))
+    j0 = np.arange(horizon)
     areas0 = _interval_mass(trawl, delta, j0)
-    g = streams(0) if streams else rng
+    g = _substream(scheme.master_seed, 0)
     row0 = seed.sample(areas0, g)
     diff[0] += np.sum(row0) + seed.sample(float(trawl.tail_integral(len(j0) * delta)), g)
     diff[1 : len(j0) + 1] -= row0
@@ -213,9 +196,8 @@ def simulate_slices(
         count = n - m - 1  # rows i = 1..n-m-1, so that j = i + m <= n - 1
         if count <= 0:
             break
-        g = streams(1, m) if streams else rng
         area = float(diffB[m])
-        vals = seed.sample(area, g, count) if area > 0 else np.zeros(count)
+        vals = seed.sample(area, _substream(scheme.master_seed, 1, m), count) if area > 0 else np.zeros(count)
         diff[1 : count + 1] += vals  # start at k = i
         diff[m + 2 : m + 2 + count] -= vals  # end after k = i + m
 
@@ -227,8 +209,7 @@ def simulate_slices(
     if not exact:
         cut = n - i > horizon  # rows whose slice range j-i in [0, horizon] missed mass
         res_areas = np.where(cut, _interval_mass(trawl, delta, float(horizon + 1)), res_areas)
-    g = streams(2) if streams else rng
-    res_vals = seed.sample(res_areas, g)
+    res_vals = seed.sample(res_areas, _substream(scheme.master_seed, 2))
     diff[1 : n + 1] += res_vals
 
     values = np.cumsum(diff[: n + 1])
@@ -238,19 +219,14 @@ def simulate_slices(
         "horizon": horizon,
         "n": n,
         "delta": delta,
-        **_stream_record(scheme, rng),
+        "master_seed": scheme.master_seed,
         "trawl": trawl.to_dict(),
         "seed_spec": seed.to_dict(),
     }
     return SampledPath(delta, values, provenance)
 
 
-def simulate_points(
-    trawl: TrawlSpec,
-    seed: LevySeedSpec,
-    scheme: GridScheme,
-    rng: Optional[np.random.Generator] = None,
-) -> SampledPath:
+def simulate_points(trawl: TrawlSpec, seed: LevySeedSpec, scheme: GridScheme) -> SampledPath:
     """Sample a path of a Poisson-seeded trawl process via its unit points.
 
     The union of the observed trawl sets splits into the time-zero set (area
@@ -263,9 +239,7 @@ def simulate_points(
     if not isinstance(seed, PoissonSeed):
         raise TypeError("simulate_points requires a Poisson seed")
     n, delta = scheme.n, scheme.delta
-    record = _stream_record(scheme, rng)
-    if rng is None:
-        rng = _substream(scheme.master_seed, 3)
+    rng = _substream(scheme.master_seed, 3)
 
     a0 = trawl.leb_A
     cell = a0 - float(trawl.tail_integral(delta))
@@ -306,7 +280,7 @@ def simulate_points(
         "simulator": "points",
         "n": n,
         "delta": delta,
-        **record,
+        "master_seed": scheme.master_seed,
         "trawl": trawl.to_dict(),
         "seed_spec": seed.to_dict(),
     }
@@ -319,21 +293,14 @@ def simulate(
     scheme: GridScheme,
     method: str = "auto",
 ) -> SampledPath:
-    """Sample a path with the simulator named by ``method`` (see SIMULATORS).
-
-    ``slices-exact`` is the slice sampler with ``horizon="exact"``; a scheme
-    that sets a numeric horizon contradicts it and is rejected.
-    """
+    """Sample a path with the simulator named by ``method`` (see SIMULATORS);
+    ``slices-exact`` is the slice sampler with no truncation horizon."""
     if method == "auto":
         method = "points" if isinstance(seed, PoissonSeed) else "slices"
     if method == "points":
         return simulate_points(trawl, seed, scheme)
-    if method == "slices-exact":
-        if scheme.horizon not in (None, "exact"):
-            raise ValueError(f"simulator 'slices-exact' conflicts with horizon={scheme.horizon!r}")
-        return simulate_slices(trawl, seed, replace(scheme, horizon="exact"))
-    if method == "slices":
-        return simulate_slices(trawl, seed, scheme)
+    if method in ("slices", "slices-exact"):
+        return simulate_slices(trawl, seed, scheme, exact=method == "slices-exact")
     raise ValueError(f"unknown simulator {method!r}; choose from {SIMULATORS}")
 
 

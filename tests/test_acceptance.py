@@ -204,14 +204,13 @@ def test_08_simulator_exactness(report):
     for trawl in [ExponentialTrawl(1.0), PowerLawTrawl(2.5, 1.0), CompactTriangleTrawl(1.5)]:
         total = np.zeros(n + 1)
         for i in range(n):
-            areas = np.array([slice_area(trawl, delta, i, j) for j in range(i, n)])
+            areas = slice_area(trawl, delta, i, np.arange(i, n))
             # slice (i, j) covers k in [i, j]: add via a difference array
             diff = np.zeros(n + 2)
             diff[i] = np.sum(areas)
             np.subtract.at(diff, np.arange(i, n) + 1, areas)
             total += np.cumsum(diff)[: n + 1]
-        for i in range(n + 1):
-            total[i:] += residual_area(trawl, delta, n, i)
+        total += np.cumsum(residual_area(trawl, delta, n, np.arange(n + 1)))  # residual i covers k >= i
         worst = max(worst, float(np.max(np.abs(total - trawl.leb_A))))
     area_ok = worst < 1e-10
 

@@ -59,7 +59,7 @@ def test_simulate_flag_overrides(tmp_path, sim_spec_file):
     assert len(out.read_text().splitlines()) == 18
 
 
-def test_simulate_bad_config(tmp_path):
+def test_simulate_bad_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({**SIM_SPEC, "trawl": {"family": "nope"}}))
     assert main(["simulate", "--spec", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
@@ -69,6 +69,13 @@ def test_simulate_bad_config(tmp_path):
     assert main(["simulate", "--spec", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
     bad.write_text(json.dumps({**SIM_SPEC, "horizon": 5}))
     assert main(["simulate", "--spec", str(bad), "--method", "slices-exact", "--out", str(tmp_path / "x.csv")]) == 2
+    # Unknown keys are rejected by name instead of silently ignored.
+    for key, value in (("horizon", "exact"), ("simualtor", "points")):
+        bad.write_text(json.dumps({**SIM_SPEC, key: value}))
+        capsys.readouterr()
+        assert main(["simulate", "--spec", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
+        assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_simulate_method_recorded_and_replayed(tmp_path, sim_spec_file):

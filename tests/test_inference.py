@@ -13,11 +13,13 @@ from trawlkit import (
     ExponentialTrawl,
     GridScheme,
     PoissonSeed,
-    PowerLawTrawl,
     SampledPath,
+    estimate_trawl,
+    lambda_n,
+    power_function,
+    psi_n,
     simulate_points,
     tau_test,
-    tdep_characterization,
 )
 
 
@@ -38,10 +40,17 @@ def test_report_fields_and_json():
 
 
 def test_tau_is_tail_to_head_ratio():
-    path = _poisson_path(ExponentialTrawl(1.0))
-    report = tau_test(path, T=1.0)
-    assert report.tau == pytest.approx(report.numerator / report.denominator, rel=1e-12)
-    assert report.tau >= 0.0 or report.numerator < 0.0
+    """With T/delta an integer the head and tail are psi_n and lambda_n."""
+    path = _poisson_path(ExponentialTrawl(1.0))  # delta = 1/64
+    est = estimate_trawl(path)
+    for T, p in ((1.0, 4.0), (0.5, 3.5)):
+        report = tau_test(path, T=T, p=p)
+        assert report.tau == pytest.approx(report.numerator / report.denominator, rel=1e-12)
+        assert report.tau >= 0.0 or report.numerator < 0.0
+        g = power_function(p)
+        assert report.numerator + report.denominator == pytest.approx(lambda_n(est, g, 0.0), rel=1e-9)
+        assert report.denominator == pytest.approx(psi_n(est, g, T), rel=1e-9)
+        assert report.numerator == pytest.approx(lambda_n(est, g, T), rel=1e-9)
 
 
 def test_small_p_advisory_flag():
@@ -86,13 +95,3 @@ def test_validation():
     flat = SampledPath(0.1, np.zeros(50))
     with pytest.raises(ValueError):
         tau_test(flat, T=1.0)
-
-
-def test_tdep_characterization():
-    assert tdep_characterization(CompactTriangleTrawl(1.0), 1.0)
-    assert tdep_characterization(CompactTriangleTrawl(1.0), 2.0)
-    assert not tdep_characterization(CompactTriangleTrawl(1.0), 0.5)
-    assert not tdep_characterization(ExponentialTrawl(1.0), 100.0)
-    assert not tdep_characterization(PowerLawTrawl(2.0, 1.0), 10.0)
-    with pytest.raises(ValueError):
-        tdep_characterization(ExponentialTrawl(1.0), -1.0)

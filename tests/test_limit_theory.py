@@ -317,11 +317,16 @@ def test_limit_cov_psi_needs_derivative():
 
 def test_limit_cov_lambda_rejects_low_power():
     """The quadratic case has a non-central limit, not a CLT."""
+    from trawlkit import TestFunction
+
     kern = AvarKernel(EXP)
     with pytest.raises(ValueError):
         kern.limit_cov_lambda(square_function(), 0.0, 0.0)
     with pytest.raises(ValueError):
         kern.limit_cov_lambda(power_function(3.0), 0.0, 0.0)
+    quartic = power_function(4.0)
+    with pytest.raises(ValueError, match="exponent"):
+        kern.limit_cov_lambda(TestFunction(g=quartic.g, dg=quartic.dg), 0.0, 0.0)
 
 
 def test_limit_cov_lambda_compact_support():

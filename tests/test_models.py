@@ -40,13 +40,6 @@ def test_power_tail_integral_matches_quadrature(trawl, t, p):
     assert float(trawl.power_tail_integral(t, p)) == pytest.approx(expect, abs=1e-9)
 
 
-def test_phi_reconstructs_a(trawl):
-    for s in [0.0, 0.2, 1.1]:
-        hi = trawl.support_end if trawl.support_end < math.inf else np.inf
-        expect, _ = integrate.quad(lambda y: float(trawl.phi(y)), s, hi)
-        assert float(trawl.a(s)) == pytest.approx(expect, abs=1e-8)
-
-
 def test_autocorrelation_normalized(trawl):
     h = np.array([0.0, 0.5, 1.5, 4.0])
     rho = trawl.autocorrelation(h)
@@ -99,9 +92,7 @@ def test_a_non_increasing(trawl):
 
 
 def test_support_flags():
-    assert CompactTriangleTrawl(1.0).violates_assumption1
     assert CompactTriangleTrawl(2.0).support_end == 2.0
-    assert not ExponentialTrawl(1.0).violates_assumption1
     assert math.isinf(ExponentialTrawl(1.0).support_end)
     assert PowerLawTrawl(2.5, 1.0).tail_exponent == 2.5
     assert math.isinf(ExponentialTrawl(1.0).tail_exponent)
@@ -112,13 +103,12 @@ def test_support_flags():
 
 def test_seed_cumulants():
     g = GaussianSeed(0.3, 2.0)
-    assert (g.kappa1, g.kappa2, g.kappa3, g.kappa4, g.k4_levy) == (0.3, 2.0, 0.0, 0.0, 0.0)
+    assert (g.kappa1, g.kappa2, g.kappa4, g.k4_levy) == (0.3, 2.0, 0.0, 0.0)
     p = PoissonSeed(0.7)
-    assert (p.kappa1, p.kappa2, p.kappa3, p.kappa4, p.k4_levy) == (0.7,) * 5
+    assert (p.kappa1, p.kappa2, p.kappa4, p.k4_levy) == (0.7,) * 4
     gam = GammaSeed(2.0, 0.5)
     assert gam.kappa1 == pytest.approx(1.0)
     assert gam.kappa2 == pytest.approx(0.5)
-    assert gam.kappa3 == pytest.approx(0.5)
     assert gam.kappa4 == pytest.approx(0.75)
     assert gam.k4_levy == gam.kappa4
 

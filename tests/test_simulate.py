@@ -54,6 +54,12 @@ def test_area_conservation(trawl):
     for i in range(n + 1):
         total[i:] += residual_area(trawl, delta, n, i)
     assert np.max(np.abs(total - trawl.leb_A)) < 1e-12
+    # The array forms return exactly the scalar areas.
+    for i in (0, 1, 37):
+        scalar = [slice_area(trawl, delta, i, j) for j in range(i, n)]
+        np.testing.assert_array_equal(slice_area(trawl, delta, i, np.arange(i, n)), scalar)
+    scalar = [residual_area(trawl, delta, n, i) for i in range(n + 1)]
+    np.testing.assert_array_equal(residual_area(trawl, delta, n, np.arange(n + 1)), scalar)
 
 
 def test_residual_area_is_remaining_mass(trawl):
@@ -79,6 +85,10 @@ def test_slice_area_validation():
         slice_area(trawl, 0.1, 2, 1)
     with pytest.raises(ValueError):
         residual_area(trawl, 0.1, 8, 9)
+    with pytest.raises(ValueError):
+        slice_area(trawl, 0.1, 2, np.array([2, 3, 1]))
+    with pytest.raises(ValueError):
+        residual_area(trawl, 0.1, 8, np.array([0, 8, 9]))
 
 
 # -- simulated law -------------------------------------------------------
@@ -144,7 +154,7 @@ def test_points_requires_poisson():
 
 def test_exact_mode_matches_truncated_in_law():
     trawl, seed = ExponentialTrawl(1.0), GaussianSeed(0.0, 1.0)
-    exact = simulate_slices(trawl, seed, GridScheme(n=300, delta=0.3, master_seed=9, horizon="exact"))
+    exact = simulate_slices(trawl, seed, GridScheme(n=300, delta=0.3, master_seed=9), exact=True)
     trunc = simulate_slices(trawl, seed, GridScheme(n=300, delta=0.3, master_seed=9))
     assert np.var(exact.values) == pytest.approx(np.var(trunc.values), rel=0.2)
 
@@ -154,7 +164,8 @@ def test_exact_mode_cap():
         simulate_slices(
             ExponentialTrawl(1.0),
             GaussianSeed(0.0, 1.0),
-            GridScheme(n=5000, delta=0.1, horizon="exact"),
+            GridScheme(n=5000, delta=0.1),
+            exact=True,
         )
 
 
@@ -180,11 +191,9 @@ def test_simulate_auto_picks_points_for_poisson_seeds(seed, sampler):
 def test_simulate_slices_exact_is_the_exact_horizon():
     trawl, seed = PowerLawTrawl(2.5, 1.0), GaussianSeed(0.0, 1.0)
     path = simulate(trawl, seed, GridScheme(n=100, delta=0.1, master_seed=4), "slices-exact")
-    expect = simulate_slices(trawl, seed, GridScheme(n=100, delta=0.1, master_seed=4, horizon="exact"))
-    assert path.provenance["mode"] == "exact"
+    expect = simulate_slices(trawl, seed, GridScheme(n=100, delta=0.1, master_seed=4), exact=True)
+    assert path.provenance["mode"] == "exact" and path.provenance["horizon"] == 100
     np.testing.assert_array_equal(path.values, expect.values)
-    with pytest.raises(ValueError, match="conflicts with horizon=5"):
-        simulate(trawl, seed, GridScheme(n=100, delta=0.1, horizon=5), "slices-exact")
 
 
 def test_simulate_rejects_unknown_method():
@@ -209,6 +218,7 @@ def test_points_deterministic_from_master_seed():
     a = simulate_points(ExponentialTrawl(1.0), PoissonSeed(1.0), scheme)
     b = simulate_points(ExponentialTrawl(1.0), PoissonSeed(1.0), scheme)
     np.testing.assert_array_equal(a.values, b.values)
+    assert a.provenance["master_seed"] == 21
 
 
 def test_provenance_reproduces_path(trawl, seed_spec):
@@ -224,21 +234,6 @@ def test_provenance_reproduces_path(trawl, seed_spec):
     np.testing.assert_array_equal(path.values, again.values)
 
 
-@pytest.mark.parametrize("sampler", [simulate_slices, simulate_points], ids=lambda f: f.__name__)
-def test_provenance_of_explicit_rng(sampler):
-    """A caller's generator is recorded as external; the same state replays the path."""
-    trawl, seed = ExponentialTrawl(1.0), PoissonSeed(1.0)
-    scheme = GridScheme(n=64, delta=0.2, master_seed=5)
-    path = sampler(trawl, seed, scheme, rng=np.random.default_rng(11))
-    assert path.provenance["rng"] == "external"
-    assert path.provenance["master_seed"] is None
-    again = sampler(trawl, seed, scheme, rng=np.random.default_rng(11))
-    np.testing.assert_array_equal(path.values, again.values)
-    seeded = sampler(trawl, seed, scheme)
-    assert seeded.provenance["master_seed"] == 5 and "rng" not in seeded.provenance
-    assert not np.array_equal(path.values, seeded.values)
-
-
 # -- scheme validation ---------------------------------------------------
 
 
@@ -248,7 +243,6 @@ def test_provenance_of_explicit_rng(sampler):
         {"n": 1, "delta": 0.1},
         {"n": 10, "delta": 0.0},
         {"n": 10, "delta": -1.0},
-        {"n": 10, "delta": 0.1, "horizon": 0},
     ],
 )
 def test_grid_scheme_validation(kwargs):
