@@ -65,7 +65,7 @@ class GridScheme:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("n must be at least 2")
-        if self.delta <= 0:
+        if not self.delta > 0:  # also rejects NaN
             raise ValueError("delta must be positive")
 
 

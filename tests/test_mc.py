@@ -79,6 +79,18 @@ def test_ks_distance_exact_quantiles():
         ks_distance(np.zeros(5))
 
 
+@pytest.mark.parametrize("law", ["normal", "student_t", "shifted"])
+def test_ks_distance_matches_kstest(law):
+    r = np.random.default_rng(3)
+    samples = {
+        "normal": r.standard_normal(500),
+        "student_t": r.standard_t(3.0, 500),
+        "shifted": r.standard_normal(500) + 0.2,
+    }[law]
+    expect = stats.kstest(samples, "norm").statistic
+    assert ks_distance(samples) == pytest.approx(expect, rel=1e-12, abs=1e-15)
+
+
 def test_convergence_slope_exact():
     nds = [10.0, 100.0, 1000.0]
     rmses = [5.0 * nd**-0.5 for nd in nds]

@@ -40,6 +40,13 @@ def test_power_tail_integral_matches_quadrature(trawl, t, p):
     assert float(trawl.power_tail_integral(t, p)) == pytest.approx(expect, abs=1e-9)
 
 
+def test_leb_A_is_integral_of_a(trawl):
+    hi = trawl.support_end if trawl.support_end < math.inf else np.inf
+    expect, _ = integrate.quad(lambda s: float(trawl.a(s)), 0.0, hi)
+    assert trawl.leb_A == pytest.approx(expect, abs=1e-8)
+    assert float(trawl.a(0.0)) == pytest.approx(1.0)
+
+
 def test_autocorrelation_normalized(trawl):
     h = np.array([0.0, 0.5, 1.5, 4.0])
     rho = trawl.autocorrelation(h)

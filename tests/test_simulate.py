@@ -234,6 +234,17 @@ def test_provenance_reproduces_path(trawl, seed_spec):
     np.testing.assert_array_equal(path.values, again.values)
 
 
+@pytest.mark.parametrize("sampler", [simulate_slices, simulate_points], ids=lambda f: f.__name__)
+def test_provenance_records_master_seed(sampler):
+    """Each sampler draws only from its master seed and records that seed."""
+    trawl, seed = ExponentialTrawl(1.0), PoissonSeed(1.0)
+    path = sampler(trawl, seed, GridScheme(n=64, delta=0.2, master_seed=5))
+    assert path.provenance["master_seed"] == 5 and "rng" not in path.provenance
+    other = sampler(trawl, seed, GridScheme(n=64, delta=0.2, master_seed=6))
+    assert other.provenance["master_seed"] == 6
+    assert not np.array_equal(path.values, other.values)
+
+
 # -- scheme validation ---------------------------------------------------
 
 
@@ -243,6 +254,7 @@ def test_provenance_reproduces_path(trawl, seed_spec):
         {"n": 1, "delta": 0.1},
         {"n": 10, "delta": 0.0},
         {"n": 10, "delta": -1.0},
+        {"n": 10, "delta": float("nan")},
     ],
 )
 def test_grid_scheme_validation(kwargs):
