@@ -9,6 +9,7 @@ from .estimators import (
     estimate_trawl,
     lambda_bar_n,
     lambda_n,
+    num_head_terms,
     power_function,
     psi_n,
     square_function,

@@ -21,7 +21,14 @@ import sys
 import numpy as np
 
 from . import __version__
-from .estimators import choose_window, estimate_trawl, lambda_bar_n, lambda_n, psi_n
+from .estimators import (
+    choose_window,
+    estimate_trawl,
+    lambda_bar_n,
+    lambda_n,
+    num_head_terms,
+    psi_n,
+)
 from .inference import tau_test
 from .limit_theory import AvarKernel
 from .mc import ExperimentConfig, run_experiment, test_function_from_dict
@@ -91,7 +98,7 @@ def cmd_estimate(args) -> int:
             for t in t_grid:
                 bar = (
                     lambda_bar_n(est, g, t, window)
-                    if int(t / est.delta) < window
+                    if num_head_terms(est, t) < window
                     else float("nan")
                 )
                 writer.writerow(

@@ -4,9 +4,21 @@ The lag-l estimate of the trawl function is a centered cross-correlation
 between the path and its increments,
 
     a_hat(l * delta) = -(1 / (n * delta)) * sum_{k=l}^{n-1}
-                       (X_{(k-l) delta} - xbar) * (X_{(k+1) delta} - X_{k delta}),
+                       (X_{(k-l) delta} - xbar) * (X_{(k+1) delta} - X_{k delta}).
 
-and plug-in Riemann sums of g(a_hat) estimate the head functional
+Increments do not change when the path is shifted, so with the centred path
+y_k = X_{k delta} - xbar (k = 0..n) the sum is an autocorrelation difference,
+
+    sum_{k=0}^{n-1-l} y_k (y_{k+l+1} - y_{k+l}) = R(l+1) - R(l) + y_{n-l} y_n,
+    R(h) = sum_{k=0}^{n-h} y_k y_{k+h},
+
+so every lag comes from one autocorrelation of y: one forward and one inverse
+real FFT.  Centring first matters: on an uncentred path R(h) carries a term
+of order n * xbar^2 whose rounding error survives the difference
+R(l+1) - R(l), so a path with mean 100 and unit variance would lose about
+five digits.
+
+Plug-in Riemann sums of g(a_hat) estimate the head functional
 ``int_0^t g(a(s)) ds`` and the tail functional ``int_t^inf g(a(s)) ds``.
 The full tail sum is biased by a factor of 2 for quadratic g; truncating the
 sum at a slowly growing window removes the bias.
@@ -31,6 +43,7 @@ __all__ = [
     "psi_n",
     "lambda_n",
     "lambda_bar_n",
+    "num_head_terms",
     "window_exponent_bounds",
     "choose_window",
 ]
@@ -91,35 +104,43 @@ def estimate_trawl(path: SampledPath, method: str = "fft") -> TrawlEstimate:
     """Estimate the trawl function at every lag of an observed path.
 
     ``method="naive"`` evaluates the centered sum lag by lag and is the
-    oracle for the default ``"fft"`` method, which computes all lags at once
-    through frequency-domain cross-correlation.  The centering term is folded
-    in exactly via the telescoping identity
-    sum_{k=l}^{n-1} (X_{(k+1)d} - X_{kd}) = X_{nd} - X_{ld}.
+    oracle for the default ``"fft"`` method.  That method centres the path,
+    y = x - xbar, and takes the autocorrelation R(0..n) of y from one real
+    FFT of length m = 2^ceil(log2(2n)) >= 2n and its inverse; then
+    a_hat(l * delta) = (R(l) - R(l+1) - y_{n-l} y_n) / (n * delta).  Lag n
+    is the only one that can wrap around: when m = 2n the circular
+    correlation adds lag -n to it and doubles it, so R(n) = y_0 y_n is set
+    directly.
     """
     x = path.values
     n = path.n
     delta = path.delta
     if not np.all(np.isfinite(x)):
         raise ValueError("path contains non-finite values")
-    dx = np.diff(x)
     x_bar = float(np.mean(x[:n]))
     if method == "naive":
+        dx = np.diff(x)
         raw = np.empty(n)
         for lag in range(n):
             raw[lag] = np.dot(x[: n - lag], dx[lag:])
+        centering = x_bar * (x[n] - x[:n])
+        a_hat = -(raw - centering) / (n * delta)
     elif method == "fft":
+        y = x - x_bar
         m = 1 << (2 * n - 1).bit_length()
-        fx = np.fft.rfft(x[:n], m)
-        fd = np.fft.rfft(dx, m)
-        raw = np.fft.irfft(fd * np.conj(fx), m)[:n]
+        f = np.fft.rfft(y, m)
+        r = np.fft.irfft(f.real * f.real + f.imag * f.imag, m)[: n + 1]
+        r[n] = y[0] * y[n]
+        a_hat = (r[:n] - r[1:] - y[n:0:-1] * y[n]) / (n * delta)
     else:
         raise ValueError("method must be 'naive' or 'fft'")
-    centering = x_bar * (x[n] - x[:n])
-    a_hat = -(raw - centering) / (n * delta)
     return TrawlEstimate(delta=delta, n=n, a_hat=a_hat, x_bar=x_bar)
 
 
-def _num_head_terms(est: TrawlEstimate, t: float) -> int:
+def num_head_terms(est: TrawlEstimate, t: float) -> int:
+    """floor(t / delta), the number of lags below t: the head sum's length
+    and the tail sums' first lag.  The 1e-12 slack keeps a t on the grid
+    from losing a lag to rounding (0.3 / 0.1 = 2.9999999999999996)."""
     if t < 0:
         raise ValueError("t must be non-negative")
     return int(math.floor(t / est.delta + 1e-12))
@@ -127,7 +148,7 @@ def _num_head_terms(est: TrawlEstimate, t: float) -> int:
 
 def psi_n(est: TrawlEstimate, g: TestFunction, t: float) -> float:
     """Head-functional estimate: delta * sum_{l=0}^{floor(t/delta)-1} g(a_hat)."""
-    terms = _num_head_terms(est, t)
+    terms = num_head_terms(est, t)
     if terms > est.n:
         raise ValueError("t exceeds the observed horizon (n-1)*delta")
     return float(est.delta * np.sum(g.g(est.a_hat[:terms])))
@@ -135,7 +156,7 @@ def psi_n(est: TrawlEstimate, g: TestFunction, t: float) -> float:
 
 def lambda_n(est: TrawlEstimate, g: TestFunction, t: float) -> float:
     """Tail-functional estimate: delta * sum_{l=floor(t/delta)}^{n-1} g(a_hat)."""
-    start = _num_head_terms(est, t)
+    start = num_head_terms(est, t)
     if start > est.n - 1:
         raise ValueError("t exceeds the observed horizon (n-1)*delta")
     return float(est.delta * np.sum(g.g(est.a_hat[start:])))
@@ -143,7 +164,7 @@ def lambda_n(est: TrawlEstimate, g: TestFunction, t: float) -> float:
 
 def lambda_bar_n(est: TrawlEstimate, g: TestFunction, t: float, window: int) -> float:
     """Windowed tail-functional estimate, summed up to lag ``window - 1``."""
-    start = _num_head_terms(est, t)
+    start = num_head_terms(est, t)
     if not start < window <= est.n:
         raise ValueError("need floor(t/delta) < window <= n")
     return float(est.delta * np.sum(g.g(est.a_hat[start:window])))

@@ -32,6 +32,7 @@ from .estimators import (
     estimate_trawl,
     lambda_bar_n,
     lambda_n,
+    num_head_terms,
     power_function,
     psi_n,
     square_function,
@@ -218,7 +219,7 @@ def _one_replication(cfg: ExperimentConfig, n: int, rep: int) -> float:
     path = simulate(trawl, seed, scheme, cfg.simulator)
     if cfg.theorem == "C1":
         return tau_test(path, T=cfg.tdep_T, p=cfg.tdep_p).scaled
-    est = estimate_trawl(path, method="fft")
+    est = estimate_trawl(path)
     if cfg.theorem in ("T1", "T5"):
         return psi_n(est, g, cfg.t)
     if cfg.theorem in ("T2", "T3", "T6"):
@@ -226,7 +227,7 @@ def _one_replication(cfg: ExperimentConfig, n: int, rep: int) -> float:
     # The floor(e)-th derivative of |x|^e is O(|x|^p) at 0.
     p = g.exponent - math.floor(g.exponent)
     window = choose_window(n, cfg.varpi, cfg.theta, cfg.kappa, alpha=trawl.tail_exponent, p=p)
-    return lambda_bar_n(est, g, cfg.t, max(window, int(cfg.t / delta) + 1))
+    return lambda_bar_n(est, g, cfg.t, max(window, num_head_terms(est, cfg.t) + 1))
 
 
 def run_experiment(cfg: ExperimentConfig) -> McResult:

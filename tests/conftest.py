@@ -1,5 +1,16 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
+
+# Hypothesis keeps its example database and cached state under ./.hypothesis
+# by default; keep the checkout clean and the runs independent of each other.
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "trawlkit-hypothesis")
+settings.register_profile("no-database", database=None)
+settings.load_profile("no-database")
 
 from trawlkit import (
     CompactTriangleTrawl,

@@ -120,6 +120,33 @@ def test_estimate_pipeline(tmp_path, sim_spec_file):
     assert (tmp_path / "ahat.csv.provenance.json").exists()
 
 
+def test_estimate_head_count_just_below_an_integer(tmp_path, sim_spec_file):
+    # 0.3 / 0.1 = 2.9999999999999996 but lambda_bar_n counts 3 head lags; the
+    # window is round(0.09375 * 256^0.625) = 3, so no windowed sum exists.
+    path_csv = _simulate(tmp_path, sim_spec_file, extra=["--n", "256"])
+    fun_csv = tmp_path / "functionals.csv"
+    code = main(
+        [
+            "estimate",
+            "--input",
+            str(path_csv),
+            "--delta",
+            "0.1",
+            "--out",
+            str(tmp_path / "ahat.csv"),
+            "--functionals-out",
+            str(fun_csv),
+            "--t-grid",
+            "0.3,0.4",
+            "--theta",
+            "0.09375",
+        ]
+    )
+    assert code == 0
+    rows = list(csv.reader(fun_csv.open()))
+    assert [row[3] for row in rows[1:]] == ["nan", "nan"]
+
+
 def test_estimate_methods_agree(tmp_path, sim_spec_file):
     path_csv = _simulate(tmp_path, sim_spec_file)
     outs = []

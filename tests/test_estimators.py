@@ -48,14 +48,37 @@ def test_hand_worked_example():
     assert est.x_bar == 0.5
 
 
-@pytest.mark.parametrize("n", [5, 64, 257])
+# Powers of two give an FFT length of exactly 2n, where lag n wraps around;
+# the other sizes pad further.
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9, 64, 257])
 def test_fft_and_naive_match_reference(n):
     rng = np.random.default_rng(n)
     path = SampledPath(0.3, rng.standard_normal(n + 1))
-    ref = _naive_reference(path.values, path.delta)
+    x = path.values
+    ref = _naive_reference(x, path.delta)
+    last = -(x[0] - np.mean(x[:n])) * (x[n] - x[n - 1]) / (n * path.delta)
     for method in ("naive", "fft"):
         est = estimate_trawl(path, method=method)
-        np.testing.assert_allclose(est.a_hat, ref, atol=1e-10)
+        np.testing.assert_allclose(est.a_hat, ref, atol=1e-12)
+        assert est.a_hat[-1] == pytest.approx(last, rel=1e-12, abs=1e-14)
+
+
+def test_fft_keeps_digits_on_a_large_mean():
+    """A slowly mixing Gaussian AR(1) path, the exponential trawl's Gaussian
+    chain, around mean 100: the FFT autocorrelation must centre the path
+    before differencing adjacent lags, or it loses about five digits."""
+    n, delta = 2**12, 1e-4
+    phi = math.exp(-delta)
+    rng = np.random.default_rng(12)
+    z = rng.standard_normal(n + 1)
+    values = np.empty(n + 1)
+    values[0] = z[0]
+    for k in range(n):
+        values[k + 1] = phi * values[k] + math.sqrt(1 - phi * phi) * z[k + 1]
+    path = SampledPath(delta, 100.0 + values)
+    fft = estimate_trawl(path).a_hat
+    naive = estimate_trawl(path, method="naive").a_hat
+    np.testing.assert_allclose(fft, naive, rtol=0, atol=1e-10)
 
 
 def test_estimator_consistency():

@@ -173,6 +173,15 @@ def test_t5_statistic_centered():
     assert "ks_distance" in res.summaries[1024]
 
 
+def test_t4_window_clears_a_head_count_just_below_an_integer():
+    # delta = 0.4 * 16^(-1/2) = 0.1 and 0.3 / 0.1 = 2.9999999999999996, while
+    # lambda_bar_n counts floor(t / delta + 1e-12) = 3 head lags.
+    cfg = _config(theorem="T4", n_grid=[16], c=0.4, t=0.3, theta=0.1, replications=4)
+    assert cfg.t / cfg.delta_for(16) < 3
+    res = run_experiment(cfg)
+    assert all(math.isfinite(stat) for _, _, stat in res.raw_rows())
+
+
 def test_c1_statistic_summaries():
     res = run_experiment(_config(theorem="C1", n_grid=[512], replications=25, tdep_T=1.0))
     s = res.summaries[512]
