@@ -45,6 +45,7 @@ from .simulate import (
     export_csv,
     ingest_csv,
     residual_area,
+    simulate_circulant,
     simulate_points,
     simulate_slices,
     slice_area,

@@ -136,27 +136,24 @@ def cmd_mc(args) -> int:
 
 
 def cmd_kernels(args) -> int:
+    pair = _parse_what(args.what)
     trawl = trawl_from_dict(_load_json(args.trawl) if args.trawl.endswith(".json") else json.loads(args.trawl))
     kern = AvarKernel(trawl, k4=args.k4)
     grid = np.linspace(args.lo, args.hi, args.points)
+    if args.what == "sigma_a_sq":
+        header, rows = ["t", "value"], [(t, kern.sigma_a_sq(t)) for t in grid]
+    else:
+        s, r = (m.ravel() for m in np.meshgrid(grid, grid, indexing="ij"))
+        if pair is None:
+            values = kern.sigma_a_matrix(s, r)
+        else:
+            values = [kern.appendix_f(*pair, u, v) for u, v in zip(s, r)]
+        header, rows = ["s", "r", "value"], zip(s, r, values)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if args.what == "sigma_a":
-            writer.writerow(["s", "r", "value"])
-            s, r = np.meshgrid(grid, grid, indexing="ij")
-            values = kern.sigma_a_matrix(s, r)
-            for row in zip(s.ravel(), r.ravel(), values.ravel()):
-                writer.writerow([repr(float(x)) for x in row])
-        elif args.what == "sigma_a_sq":
-            writer.writerow(["t", "value"])
-            for t in grid:
-                writer.writerow([repr(float(t)), repr(kern.sigma_a_sq(t))])
-        else:
-            l1, l2 = (int(x) for x in args.what.split(":")[1].split(","))
-            writer.writerow(["s", "r", "value"])
-            for s in grid:
-                for r in grid:
-                    writer.writerow([repr(float(s)), repr(float(r)), repr(kern.appendix_f(l1, l2, s, r))])
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(x)) for x in row])
     _sidecar(args.out, {"command": "kernels", "trawl": trawl.to_dict(), "k4": args.k4, "what": args.what})
     return 0
 
@@ -222,6 +219,24 @@ def _parse_g(text: str) -> dict:
     if text.startswith("power:"):
         return {"kind": "power", "exponent": float(text.split(":", 1)[1])}
     raise ValueError(f"cannot parse test function {text!r}")
+
+
+def _parse_what(text: str):
+    """The block pair (l1, l2) of ``f:l1,l2``; None for ``sigma_a`` and
+    ``sigma_a_sq``.  Anything else is an error naming the accepted forms."""
+    if text in ("sigma_a", "sigma_a_sq"):
+        return None
+    kind, _, pair = text.partition(":")
+    try:
+        l1, l2 = (int(x) for x in pair.split(","))
+    except ValueError:
+        l1 = l2 = 0
+    if kind != "f" or not 1 <= l1 <= l2 <= 4:
+        raise ValueError(
+            f"cannot parse --what {text!r}; expected sigma_a, sigma_a_sq or f:l1,l2 "
+            "with integers 1 <= l1 <= l2 <= 4"
+        )
+    return l1, l2
 
 
 def main(argv=None) -> int:

@@ -1,16 +1,20 @@
 """Exact grid simulation of trawl processes.
 
-Two independent exact schemes are provided.  The slice scheme partitions the
-union of all observed trawl sets into grid-indexed slices; slice (i, j) lies
-in A_{t_k} exactly for i <= k <= j, so sampling one independent infinitely
-divisible draw per slice and accumulating over index ranges reproduces the
-joint law of (X_{t_0}, ..., X_{t_n}) for any seed.  The point scheme, valid
-for Poisson seeds only, throws a Poisson number of unit points over the same
-region and counts, per grid time, the points whose cell lies below the trawl
-function.
+Three independent exact schemes are provided.  The slice scheme partitions
+the union of all observed trawl sets into grid-indexed slices; slice (i, j)
+lies in A_{t_k} exactly for i <= k <= j, so sampling one independent
+infinitely divisible draw per slice and accumulating over index ranges
+reproduces the joint law of (X_{t_0}, ..., X_{t_n}) for any seed.  The point
+scheme, valid for Poisson seeds only, throws a Poisson number of unit points
+over the same region and counts, per grid time, the points whose cell lies
+below the trawl function.  The circulant scheme, valid for Gaussian seeds
+only, draws the path as a stationary Gaussian sequence with autocovariance
+kappa2 * A(h*delta) by circulant embedding: A is non-negative,
+non-increasing and convex, so the minimal embedding is non-negative definite
+(Craigmile 2003) and two real FFTs give an exact path (Wood & Chan 1994).
 
-Both schemes stream through a difference array, never materializing the
-O(n^2) slice matrix.
+The slice and point schemes stream through a difference array, never
+materializing the O(n^2) slice matrix.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .models import LevySeedSpec, PoissonSeed, TrawlSpec
+from .models import GaussianSeed, LevySeedSpec, PoissonSeed, TrawlSpec
 
 __all__ = [
     "SIMULATORS",
@@ -34,20 +38,26 @@ __all__ = [
     "truncation_horizon",
     "simulate_slices",
     "simulate_points",
+    "simulate_circulant",
     "simulate",
     "ingest_csv",
     "export_csv",
 ]
 
 #: Names accepted by :func:`simulate`; ``auto`` picks ``points`` for a
-#: Poisson seed and ``slices`` otherwise.
-SIMULATORS = ("auto", "slices", "slices-exact", "points")
+#: Poisson seed, ``circulant`` for a Gaussian seed and ``slices`` otherwise.
+SIMULATORS = ("auto", "slices", "slices-exact", "points", "circulant")
 
 #: Exact mode draws O(n^2/2) slices; refuse silently quadratic work above this.
 EXACT_CAP = 4096
 
 #: Relative tail mass below which the slice sampler truncates its horizon.
 EPS_TRUNC = 1e-8
+
+#: Circulant eigenvalues down to -CIRCULANT_TOL * (largest eigenvalue) are
+#: FFT rounding and clip to 0; a more negative one means the embedding is not
+#: non-negative definite, and the sampler raises.
+CIRCULANT_TOL = 1e-10
 
 
 class NonUniformGrid(ValueError):
@@ -81,7 +91,7 @@ class SampledPath:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 1 or len(self.values) < 3:
             raise ValueError("a path needs at least 3 equidistant observations")
-        if self.delta <= 0:
+        if not self.delta > 0:  # also rejects NaN
             raise ValueError("delta must be positive")
 
     @property
@@ -169,6 +179,8 @@ def simulate_slices(
 
     Slices at a fixed offset m = j - i share one counter-based substream, so
     paths are reproducible bit-for-bit from ``scheme.master_seed`` alone.
+    The provenance records J as ``horizon`` and tail_integral(J*delta) as
+    ``tail_mass``.
     """
     n, delta = scheme.n, scheme.delta
     if exact and n > EXACT_CAP:
@@ -183,9 +195,10 @@ def simulate_slices(
     # tail_integral(J*delta) active for every k.
     j0 = np.arange(horizon)
     areas0 = _interval_mass(trawl, delta, j0)
+    tail_mass = float(trawl.tail_integral(horizon * delta))
     g = _substream(scheme.master_seed, 0)
     row0 = seed.sample(areas0, g)
-    diff[0] += np.sum(row0) + seed.sample(float(trawl.tail_integral(len(j0) * delta)), g)
+    diff[0] += np.sum(row0) + seed.sample(tail_mass, g)
     diff[1 : len(j0) + 1] -= row0
 
     # Rows i >= 1, grouped by offset m = j - i: every slice at offset m has
@@ -217,6 +230,7 @@ def simulate_slices(
         "simulator": "slices",
         "mode": "exact" if exact else "truncated",
         "horizon": horizon,
+        "tail_mass": tail_mass,
         "n": n,
         "delta": delta,
         "master_seed": scheme.master_seed,
@@ -237,7 +251,7 @@ def simulate_points(trawl: TrawlSpec, seed: LevySeedSpec, scheme: GridScheme) ->
     expected count is moderate.
     """
     if not isinstance(seed, PoissonSeed):
-        raise TypeError("simulate_points requires a Poisson seed")
+        raise ValueError("simulate_points requires a Poisson seed")
     n, delta = scheme.n, scheme.delta
     rng = _substream(scheme.master_seed, 3)
 
@@ -287,6 +301,53 @@ def simulate_points(trawl: TrawlSpec, seed: LevySeedSpec, scheme: GridScheme) ->
     return SampledPath(delta, values, provenance)
 
 
+def _circulant_embedding(trawl: TrawlSpec, seed: GaussianSeed, n: int, delta: float):
+    """First row of the minimal circulant embedding of the path's covariance,
+    and the embedding's eigenvalues.
+
+    The row has length 2n: c_h = kappa2 * tail_integral(h*delta) for
+    h = 0..n, then c_{n-1}, ..., c_1.  It is real and symmetric, so its
+    eigenvalues are the real part of one rfft (n + 1 distinct values).
+    """
+    c = seed.kappa2 * trawl.tail_integral(delta * np.arange(n + 1))
+    row = np.concatenate([c, c[-2:0:-1]])
+    return row, np.fft.rfft(row).real
+
+
+def simulate_circulant(trawl: TrawlSpec, seed: LevySeedSpec, scheme: GridScheme) -> SampledPath:
+    """Sample a path of a Gaussian-seeded trawl process by circulant embedding.
+
+    X is then a stationary Gaussian sequence with mean kappa1 * Leb(A) and
+    autocovariance kappa2 * tail_integral(h*delta).  With the embedding's
+    eigenvalues lam and w ~ N(0, I_{2n}), the first n + 1 entries of
+    irfft(sqrt(lam) * rfft(w)) have exactly that covariance: O(n log n) work
+    and exact in distribution for every trawl, long memory included.
+    """
+    if not isinstance(seed, GaussianSeed):
+        raise ValueError("simulate_circulant requires a Gaussian seed")
+    n, delta = scheme.n, scheme.delta
+    _, lam = _circulant_embedding(trawl, seed, n, delta)
+    ratio = float(np.min(lam) / np.max(lam))
+    if ratio < -CIRCULANT_TOL:
+        raise ValueError(
+            f"circulant embedding is not non-negative definite: smallest eigenvalue "
+            f"is {ratio:.3g} times the largest (is tail_integral convex?)"
+        )
+    w = _substream(scheme.master_seed, 4).standard_normal(2 * n)
+    noise = np.fft.irfft(np.sqrt(np.maximum(lam, 0.0)) * np.fft.rfft(w), 2 * n)
+    values = seed.kappa1 * trawl.leb_A + noise[: n + 1]
+    provenance = {
+        "simulator": "circulant",
+        "min_eigenvalue_ratio": ratio,
+        "n": n,
+        "delta": delta,
+        "master_seed": scheme.master_seed,
+        "trawl": trawl.to_dict(),
+        "seed_spec": seed.to_dict(),
+    }
+    return SampledPath(delta, values, provenance)
+
+
 def simulate(
     trawl: TrawlSpec,
     seed: LevySeedSpec,
@@ -296,9 +357,16 @@ def simulate(
     """Sample a path with the simulator named by ``method`` (see SIMULATORS);
     ``slices-exact`` is the slice sampler with no truncation horizon."""
     if method == "auto":
-        method = "points" if isinstance(seed, PoissonSeed) else "slices"
+        if isinstance(seed, PoissonSeed):
+            method = "points"
+        elif isinstance(seed, GaussianSeed):
+            method = "circulant"
+        else:
+            method = "slices"
     if method == "points":
         return simulate_points(trawl, seed, scheme)
+    if method == "circulant":
+        return simulate_circulant(trawl, seed, scheme)
     if method in ("slices", "slices-exact"):
         return simulate_slices(trawl, seed, scheme, exact=method == "slices-exact")
     raise ValueError(f"unknown simulator {method!r}; choose from {SIMULATORS}")

@@ -89,6 +89,30 @@ def test_simulate_method_recorded_and_replayed(tmp_path, sim_spec_file):
     assert _simulate(tmp_path, sim_spec_file, "auto.csv", extra=["--n", "64"]).read_text() != out.read_text()
 
 
+@pytest.mark.parametrize(
+    "seed_spec,method,message",
+    [
+        ({"family": "gaussian", "mean": 0.0, "var": 1.0}, "points", "requires a Poisson seed"),
+        ({"family": "poisson", "rate": 1.0}, "circulant", "requires a Gaussian seed"),
+    ],
+)
+def test_simulate_seed_simulator_mismatch(tmp_path, capsys, seed_spec, method, message):
+    """A simulator that cannot sample the spec's seed is a config error."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**SIM_SPEC, "seed_spec": seed_spec}))
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--spec", str(spec), "--method", method, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_gaussian_auto_is_circulant(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**SIM_SPEC, "seed_spec": {"family": "gaussian", "mean": 0.0, "var": 1.0}}))
+    auto = _simulate(tmp_path, spec, "auto.csv")
+    assert _simulate(tmp_path, spec, "circulant.csv", extra=["--method", "circulant"]).read_text() == auto.read_text()
+
+
 def test_estimate_pipeline(tmp_path, sim_spec_file):
     path_csv = _simulate(tmp_path, sim_spec_file)
     est_csv = tmp_path / "ahat.csv"
@@ -174,6 +198,15 @@ def test_estimate_bad_g(tmp_path, sim_spec_file):
         ]
     )
     assert code == 2
+
+
+def test_estimate_rejects_nan_delta(tmp_path, capsys):
+    one_column = tmp_path / "x.csv"
+    one_column.write_text("x\n1.0\n2.0\n3.5\n0.5\n")
+    out = tmp_path / "ahat.csv"
+    assert main(["estimate", "--input", str(one_column), "--delta", "nan", "--out", str(out)]) == 2
+    assert "delta must be positive" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_tdep_stdout_and_file(tmp_path, sim_spec_file, capsys):
@@ -272,6 +305,25 @@ def test_kernels_subcommand(tmp_path):
     assert rows[0] == ["s", "r", "value"]
     origin = [r for r in rows[1:] if float(r[0]) == 0.0 and float(r[1]) == 0.0]
     assert abs(float(origin[0][2]) - 1.0) < 1e-6  # Sigma_a(0,0) = k4 for this family
+
+
+@pytest.mark.parametrize("what", ["sigma", "f:1", "f:a,b", "f:1,2,3", "f:2,1", "f:5,6", "g:1,2"])
+def test_kernels_rejects_unknown_what(tmp_path, capsys, what):
+    """An unknown or malformed --what is a usage error naming the accepted
+    forms, and no output file is left behind."""
+    out = tmp_path / "grid.csv"
+    trawl = json.dumps({"family": "exponential", "rate": 1.0})
+    assert main(["kernels", "--trawl", trawl, "--what", what, "--out", str(out)]) == 2
+    assert "sigma_a, sigma_a_sq or f:l1,l2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_kernels_block_pair(tmp_path):
+    out = tmp_path / "f.csv"
+    trawl = json.dumps({"family": "exponential", "rate": 1.0})
+    assert main(["kernels", "--trawl", trawl, "--what", "f:1,2", "--points", "2", "--out", str(out)]) == 0
+    rows = list(csv.reader(out.open()))
+    assert rows[0] == ["s", "r", "value"] and len(rows) == 5
 
 
 def test_usage_errors():

@@ -1,5 +1,6 @@
 """Exact simulation schemes: partition geometry, laws, determinism, I/O."""
 
+import json
 import math
 
 import numpy as np
@@ -20,12 +21,13 @@ from trawlkit import (
     export_csv,
     ingest_csv,
     residual_area,
+    simulate_circulant,
     simulate_points,
     simulate_slices,
     slice_area,
     truncation_horizon,
 )
-from trawlkit.simulate import simulate
+from trawlkit.simulate import CIRCULANT_TOL, _circulant_embedding, simulate
 
 from conftest import ALL_TRAWLS
 
@@ -146,10 +148,16 @@ def test_points_integer_valued():
 
 
 def test_points_requires_poisson():
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="requires a Poisson seed"):
         simulate_points(
             ExponentialTrawl(1.0), GaussianSeed(0.0, 1.0), GridScheme(n=10, delta=0.1)
         )
+
+
+def test_circulant_requires_gaussian():
+    for seed in (PoissonSeed(1.0), GammaSeed(2.0, 0.5)):
+        with pytest.raises(ValueError, match="requires a Gaussian seed"):
+            simulate_circulant(ExponentialTrawl(1.0), seed, GridScheme(n=10, delta=0.1))
 
 
 def test_exact_mode_matches_truncated_in_law():
@@ -169,6 +177,82 @@ def test_exact_mode_cap():
         )
 
 
+# -- circulant embedding -------------------------------------------------
+
+
+@pytest.mark.parametrize("n,delta", [(3, 0.5), (100, 0.1), (2048, 0.02)])
+def test_circulant_embedding_row_and_eigenvalues(trawl, n, delta):
+    """The embedding's first row is kappa2 * A(h*delta) for h <= n, mirrored
+    for h > n, and every eigenvalue of the minimal embedding is >= 0."""
+    seed = GaussianSeed(0.3, 2.0)
+    row, lam = _circulant_embedding(trawl, seed, n, delta)
+    lags = delta * np.arange(n + 1)
+    assert len(row) == 2 * n
+    np.testing.assert_array_equal(row[: n + 1], seed.kappa2 * trawl.tail_integral(lags))
+    np.testing.assert_array_equal(row[n + 1 :], row[n - 1 : 0 : -1])
+    assert len(lam) == n + 1 and np.min(lam) >= 0.0
+    np.testing.assert_allclose(lam, np.fft.fft(row).real[: n + 1], rtol=0, atol=1e-12 * lam[0])
+
+
+@pytest.mark.parametrize(
+    "trawl",
+    [ExponentialTrawl(1.0), PowerLawTrawl(1.5, 1.0), CompactTriangleTrawl(1.5)],
+    ids=repr,
+)
+def test_circulant_matches_slices_exact_in_law(trawl):
+    """Gate 8's cross-simulator check against the untruncated slice sampler:
+    per-path mean, variance and lag-1 autocorrelation agree within 3 SE."""
+    seed, n, delta = GaussianSeed(0.5, 1.0), 256, 0.2
+    per_path = {}
+    for method in ("circulant", "slices-exact"):
+        rows = []
+        for rep in range(200):
+            x = simulate(trawl, seed, GridScheme(n=n, delta=delta, master_seed=1000 + rep), method).values
+            xc = x - np.mean(x)
+            rows.append((np.mean(x), np.var(x), np.dot(xc[:-1], xc[1:]) / np.dot(xc, xc)))
+        per_path[method] = np.array(rows)
+    a, b = per_path["circulant"], per_path["slices-exact"]
+    se = np.sqrt(np.var(a, axis=0, ddof=1) / len(a) + np.var(b, axis=0, ddof=1) / len(b))
+    deviations = np.abs(np.mean(a, axis=0) - np.mean(b, axis=0)) / se
+    assert np.all(deviations < 3.0), deviations
+
+
+def test_circulant_long_memory_moments():
+    """PowerLawTrawl(1.2): A(h) ~ h^-0.2 is not integrable, and at n = 2^14,
+    delta = 2^-7 the slice sampler's horizon J exceeds n (about n^2/2 draws).
+
+    With the known mean kappa1 * Leb(A), each path gives unbiased estimates
+    of the marginal variance kappa2 * Leb(A) and of the autocorrelation at
+    lags 1, 10 and 100; their means over paths match within 3 SE.
+    """
+    trawl, seed = PowerLawTrawl(1.2, 1.0), GaussianSeed(1.0, 2.0)
+    n, delta, lags = 2**14, 2.0**-7, (1, 10, 100)
+    assert truncation_horizon(trawl, delta) > n
+    mu, var = seed.kappa1 * trawl.leb_A, seed.kappa2 * trawl.leb_A
+    rows = []
+    for rep in range(200):
+        x = simulate(trawl, seed, GridScheme(n=n, delta=delta, master_seed=70000 + rep)).values - mu
+        rows.append([np.mean(x * x) / var] + [np.mean(x[:-h] * x[h:]) / var for h in lags])
+    rows = np.array(rows)
+    target = np.array([1.0] + [trawl.autocorrelation(h * delta) for h in lags])
+    se = np.std(rows, axis=0, ddof=1) / math.sqrt(len(rows))
+    assert np.all(np.abs(np.mean(rows, axis=0) - target) < 3.0 * se), (np.mean(rows, axis=0), target, se)
+
+
+def test_circulant_rejects_a_non_convex_tail_integral():
+    class ConcaveTail(ExponentialTrawl):
+        """A(t) = 1 - t^2 on [0, 1]: concave, so no trawl function has it."""
+
+        def tail_integral(self, t):
+            return np.maximum(0.0, 1.0 - np.asarray(t, dtype=float) ** 2)
+
+    trawl, scheme = ConcaveTail(1.0), GridScheme(n=64, delta=0.1)
+    _, lam = _circulant_embedding(trawl, GaussianSeed(0.0, 1.0), scheme.n, scheme.delta)
+    assert np.min(lam) < -CIRCULANT_TOL * np.max(lam)
+    with pytest.raises(ValueError, match="not non-negative definite"):
+        simulate_circulant(trawl, GaussianSeed(0.0, 1.0), scheme)
+
+
 # -- dispatcher ----------------------------------------------------------
 
 
@@ -176,12 +260,12 @@ def test_exact_mode_cap():
     "seed,sampler",
     [
         (PoissonSeed(1.0), simulate_points),
-        (GaussianSeed(0.0, 1.0), simulate_slices),
+        (GaussianSeed(0.0, 1.0), simulate_circulant),
         (GammaSeed(2.0, 0.5), simulate_slices),
     ],
     ids=["poisson", "gaussian", "gamma"],
 )
-def test_simulate_auto_picks_points_for_poisson_seeds(seed, sampler):
+def test_simulate_auto_picks_sampler_by_seed_family(seed, sampler):
     trawl, scheme = ExponentialTrawl(1.0), GridScheme(n=64, delta=0.2, master_seed=3)
     path = simulate(trawl, seed, scheme)
     np.testing.assert_array_equal(path.values, sampler(trawl, seed, scheme).values)
@@ -234,6 +318,43 @@ def test_provenance_reproduces_path(trawl, seed_spec):
     np.testing.assert_array_equal(path.values, again.values)
 
 
+def test_circulant_provenance_reproduces_path(trawl):
+    from trawlkit import seed_from_dict, trawl_from_dict
+
+    path = simulate_circulant(trawl, GaussianSeed(0.3, 2.0), GridScheme(n=64, delta=0.2, master_seed=5))
+    prov = path.provenance
+    again = simulate(
+        trawl_from_dict(prov["trawl"]),
+        seed_from_dict(prov["seed_spec"]),
+        GridScheme(n=prov["n"], delta=prov["delta"], master_seed=prov["master_seed"]),
+        prov["simulator"],
+    )
+    np.testing.assert_array_equal(path.values, again.values)
+
+
+@pytest.mark.parametrize(
+    "method,seed,diagnostics",
+    [
+        ("slices", GammaSeed(2.0, 0.5), {"mode", "horizon", "tail_mass"}),
+        ("slices-exact", GammaSeed(2.0, 0.5), {"mode", "horizon", "tail_mass"}),
+        ("points", PoissonSeed(1.0), set()),
+        ("circulant", GaussianSeed(0.0, 1.0), {"min_eigenvalue_ratio"}),
+    ],
+)
+def test_provenance_schema(method, seed, diagnostics):
+    """Every sampler records the same replay keys plus its own diagnostics,
+    all JSON-serialisable."""
+    trawl, scheme = PowerLawTrawl(2.5, 1.0), GridScheme(n=64, delta=0.2, master_seed=5)
+    prov = simulate(trawl, seed, scheme, method).provenance
+    assert set(prov) == {"simulator", "n", "delta", "master_seed", "trawl", "seed_spec"} | diagnostics
+    assert json.loads(json.dumps(prov)) == prov
+    if "tail_mass" in prov:
+        assert prov["tail_mass"] == float(trawl.tail_integral(prov["horizon"] * scheme.delta))
+    if "min_eigenvalue_ratio" in prov:
+        _, lam = _circulant_embedding(trawl, seed, scheme.n, scheme.delta)
+        assert prov["min_eigenvalue_ratio"] == np.min(lam) / np.max(lam) > 0
+
+
 @pytest.mark.parametrize("sampler", [simulate_slices, simulate_points], ids=lambda f: f.__name__)
 def test_provenance_records_master_seed(sampler):
     """Each sampler draws only from its master seed and records that seed."""
@@ -267,6 +388,8 @@ def test_sampled_path_validation():
         SampledPath(0.1, np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         SampledPath(-0.1, np.zeros(10))
+    with pytest.raises(ValueError, match="delta must be positive"):
+        SampledPath(float("nan"), np.zeros(10))
     p = SampledPath(0.5, np.arange(5.0))
     assert p.n == 4
     np.testing.assert_allclose(p.times, 0.5 * np.arange(5))
