@@ -81,13 +81,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_estimate(args) -> int:
     path = ingest_csv(args.input, delta=args.delta)
-    est = estimate_trawl(path, method=args.method)
+    est = estimate_trawl(path)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["lag_time", "a_hat"])
         for lag, value in zip(est.lag_times, est.a_hat):
             writer.writerow([repr(float(lag)), repr(float(value))])
-    _sidecar(args.out, {"command": "estimate", "input": args.input, "method": args.method})
+    _sidecar(args.out, {"command": "estimate", "input": args.input})
     if args.functionals_out:
         g = test_function_from_dict(_parse_g(args.g))
         window = choose_window(est.n, args.varpi, args.theta, args.kappa)
@@ -141,7 +141,7 @@ def cmd_kernels(args) -> int:
     kern = AvarKernel(trawl, k4=args.k4)
     grid = np.linspace(args.lo, args.hi, args.points)
     if args.what == "sigma_a_sq":
-        header, rows = ["t", "value"], [(t, kern.sigma_a_sq(t)) for t in grid]
+        header, rows = ["t", "value"], zip(grid, kern.sigma_a_matrix(grid, grid))
     else:
         s, r = (m.ravel() for m in np.meshgrid(grid, grid, indexing="ij"))
         if pair is None:
@@ -174,7 +174,6 @@ def build_parser():
     p = sub.add_parser("estimate", help="estimate the trawl function from a path CSV")
     p.add_argument("--input", required=True)
     p.add_argument("--delta", type=float, help="grid step for single-column input")
-    p.add_argument("--method", choices=["naive", "fft"], default="fft")
     p.add_argument("--out", required=True, help="lag_time,a_hat CSV")
     p.add_argument("--functionals-out", help="optional t,psi_n,lambda_n,lambda_bar_n CSV")
     p.add_argument("--g", default="square", help="'square' or 'power:<exponent>'")

@@ -1,19 +1,21 @@
 """Asymptotic-variance theory of the trawl-function estimator.
 
-Everything here is deterministic: the sigma kernels, their symmetrized sum
-Sigma_a, the pointwise variance sigma_a^2(t), the limit covariances of the
-head and tail functionals, and the ten block kernels whose sum reproduces
-Sigma_a.  With C(h) = int_0^inf a(v) a(v + h) dv, K(x, h) = int_0^x a(w) a(h - w) dw,
-D = |s - r| and S = s + r, and since K(s, S) + K(r, S) = K(S, S),
+Everything here is deterministic: the symmetrized variance kernel Sigma_a,
+the limit covariances of the head and tail functionals, and the ten block
+kernels whose sum reproduces Sigma_a.  With C(h) = int_0^inf a(v) a(v + h) dv,
+K(x, h) = int_0^x a(w) a(h - w) dw, D = |s - r| and S = s + r, and since
+K(s, S) + K(r, S) = K(S, S),
 
     Sigma_a(s, r) = k4 a(max(s, r)) + 2 C(D) - 2 C(S) - K(D, D) + K(s, S) + K(r, S)
                   = k4 a(max(s, r)) + Phi(D) - Phi(S),   Phi(h) = 2 C(h) - K(h, h).
 
-Phi and the limit covariances are array evaluations on fixed Gauss panels
-split at every kink, with infinite ranges mapped onto [0, 1) by the length
-scale A(0)/a(0).  Each is computed at two node counts, and a disagreement
-beyond ``abs_tol``/``rel_tol`` raises ``QuadratureError``.  The adaptive
-sigma kernels, sigma_a^2 and block kernels are the oracles of the identity.
+Every integral is an array evaluation on fixed Gauss panels split at every
+kink, with infinite ranges mapped onto [0, 1) by the length scale A(0)/a(0)
+and a Gauss-Jacobi weight for the power-law decay of the mapped integrand.
+Each is computed at two node counts, and a disagreement beyond ``_ABS_TOL``
+and ``_REL_TOL`` raises ``QuadratureError``.  The adaptive sigma kernels,
+sigma_a^2 and block kernels that the identity was derived from live in the
+tests, as oracles.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
 
 from .estimators import TestFunction
 from .models import TrawlSpec
@@ -35,10 +36,21 @@ _INNER_NODES = (24, 32)
 _OUTER_NODES = (20, 28)
 #: Sigma_a points per block, which keeps the points x nodes arrays small.
 _BLOCK = 512
+#: How far the two node counts may differ: absolute, or relative to the result.
+_ABS_TOL = 1e-9
+_REL_TOL = 1e-7
 
 
 class QuadratureError(RuntimeError):
     """Raised when a quadrature fails to converge."""
+
+
+def _agree(coarse, fine, what):
+    """``fine``, checked against ``coarse`` from fewer nodes."""
+    gap = np.abs(fine - coarse)
+    if not np.all(gap <= np.maximum(_ABS_TOL, _REL_TOL * np.abs(fine))):
+        raise QuadratureError(f"{what}: two node counts differ by up to {np.max(gap):.3g}")
+    return fine
 
 
 @dataclass(frozen=True)
@@ -51,97 +63,18 @@ class AvarKernel:
 
     trawl: TrawlSpec
     k4: float = 0.0
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-7
 
     def __post_init__(self):
         if self.k4 < 0:
             raise ValueError("k4 must be non-negative")
 
-    # -- plumbing ---------------------------------------------------------
-
-    def _quad(self, f, lo, hi, kinks=()):
-        """Adaptive quadrature with the trawl support end as a hard cutoff.
-
-        ``kinks`` lists points where the integrand loses smoothness; those
-        inside the (finite) range are handed to the rule as breakpoints.
-        """
-        hi = min(hi, self.trawl.support_end) if hi == math.inf else hi
-        if lo >= hi:
-            return 0.0
-        points = sorted({p for p in kinks if lo < p < hi}) if hi < math.inf else None
-        res, err = integrate.quad(
-            f,
-            lo,
-            hi,
-            epsabs=self.abs_tol,
-            epsrel=self.rel_tol,
-            limit=200,
-            points=points or None,
-        )
-        if not math.isfinite(res):
-            raise QuadratureError(f"quadrature diverged on [{lo}, {hi}]")
-        if err > max(self.abs_tol, self.rel_tol * abs(res)) * 50:
-            raise QuadratureError(f"quadrature failed to converge on [{lo}, {hi}]")
-        return res
-
-    def _agree(self, coarse, fine, what):
-        """``fine``, checked against ``coarse`` from fewer nodes."""
-        gap = np.abs(fine - coarse)
-        if not np.all(gap <= np.maximum(self.abs_tol, self.rel_tol * np.abs(fine))):
-            raise QuadratureError(f"{what}: two node counts differ by up to {np.max(gap):.3g}")
-        return fine
-
-    def _cross(self, shift_a: float, shift_b: float, lo: float, hi: float = math.inf):
-        """int_lo^hi a(u + shift_a) a(u + shift_b) du with shifts >= -lo."""
-        a = self.trawl.a
-        end = self.trawl.support_end
-        return self._quad(
-            lambda u: float(a(u + shift_a) * a(u + shift_b)),
-            lo,
-            hi,
-            kinks=(end - shift_a, end - shift_b),
-        )
-
-    # -- sigma kernels ----------------------------------------------------
-
-    def sigma1(self, s: float, r: float) -> float:
-        """k4 * a(max(s, r))."""
-        _check_times(s, r)
-        return self.k4 * float(self.trawl.a(max(s, r)))
-
-    def sigma2(self, s: float, r: float) -> float:
-        """int_0^inf a(u) a(|u - (s-r)|) sgn(u - (s-r)) du, sgn(0) := 0."""
-        _check_times(s, r)
-        d = s - r
-        if d <= 0:
-            return self._cross(0.0, -d, 0.0)
-        end = self.trawl.support_end
-        head = self._quad(
-            lambda u: float(self.trawl.a(u) * self.trawl.a(d - u)),
-            0.0,
-            d,
-            kinks=(end, d - end),
-        )
-        return self._cross(0.0, -d, d) - head
-
-    def sigma3(self, s: float, r: float) -> float:
-        """int_0^inf a(u + r) a(|s - u|) sgn(s - u) du, sgn(0) := 0."""
-        _check_times(s, r)
-        end = self.trawl.support_end
-        head = self._quad(
-            lambda u: float(self.trawl.a(u + r) * self.trawl.a(s - u)),
-            0.0,
-            s,
-            kinks=(end - r, s - end),
-        )
-        return head - self._cross(r, -s, s)
+    # -- Sigma_a -----------------------------------------------------------
 
     def sigma_a_matrix(self, s, r):
         """Sigma_a(s, r) elementwise over broadcast arrays; scalars give a float."""
         s, r = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(r, dtype=float))
         _check_times(s, r)
-        out = self._agree(*(self._sigma_a(s.ravel(), r.ravel(), m) for m in _INNER_NODES), "Sigma_a")
+        out = _agree(*(self._sigma_a(s.ravel(), r.ravel(), m) for m in _INNER_NODES), "Sigma_a")
         return float(out[0]) if s.ndim == 0 else out.reshape(s.shape)
 
     def _sigma_a(self, s, r, m):
@@ -174,23 +107,6 @@ class AvarKernel:
         h = h[:, None]
         head = np.where(w < h / 2.0, a(np.abs(h - w)), 0.0)
         return 2.0 * np.sum(dw * a(w) * (a(w + h) - head), axis=1)
-
-    def sigma_a_sq(self, t: float) -> float:
-        """Pointwise asymptotic variance of the trawl-function estimator.
-
-        Independent four-term form; agrees with ``sigma_a_matrix(t, t)`` and
-        serves as its cross-check.
-        """
-        _check_times(t)
-        a = self.trawl.a
-        term1 = self.k4 * float(a(t))
-        term2 = 2.0 * self._cross(0.0, 0.0, 0.0)
-        end = self.trawl.support_end
-        term3 = 2.0 * self._quad(
-            lambda u: float(a(t - u) * a(t + u)), 0.0, t, kinks=(t - end, end - t)
-        )
-        term4 = 2.0 * self._cross(-t, t, t)
-        return term1 + term2 + term3 - term4
 
     # -- limit covariances -------------------------------------------------
 
@@ -254,7 +170,7 @@ class AvarKernel:
             return float(np.dot(weight[keep], self._sigma_a(u[keep], r[keep], m)))
 
         coarse, fine = (rule(n, m) for n, m in zip(_OUTER_NODES, _INNER_NODES))
-        return self._agree(coarse, fine, "limit covariance")
+        return _agree(coarse, fine, "limit covariance")
 
     # -- martingale-block limit kernels -----------------------------------
 
@@ -263,65 +179,80 @@ class AvarKernel:
 
         The ten kernels arise as limits of conditional-covariance sums of
         the four martingale blocks of the estimation error; their symmetrized
-        sum equals Sigma_a, which ``decomposition_residual`` verifies.
+        sum equals Sigma_a, which ``decomposition_residual`` verifies.  Every
+        infinite-range integral is a closed-form tail integral plus overlaps
+        C(p, q) = int_0^inf a(v + p) a(v + q) dv.
         """
         if not 1 <= l1 <= l2 <= 4:
             raise ValueError("need 1 <= l1 <= l2 <= 4")
         _check_times(s, r)
-        a = self.trawl.a
-        A = self.trawl.tail_integral
+        a, A, C = self.trawl.a, self.trawl.tail_integral, self._overlap
         a0 = float(a(0.0))
         hi, lo = max(s, r), min(s, r)
+        gap = float(a(max(s - r, 0.0)))
+        end = self.trawl.support_end
 
         if (l1, l2) == (1, 1):
             return self.k4 * float(a(hi)) + a0 * float(A(hi - lo) - A(hi))
         if (l1, l2) == (2, 2):
             return a0 * float(A(hi))
         if (l1, l2) == (3, 3):
-            return self._cross(0.0, -hi, hi) + a0 * float(A(hi - lo) - A(hi))
+            return C(hi, 0.0) + a0 * float(A(hi - lo) - A(hi))
         if (l1, l2) == (4, 4):
-            return a0 * float(A(hi)) - self._cross(0.0, -hi, hi)
-        end = self.trawl.support_end
+            return a0 * float(A(hi)) - C(hi, 0.0)
         if (l1, l2) == (1, 2):
-            return self._quad(
-                lambda u: float(a(u) * a(s + r - u)), r, s + r, kinks=(end, s + r - end)
-            )
+            return self._segment(lambda u: a(u) * a(s + r - u), r, s + r, (end, s + r - end))
         if (l1, l2) == (1, 3):
-            gap = float(a(max(s - r, 0.0)))
-            part1 = self._quad(
-                lambda u: (float(a(u - s)) - float(a(u))) * (gap - float(a(u - r))),
-                hi,
-                math.inf if end == math.inf else end + s,
-                kinks=(end, end + r, end + s),
-            )
-            part2 = self._quad(
-                lambda u: float(a(u)) * (float(a(max(s - r - u, 0.0))) - gap),
-                0.0,
-                s,
-                kinks=(end, s - r, s - r - end),
+            # int_hi^inf (a(u - s) - a(u)) (gap - a(u - r)) du
+            part1 = gap * float(A(hi - s) - A(hi)) - C(hi - s, hi - r) + C(hi, hi - r)
+            part2 = self._segment(
+                lambda u: a(u) * (a(np.maximum(s - r - u, 0.0)) - gap), 0.0, s, (end, s - r, s - r - end)
             )
             return -part1 - part2
         if (l1, l2) == (1, 4):
-            return -self._quad(
-                lambda u: (float(a(u - s)) - float(a(u))) * float(a(u + r)),
-                s,
-                math.inf if end == math.inf else end + s,
-                kinks=(end, end - r, end + s),
-            )
+            # -int_s^inf (a(u - s) - a(u)) a(u + r) du
+            return C(s, s + r) - C(0.0, s + r)
         if (l1, l2) == (2, 3):
-            return -self._cross(0.0, r, s)
+            return -C(s, s + r)
         if (l1, l2) == (2, 4):
-            gap = float(a(max(s - r, 0.0)))
-            part1 = (a0 - gap) * float(A(s))
-            part2 = self._quad(
-                lambda u: float(a(u)) * (gap - float(a(u - r))),
-                hi,
-                math.inf if end == math.inf else end + r,
-                kinks=(end, end + r),
-            )
-            return -part1 - part2
+            # int_hi^inf a(u) (gap - a(u - r)) du
+            part2 = gap * float(A(hi)) - C(hi, hi - r)
+            return -(a0 - gap) * float(A(s)) - part2
         # (3, 4) vanishes identically.
         return 0.0
+
+    def _overlap(self, p: float, q: float) -> float:
+        """C(p, q) = int_0^inf a(v + p) a(v + q) dv for p, q >= 0.
+
+        A compact trawl needs one panel, up to end - max(p, q), where the
+        product vanishes.  Otherwise [0, inf) is mapped onto [0, 1) by
+        v = L x / (1 - x) with L = min(p, q) + A(0)/a(0), as in ``_phi``.
+        """
+        a, end = self.trawl.a, self.trawl.support_end
+        if end < math.inf:
+            return self._segment(lambda v: a(v + p) * a(v + q), 0.0, end - max(p, q))
+        scale, alpha = self.trawl.leb_A / float(a(0.0)), self.trawl.tail_exponent
+        length = min(p, q) + scale
+
+        def rule(m):
+            x, w = _gauss(m, 2.0 * alpha - 2.0 if alpha < math.inf else 0.0)
+            v = length * x / (1.0 - x)
+            return float(np.dot(w * length / (1.0 - x) ** 2, a(v + p) * a(v + q)))
+
+        return _agree(*(rule(m) for m in _INNER_NODES), "block kernel")
+
+    def _segment(self, f, lo: float, hi: float, kinks=()) -> float:
+        """int_lo^hi f(u) du for an array function f, on Gauss panels
+        between the ``kinks`` inside (lo, hi)."""
+        if lo >= hi:
+            return 0.0
+        cuts = np.array(sorted({lo, hi} | {c for c in kinks if lo < c < hi}))[:, None]
+
+        def rule(m):
+            u, du = _panels(cuts, m)
+            return float(np.dot(du[0], f(u[0])))
+
+        return _agree(*(rule(m) for m in _INNER_NODES), "block kernel")
 
     def decomposition_residual(self, s: float, r: float) -> float:
         """|sum of all (symmetrized) limit kernels - Sigma_a(s, r)|."""
@@ -349,10 +280,24 @@ def _gauss(n, beta=0.0):
 
     Legendre for beta = 0, else Jacobi, with 1/(1 - x)^beta in the weights:
     where a ~ v^-alpha, the mapped tail of Phi goes like (1 - x)^(2 alpha - 2).
+    Golub-Welsch: the nodes on [-1, 1] are the eigenvalues of the symmetric
+    tridiagonal Jacobi matrix of the weight (1 - x)^beta, and each weight is
+    the reciprocal of sum_k p_k(x)^2 over the orthonormal polynomials, which
+    keeps the small weights near the ends accurate to rounding.
     """
-    x, w = special.roots_jacobi(n, beta, 0.0)
+    k = np.arange(1.0, n)
+    s = 2.0 * k + beta
+    diag = np.append(-beta / (beta + 2.0), -(beta**2) / (s * (s + 2.0)))
+    off = 2.0 * k * (k + beta) / (s * np.sqrt(s * s - 1.0))
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    # p_k / p_0 by the three-term recurrence; sum_k p_k^2 = total / mu0.
+    prev, cur, total = np.zeros(n), np.ones(n), np.ones(n)
+    for j in range(n - 1):
+        prev, cur = cur, ((x - diag[j]) * cur - (off[j - 1] * prev if j else 0.0)) / off[j]
+        total += cur * cur
     x = (x + 1.0) / 2.0
-    w = w / 2.0 ** (beta + 1.0) / (1.0 - x) ** beta
+    # mu0 = 2^(beta + 1) / (beta + 1); mapping onto [0, 1] divides it by 2^(beta + 1).
+    w = 1.0 / ((beta + 1.0) * total * (1.0 - x) ** beta)
     x.flags.writeable = w.flags.writeable = False  # shared by every caller of the cache
     return x, w
 

@@ -111,8 +111,8 @@ class ExponentialTrawl(TrawlSpec):
 
     def power_tail_integral(self, t, p):
         t = _check_nonneg("t", t)
-        if p < 1:
-            raise ValueError("p must be >= 1")
+        if p <= 0:
+            raise ValueError("p must be positive")
         return np.exp(-p * self.rate * t) / (p * self.rate)
 
     def inverse_a(self, y):
@@ -159,9 +159,9 @@ class PowerLawTrawl(TrawlSpec):
 
     def power_tail_integral(self, t, p):
         t = _check_nonneg("t", t)
-        if p < 1:
-            raise ValueError("p must be >= 1")
         q = p * self.alpha
+        if q <= 1:
+            raise ValueError("need p * alpha > 1 for a finite integral")
         return self.scale / (q - 1) * (1.0 + t / self.scale) ** (1.0 - q)
 
     def inverse_a(self, y):
@@ -210,8 +210,8 @@ class CompactTriangleTrawl(TrawlSpec):
 
     def power_tail_integral(self, t, p):
         t = _check_nonneg("t", t)
-        if p < 1:
-            raise ValueError("p must be >= 1")
+        if p <= 0:
+            raise ValueError("p must be positive")
         inside = np.maximum(0.0, 1.0 - t / self.support)
         return self.support / (p + 1.0) * inside ** (p + 1.0)
 

@@ -214,16 +214,18 @@ def simulate_slices(
         diff[1 : count + 1] += vals  # start at k = i
         diff[m + 2 : m + 2 + count] -= vals  # end after k = i + m
 
-    # Residuals for rows i >= 1: exact area B(n - i), truncated rows fold
-    # their far tail in as well, giving B(J + 1 - 1) ... = B(horizon) for
-    # rows that were cut (their slices stop at offset `horizon`).
+    # Residuals for rows i >= 1: the slices j >= n, of area B(n - i), active
+    # for every k >= i.  A row cut at the horizon (n - i > J) instead folds
+    # all its slices j > i + J, of area B(J + 1), into one draw that acts as
+    # slice (i, i + J + 1): it ends after k = i + J + 1, so X_k misses at most
+    # the slices that outlive k by more than J, of area A((J + 2) delta).
     i = np.arange(1, n + 1)
     res_areas = _interval_mass(trawl, delta, (n - i).astype(float))
-    if not exact:
-        cut = n - i > horizon  # rows whose slice range j-i in [0, horizon] missed mass
-        res_areas = np.where(cut, _interval_mass(trawl, delta, float(horizon + 1)), res_areas)
+    cut = n - i > horizon  # never in exact mode, where J = n
+    res_areas = np.where(cut, _interval_mass(trawl, delta, float(horizon + 1)), res_areas)
     res_vals = seed.sample(res_areas, _substream(scheme.master_seed, 2))
     diff[1 : n + 1] += res_vals
+    diff[i[cut] + horizon + 2] -= res_vals[cut]
 
     values = np.cumsum(diff[: n + 1])
     provenance = {
@@ -397,6 +399,8 @@ def ingest_csv(path, delta: Optional[float] = None) -> SampledPath:
             raise ValueError("single-column input needs an explicit delta")
         values = data[:, 0]
     elif data.shape[1] == 2:
+        if len(data) < 2:
+            raise ValueError(f"a two-column file needs at least two rows for its time step; {path} has one")
         t, values = data[:, 0], data[:, 1]
         steps = np.diff(t)
         step = steps[0]

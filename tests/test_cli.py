@@ -171,15 +171,20 @@ def test_estimate_head_count_just_below_an_integer(tmp_path, sim_spec_file):
     assert [row[3] for row in rows[1:]] == ["nan", "nan"]
 
 
-def test_estimate_methods_agree(tmp_path, sim_spec_file):
+def test_estimate_has_no_method_option(tmp_path, sim_spec_file):
+    """The naive O(n^2) estimator is a test oracle, not a CLI choice."""
     path_csv = _simulate(tmp_path, sim_spec_file)
-    outs = []
-    for method in ("fft", "naive"):
-        out = tmp_path / f"est_{method}.csv"
-        assert main(["estimate", "--input", str(path_csv), "--method", method, "--out", str(out)]) == 0
-        rows = list(csv.reader(out.open()))[1:]
-        outs.append(np.array([float(r[1]) for r in rows]))
-    np.testing.assert_allclose(outs[0], outs[1], atol=1e-10)
+    out = tmp_path / "e.csv"
+    assert main(["estimate", "--input", str(path_csv), "--method", "naive", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,extra", [("estimate", []), ("tdep", ["--T", "1.0"])])
+def test_one_row_two_column_csv_is_a_usage_error(tmp_path, capsys, command, extra):
+    one = tmp_path / "one.csv"
+    one.write_text("t,x\n0,1\n")
+    assert main([command, "--input", str(one), "--out", str(tmp_path / "o"), *extra]) == 2
+    assert "at least two rows" in capsys.readouterr().err
 
 
 def test_estimate_bad_g(tmp_path, sim_spec_file):
@@ -318,6 +323,18 @@ def test_kernels_rejects_unknown_what(tmp_path, capsys, what):
     assert not out.exists()
 
 
+def test_kernels_sigma_a_sq(tmp_path):
+    """sigma_a^2(t) = k4 e^-t + 1 + (2t - 1) e^-2t for the unit-rate exponential trawl."""
+    out = tmp_path / "sq.csv"
+    trawl = json.dumps({"family": "exponential", "rate": 1.0})
+    assert main(["kernels", "--trawl", trawl, "--k4", "1.3", "--what", "sigma_a_sq", "--out", str(out)]) == 0
+    rows = list(csv.reader(out.open()))
+    assert rows[0] == ["t", "value"] and len(rows) == 10
+    for t, value in ((float(t), float(v)) for t, v in rows[1:]):
+        expect = 1.3 * np.exp(-t) + 1.0 + (2 * t - 1) * np.exp(-2 * t)
+        assert value == pytest.approx(expect, abs=1e-9)
+
+
 def test_kernels_block_pair(tmp_path):
     out = tmp_path / "f.csv"
     trawl = json.dumps({"family": "exponential", "rate": 1.0})
@@ -340,3 +357,39 @@ def test_console_entry_point(tmp_path, sim_spec_file):
     )
     assert proc.returncode == 0
     assert out.exists()
+
+
+#: Runs in a fresh interpreter and prints every scipy module it has loaded.
+_NO_SCIPY = """
+import sys
+import trawlkit
+from trawlkit.cli import main
+out, experiment = sys.argv[1:]
+assert main(["mc", "--experiment", experiment, "--out", out + "/mc.json"]) == 0
+trawl = '{"family": "powerlaw", "alpha": 2.5, "scale": 1.0}'
+for what in ("sigma_a_sq", "f:1,3"):
+    assert main(["kernels", "--trawl", trawl, "--what", what, "--points", "3", "--out", out + "/k.csv"]) == 0
+print(*sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_no_scipy_at_run_time(tmp_path):
+    """numpy is the only run-time dependency: importing trawlkit, a T5 run and
+    the kernel dumps load no scipy module."""
+    experiment = tmp_path / "t5.json"
+    experiment.write_text(
+        json.dumps(
+            {
+                "trawl": {"family": "exponential", "rate": 1.0},
+                "seed_spec": {"family": "poisson", "rate": 1.0},
+                "theorem": "T5",
+                "n_grid": [256],
+                "replications": 4,
+            }
+        )
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY, str(tmp_path), str(experiment)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""

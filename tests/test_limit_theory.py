@@ -14,12 +14,11 @@ quadrature down hard:
     limit_cov_lambda(|x|^4; 0, 0)  = 8 k4 / 7 + 1/2
 """
 
-import dataclasses
 import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from trawlkit import (
     AvarKernel,
@@ -30,7 +29,9 @@ from trawlkit import (
     power_function,
     square_function,
 )
-from trawlkit.limit_theory import _INNER_NODES
+from trawlkit.limit_theory import _ABS_TOL, _INNER_NODES, _gauss
+
+from oracles import AdaptiveKernel
 
 EXP = ExponentialTrawl(1.0)
 FAMILIES = [EXP, PowerLawTrawl(2.5, 1.0), CompactTriangleTrawl(1.5)]
@@ -40,11 +41,11 @@ ORACLE_FAMILIES = [PowerLawTrawl(2.5, 1.0), PowerLawTrawl(1.5, 1.0), CompactTria
 # -- adaptive oracle of the limit covariances -----------------------------
 #
 # Iterated adaptive quadrature of dg(a(u)) Sigma_a(u, r) dg(a(r)), the inner
-# integral split at the ridge r = u, with the inner tolerance 10 * abs_tol;
+# integral split at the ridge r = u, with the inner tolerance 10 * _ABS_TOL;
 # the outer integral is split at u = s, where the inner one has a kink.
 # It shares only Sigma_a with the product rule, and Sigma_a is checked
-# against the adaptive sigma kernels below; one node count keeps the many
-# scalar calls affordable.
+# against the adaptive sigma kernels of ``oracles.AdaptiveKernel`` below; one
+# node count keeps the many scalar calls affordable.
 
 
 def _scalar_sigma_a(kern):
@@ -53,7 +54,7 @@ def _scalar_sigma_a(kern):
 
 
 def _inner_kernel(kern):
-    return dataclasses.replace(kern, abs_tol=10.0 * kern.abs_tol)
+    return AdaptiveKernel(kern.trawl, kern.k4, abs_tol=10.0 * _ABS_TOL)
 
 
 def _outer_quad(inner, lo, hi, kink):
@@ -76,8 +77,8 @@ def adaptive_limit_cov_psi(kern, g, t, s):
         def f(r):
             return float(g.dg(kern.trawl.a(r))) * sigma(u, r)
 
-        lo_part = inner_kern._quad(f, 0.0, min(u, s))
-        hi_part = inner_kern._quad(f, min(u, s), s)
+        lo_part = inner_kern.quad(f, 0.0, min(u, s))
+        hi_part = inner_kern.quad(f, min(u, s), s)
         return du * (lo_part + hi_part)
 
     return _outer_quad(inner, 0.0, t, s)
@@ -95,8 +96,8 @@ def adaptive_limit_cov_lambda(kern, g, t, s):
             return float(g.dg(kern.trawl.a(r))) * sigma(u, r)
 
         mid = max(u, s)
-        lo_part = inner_kern._quad(f, s, mid)
-        hi_part = inner_kern._quad(f, mid, math.inf)
+        lo_part = inner_kern.quad(f, s, mid)
+        hi_part = inner_kern.quad(f, mid, math.inf)
         return du * (lo_part + hi_part)
 
     return _outer_quad(inner, t, kern.trawl.support_end, s)
@@ -122,7 +123,7 @@ def test_sigma_a_matrix_exponential_closed_form(s, r, k4):
 
 
 def test_sigma_kernel_spot_values():
-    kern = AvarKernel(EXP, k4=1.0)
+    kern = AdaptiveKernel(EXP, k4=1.0)
     assert kern.sigma1(1.0, 0.5) == pytest.approx(math.exp(-1.0))
     assert kern.sigma2(1.0, 0.0) == pytest.approx(math.exp(-1.0) * (0.5 - 1.0), abs=1e-10)
     assert kern.sigma3(0.0, 0.0) == pytest.approx(-0.5, abs=1e-10)
@@ -131,17 +132,18 @@ def test_sigma_kernel_spot_values():
 
 @pytest.mark.parametrize("k4", [0.0, 1.3])
 def test_sigma_a_sq_exponential_closed_form(k4):
-    kern = AvarKernel(EXP, k4=k4)
+    kern, oracle = AvarKernel(EXP, k4=k4), AdaptiveKernel(EXP, k4=k4)
     for t in [0.0, 0.4, 1.0, 3.0]:
         expect = k4 * math.exp(-t) + 1.0 + (2 * t - 1) * math.exp(-2 * t)
-        assert kern.sigma_a_sq(t) == pytest.approx(expect, abs=1e-9)
+        assert oracle.sigma_a_sq(t) == pytest.approx(expect, abs=1e-9)
+        assert kern.sigma_a_matrix(t, t) == pytest.approx(expect, abs=1e-9)
 
 
 @pytest.mark.parametrize("trawl", FAMILIES, ids=repr)
 def test_sigma_a_sq_equals_matrix_diagonal(trawl):
-    kern = AvarKernel(trawl, k4=0.8)
+    kern, oracle = AvarKernel(trawl, k4=0.8), AdaptiveKernel(trawl, k4=0.8)
     for t in np.linspace(0.0, 2.5, 20):
-        assert abs(kern.sigma_a_sq(t) - kern.sigma_a_matrix(t, t)) < 1e-8
+        assert abs(oracle.sigma_a_sq(t) - kern.sigma_a_matrix(t, t)) < 1e-8
 
 
 @pytest.mark.parametrize("trawl", FAMILIES, ids=repr)
@@ -156,14 +158,11 @@ def test_sigma_a_matrix_symmetric(trawl):
 @pytest.mark.parametrize("trawl", ORACLE_FAMILIES + [EXP, PowerLawTrawl(1.2, 1.0)], ids=repr)
 def test_sigma_a_matrix_arrays_match_sigma_kernels(trawl):
     """The C/K identity on array input against the adaptive sigma kernels."""
-    kern = AvarKernel(trawl, k4=0.6)
+    kern, oracle = AvarKernel(trawl, k4=0.6), AdaptiveKernel(trawl, k4=0.6)
     rng = np.random.default_rng(7)
     s = np.concatenate([[0.0, 0.9, 1.5], rng.uniform(0.0, 3.0, 12)])
     r = np.concatenate([[0.0, 0.9, 0.2], rng.uniform(0.0, 3.0, 12)])
-    expect = [
-        kern.sigma1(u, v) + kern.sigma2(u, v) + kern.sigma2(v, u) + kern.sigma3(u, v) + kern.sigma3(v, u)
-        for u, v in zip(s, r)
-    ]
+    expect = [oracle.sigma_a(u, v) for u, v in zip(s, r)]
     got = kern.sigma_a_matrix(s.reshape(3, 5), r.reshape(3, 5))
     assert got.shape == (3, 5)
     np.testing.assert_allclose(got.ravel(), expect, rtol=0.0, atol=1e-9)
@@ -173,7 +172,7 @@ def test_sigma_a_matrix_arrays_match_sigma_kernels(trawl):
 def test_sigma2_via_raw_quadrature():
     """Independent transcription of the signed-overlap integral."""
     trawl = PowerLawTrawl(2.5, 1.0)
-    kern = AvarKernel(trawl)
+    kern = AdaptiveKernel(trawl)
     for s, r in [(0.6, 0.1), (0.1, 0.6), (1.5, 1.5)]:
         d = s - r
         expect, _ = integrate.quad(
@@ -189,9 +188,9 @@ def test_sigma2_via_raw_quadrature():
 def test_kernels_reject_negative_times():
     kern = AvarKernel(EXP)
     with pytest.raises(ValueError):
-        kern.sigma1(-0.1, 0.0)
+        kern.sigma_a_matrix(-0.1, 0.0)
     with pytest.raises(ValueError):
-        kern.sigma_a_sq(-1.0)
+        kern.appendix_f(1, 3, 0.5, -1.0)
     with pytest.raises(ValueError):
         AvarKernel(EXP, k4=-1.0)
 
@@ -206,6 +205,20 @@ def test_decomposition_residual(trawl):
     for _ in range(15):
         s, r = rng.uniform(0.0, 2.0, 2)
         assert kern.decomposition_residual(s, r) < 1e-6
+
+
+@pytest.mark.parametrize("trawl", FAMILIES + [PowerLawTrawl(1.5, 1.0)], ids=repr)
+def test_appendix_f_matches_adaptive_oracle(trawl):
+    """All ten block kernels, in both argument orders, against scalar quad."""
+    kern, oracle = AvarKernel(trawl, k4=1.0), AdaptiveKernel(trawl, k4=1.0)
+    rng = np.random.default_rng(8)
+    points = [(0.0, 0.0), (1.0, 1.0), (0.0, 1.2)] + [tuple(p) for p in rng.uniform(0.0, 2.5, (12, 2))]
+    for s, r in points:
+        for l1 in range(1, 5):
+            for l2 in range(l1, 5):
+                for u, v in ((s, r), (r, s)):
+                    expect = oracle.appendix_f(l1, l2, u, v)
+                    assert kern.appendix_f(l1, l2, u, v) == pytest.approx(expect, abs=1e-9, rel=0.0)
 
 
 def test_diagonal_kernels_aggregate():
@@ -336,3 +349,27 @@ def test_limit_cov_lambda_compact_support():
     assert kern.limit_cov_lambda(power_function(4.0), 2.0, 2.0) == 0.0
     inside = kern.limit_cov_lambda(power_function(4.0), 0.0, 0.0)
     assert inside > 0.0
+
+
+# -- Gauss rules -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [20, 24, 28, 32])
+@pytest.mark.parametrize("beta", [0.0, 0.2, 1.0, 3.0])
+def test_gauss_matches_roots_jacobi(n, beta):
+    x, w = _gauss(n, beta)
+    xr, wr = special.roots_jacobi(n, beta, 0.0)
+    xr = (xr + 1.0) / 2.0
+    wr = wr / 2.0 ** (beta + 1.0) / (1.0 - xr) ** beta
+    np.testing.assert_allclose(x, xr, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(w, wr, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.2, 1.0, 3.0])
+def test_gauss_integrates_jacobi_moments(beta):
+    """n nodes integrate (1 - x)^beta x^k exactly for k < 2n: the Beta function."""
+    n = 24
+    x, w = _gauss(n, beta)
+    for k in range(2 * n):
+        exact = math.exp(math.lgamma(k + 1.0) + math.lgamma(beta + 1.0) - math.lgamma(k + beta + 2.0))
+        assert np.sum(w * (1.0 - x) ** beta * x**k) == pytest.approx(exact, rel=1e-13)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import stats
 
 from trawlkit import (
     ExponentialTrawl,
@@ -46,16 +46,20 @@ def test_true_functionals_closed_form():
     assert true_psi(trawl, g, 1.0) + true_lambda(trawl, g, 1.0) == pytest.approx(0.5)
     g4 = power_function(4.0)
     assert true_lambda(trawl, g4, 0.0) == pytest.approx(0.25)
+    root = power_function(0.5)  # p < 1: int_0^1 exp(-s/2) ds
+    assert true_psi(trawl, root, 1.0) == pytest.approx(2.0 * (1.0 - math.exp(-0.5)), rel=1e-14)
 
 
-def test_true_functionals_quadrature_fallback():
-    """A non-power g exercises the quadrature branch."""
+def test_true_functionals_need_a_power_function():
+    """Only g(x) = |x|^p has closed-form targets; there is no quadrature fallback."""
     from trawlkit import TestFunction
 
     trawl = ExponentialTrawl(1.0)
     g = TestFunction(g=lambda x: np.sin(np.abs(x)))
-    expect, _ = integrate.quad(lambda s: math.sin(math.exp(-s)), 0.0, 1.0)
-    assert true_psi(trawl, g, 1.0) == pytest.approx(expect, abs=1e-8)
+    with pytest.raises(ValueError, match="exponent"):
+        true_psi(trawl, g, 1.0)
+    with pytest.raises(ValueError, match="exponent"):
+        true_lambda(trawl, g, 1.0)
 
 
 def test_test_function_from_dict():

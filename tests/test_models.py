@@ -32,9 +32,13 @@ def test_tail_integral_matches_quadrature(trawl, t):
     assert float(trawl.tail_integral(t)) == pytest.approx(expect, abs=1e-9)
 
 
-@pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
+@pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 4.0])
 @pytest.mark.parametrize("t", [0.0, 0.8])
 def test_power_tail_integral_matches_quadrature(trawl, t, p):
+    if p * trawl.tail_exponent <= 1:  # a^p ~ s^(-p alpha) is not integrable
+        with pytest.raises(ValueError):
+            trawl.power_tail_integral(t, p)
+        return
     hi = trawl.support_end if trawl.support_end < math.inf else np.inf
     expect, _ = integrate.quad(lambda s: float(trawl.a(s)) ** p, t, hi)
     assert float(trawl.power_tail_integral(t, p)) == pytest.approx(expect, abs=1e-9)
@@ -210,8 +214,15 @@ def test_parameter_validation(build):
 
 
 def test_power_tail_integral_rejects_small_p(trawl):
-    with pytest.raises(ValueError):
-        trawl.power_tail_integral(0.0, 0.5)
+    """The domain is p > 0, and p * alpha > 1 for the power law."""
+    for p in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            trawl.power_tail_integral(0.0, p)
+    alpha = trawl.tail_exponent
+    if alpha < math.inf:
+        with pytest.raises(ValueError):
+            trawl.power_tail_integral(0.0, 1.0 / alpha)
+    assert math.isfinite(float(trawl.power_tail_integral(0.0, max(0.5, 1.01 / alpha))))
 
 
 def test_inverse_a_domain(trawl):

@@ -177,6 +177,16 @@ def test_exact_mode_cap():
         )
 
 
+def test_truncated_slices_keep_the_tail_mass_bound():
+    """With a near-deterministic seed X_k is the area the sampler assigns to
+    the trawl set A_k; truncation may lose at most tail_mass = A(J delta) of
+    Leb(A), at every k and not only near the start."""
+    trawl = ExponentialTrawl(1.0)
+    path = simulate_slices(trawl, GaussianSeed(1.0, 1e-300), GridScheme(n=4000, delta=0.1, master_seed=3))
+    assert path.provenance["horizon"] < 200
+    assert np.max(np.abs(path.values - trawl.leb_A)) <= path.provenance["tail_mass"]
+
+
 # -- circulant embedding -------------------------------------------------
 
 
