@@ -87,7 +87,7 @@ def cmd_estimate(args) -> int:
         writer.writerow(["lag_time", "a_hat"])
         for lag, value in zip(est.lag_times, est.a_hat):
             writer.writerow([repr(float(lag)), repr(float(value))])
-    _sidecar(args.out, {"command": "estimate", "input": args.input})
+    _sidecar(args.out, {"command": "estimate", "input": args.input, "delta": args.delta})
     if args.functionals_out:
         g = test_function_from_dict(_parse_g(args.g))
         window = choose_window(est.n, args.varpi, args.theta, args.kappa)
@@ -104,7 +104,19 @@ def cmd_estimate(args) -> int:
                 writer.writerow(
                     [repr(t), repr(psi_n(est, g, t)), repr(lambda_n(est, g, t)), repr(bar)]
                 )
-        _sidecar(args.functionals_out, {"command": "estimate-functionals", "input": args.input})
+        _sidecar(
+            args.functionals_out,
+            {
+                "command": "estimate-functionals",
+                "input": args.input,
+                "delta": args.delta,
+                "g": args.g,
+                "t_grid": t_grid,
+                "varpi": args.varpi,
+                "theta": args.theta,
+                "kappa": args.kappa,
+            },
+        )
     return 0
 
 
@@ -115,7 +127,7 @@ def cmd_tdep(args) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
-        _sidecar(args.out, {"command": "tdep", "input": args.input, "T": args.T, "p": args.p})
+        _sidecar(args.out, {"command": "tdep", "input": args.input, "delta": args.delta, "T": args.T, "p": args.p})
     else:
         print(text)
     return 0

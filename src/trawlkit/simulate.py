@@ -179,8 +179,9 @@ def simulate_slices(
 
     Slices at a fixed offset m = j - i share one counter-based substream, so
     paths are reproducible bit-for-bit from ``scheme.master_seed`` alone.
-    The provenance records J as ``horizon`` and tail_integral(J*delta) as
-    ``tail_mass``.
+    The provenance records J as ``horizon``, tail_integral(J*delta) as
+    ``tail_mass`` and the mean-bias bound |kappa1| * tail_mass as
+    ``bias_bound``.
     """
     n, delta = scheme.n, scheme.delta
     if exact and n > EXACT_CAP:
@@ -233,6 +234,7 @@ def simulate_slices(
         "mode": "exact" if exact else "truncated",
         "horizon": horizon,
         "tail_mass": tail_mass,
+        "bias_bound": abs(seed.kappa1) * tail_mass,
         "n": n,
         "delta": delta,
         "master_seed": scheme.master_seed,
@@ -250,7 +252,9 @@ def simulate_points(trawl: TrawlSpec, seed: LevySeedSpec, scheme: GridScheme) ->
     number of points falls on the region; a point at (s, y) is counted in
     X_{t_k} exactly for ceil(s/delta) <= k <= floor((s + a^{-1}(y))/delta).
     Exact in distribution, and far cheaper than the slice scheme when the
-    expected count is moderate.
+    expected count is moderate.  The provenance records the expected count
+    rate * (Leb(A) + n * (A(0) - A(delta))) as ``expected_points`` and the
+    realised Poisson count as ``points``.
     """
     if not isinstance(seed, PoissonSeed):
         raise ValueError("simulate_points requires a Poisson seed")
@@ -260,7 +264,8 @@ def simulate_points(trawl: TrawlSpec, seed: LevySeedSpec, scheme: GridScheme) ->
     a0 = trawl.leb_A
     cell = a0 - float(trawl.tail_integral(delta))
     total_area = a0 + n * cell
-    count = rng.poisson(seed.rate * total_area)
+    expected_points = seed.rate * total_area
+    count = rng.poisson(expected_points)
 
     diff = np.zeros(n + 2)
     if count > 0:
@@ -294,6 +299,8 @@ def simulate_points(trawl: TrawlSpec, seed: LevySeedSpec, scheme: GridScheme) ->
     values = np.cumsum(diff[: n + 1])
     provenance = {
         "simulator": "points",
+        "expected_points": expected_points,
+        "points": int(count),
         "n": n,
         "delta": delta,
         "master_seed": scheme.master_seed,

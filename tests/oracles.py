@@ -1,4 +1,7 @@
-"""Adaptive-quadrature oracles of the limit theory.
+"""Independent oracles for the tests.
+
+``naive_trawl_estimate`` evaluates the trawl-function estimator's defining
+sum lag by lag, the O(n^2) check on ``trawlkit.estimate_trawl``'s FFT.
 
 ``AdaptiveKernel`` transcribes the paper's sigma kernels, the pointwise
 variance sigma_a^2 and the ten martingale-block kernels as scalar integrands
@@ -9,9 +12,21 @@ under ``scipy.integrate.quad``.  It shares no quadrature with
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy import integrate
 
 from trawlkit import QuadratureError, TrawlSpec
+
+
+def naive_trawl_estimate(values, delta):
+    """a_hat(l * delta) = -(1 / (n * delta)) * sum_{k=l}^{n-1}
+    (x_{k-l} - xbar) * (x_{k+1} - x_k) for l = 0..n-1, one dot product per
+    lag, with xbar the mean of x_0..x_{n-1}."""
+    x = np.asarray(values, dtype=float)
+    n = len(x) - 1
+    y = x[:n] - np.mean(x[:n])
+    dx = np.diff(x)
+    return np.array([-np.dot(y[: n - lag], dx[lag:]) for lag in range(n)]) / (n * delta)
 
 
 def _check_times(*values):

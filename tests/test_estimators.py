@@ -1,6 +1,9 @@
 """Trawl-function estimator and plug-in functionals."""
 
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -24,43 +27,31 @@ from trawlkit import (
     window_exponent_bounds,
 )
 
-
-def _naive_reference(values, delta):
-    """Direct transcription of the defining sum, kept dumb on purpose."""
-    x = np.asarray(values, dtype=float)
-    n = len(x) - 1
-    xbar = np.mean(x[:n])
-    out = np.empty(n)
-    for lag in range(n):
-        acc = 0.0
-        for k in range(lag, n):
-            acc += (x[k - lag] - xbar) * (x[k + 1] - x[k])
-        out[lag] = -acc / (n * delta)
-    return out
+from oracles import naive_trawl_estimate
 
 
 def test_hand_worked_example():
     # x = (0, 1, 0): n = 2, xbar = 1/2, increments (1, -1).
-    # lag 0: (0-1/2)*1 + (1-1/2)*(-1) = -1  -> a_hat(0) = 1/(2*delta*... ) etc.
+    # lag 0: -((0 - 1/2) * 1 + (1 - 1/2) * (-1)) / 2 = 1/2
+    # lag 1: -((0 - 1/2) * (-1)) / 2 = -1/4
     path = SampledPath(1.0, np.array([0.0, 1.0, 0.0]))
-    est = estimate_trawl(path, method="naive")
-    np.testing.assert_allclose(est.a_hat, [0.5, -0.25])
+    np.testing.assert_allclose(naive_trawl_estimate(path.values, path.delta), [0.5, -0.25])
+    est = estimate_trawl(path)
+    np.testing.assert_allclose(est.a_hat, [0.5, -0.25], atol=1e-15)
     assert est.x_bar == 0.5
 
 
 # Powers of two give an FFT length of exactly 2n, where lag n wraps around;
 # the other sizes pad further.
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9, 64, 257])
-def test_fft_and_naive_match_reference(n):
+def test_fft_matches_naive_oracle(n):
     rng = np.random.default_rng(n)
     path = SampledPath(0.3, rng.standard_normal(n + 1))
     x = path.values
-    ref = _naive_reference(x, path.delta)
     last = -(x[0] - np.mean(x[:n])) * (x[n] - x[n - 1]) / (n * path.delta)
-    for method in ("naive", "fft"):
-        est = estimate_trawl(path, method=method)
-        np.testing.assert_allclose(est.a_hat, ref, atol=1e-12)
-        assert est.a_hat[-1] == pytest.approx(last, rel=1e-12, abs=1e-14)
+    est = estimate_trawl(path)
+    np.testing.assert_allclose(est.a_hat, naive_trawl_estimate(x, path.delta), atol=1e-12)
+    assert est.a_hat[-1] == pytest.approx(last, rel=1e-12, abs=1e-14)
 
 
 def test_fft_keeps_digits_on_a_large_mean():
@@ -77,7 +68,7 @@ def test_fft_keeps_digits_on_a_large_mean():
         values[k + 1] = phi * values[k] + math.sqrt(1 - phi * phi) * z[k + 1]
     path = SampledPath(delta, 100.0 + values)
     fft = estimate_trawl(path).a_hat
-    naive = estimate_trawl(path, method="naive").a_hat
+    naive = naive_trawl_estimate(path.values, path.delta)
     np.testing.assert_allclose(fft, naive, rtol=0, atol=1e-10)
 
 
@@ -116,8 +107,71 @@ def test_affine_equivariance(c, shift):
 def test_rejects_non_finite():
     with pytest.raises(ValueError):
         estimate_trawl(SampledPath(0.1, np.array([0.0, np.nan, 1.0])))
-    with pytest.raises(ValueError):
-        estimate_trawl(SampledPath(0.1, np.zeros(5)), method="bogus")
+
+
+# -- the per-thread FFT workspace -----------------------------------------
+
+
+def _random_path(n, seed, delta=0.1):
+    return SampledPath(delta, np.random.default_rng(seed).standard_normal(n + 1))
+
+
+def test_estimate_does_not_alias_the_workspace():
+    """A later call of the same transform length leaves an earlier result
+    as it was."""
+    first = estimate_trawl(_random_path(1000, 1))
+    kept = first.a_hat.copy()
+    second = estimate_trawl(_random_path(1000, 2))
+    np.testing.assert_array_equal(first.a_hat, kept)
+    assert not np.shares_memory(first.a_hat, second.a_hat)
+
+
+def test_estimate_independent_of_call_order():
+    """n = 4096 and n = 2100 share the transform length 8192, so they share
+    one workspace; a longer earlier path must leave nothing behind."""
+    paths = [_random_path(4096, 3), _random_path(2100, 4), _random_path(4096, 5)]
+    forward = [estimate_trawl(p).a_hat for p in paths]
+    backward = [estimate_trawl(p).a_hat for p in reversed(paths)][::-1]
+    for a, b in zip(forward, backward):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_failed_estimate_leaves_no_trace():
+    """Neither a path rejected up front (NaN) nor one whose estimate
+    overflows after the workspace is filled changes the next result."""
+    path = _random_path(300, 6)
+    expected = estimate_trawl(path).a_hat
+    nan_path = SampledPath(0.1, np.where(np.arange(301) == 7, np.nan, 1.0))
+    huge_path = SampledPath(0.1, 1e200 * np.random.default_rng(7).standard_normal(301))
+    for bad in (nan_path, huge_path):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+            estimate_trawl(bad)
+        assert estimate_trawl(path).a_hat.tobytes() == expected.tobytes()
+
+
+def test_threads_match_serial_estimates():
+    """Each thread owns its workspace: four threads (more than the cores)
+    estimating paths of different transform lengths at once, switching
+    often, reproduce the serial results."""
+    paths = [_random_path(n, 10 + k) for k, n in enumerate([64, 1000, 2100, 4096, 5000, 300, 4096, 17])]
+    serial = [estimate_trawl(p).a_hat.tobytes() for p in paths]
+    barrier = threading.Barrier(4)
+
+    def work(offset):
+        barrier.wait(timeout=30)
+        order = paths[offset:] + paths[:offset]
+        results = [estimate_trawl(p).a_hat.tobytes() for p in order * 3]
+        return results[-len(paths) :]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            runs = list(pool.map(work, range(4), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for offset, results in enumerate(runs):
+        assert results == serial[offset:] + serial[:offset]
 
 
 # -- functionals ---------------------------------------------------------

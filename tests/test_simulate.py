@@ -27,7 +27,7 @@ from trawlkit import (
     slice_area,
     truncation_horizon,
 )
-from trawlkit.simulate import CIRCULANT_TOL, _circulant_embedding, simulate
+from trawlkit.simulate import CIRCULANT_TOL, _circulant_embedding, _substream, simulate
 
 from conftest import ALL_TRAWLS
 
@@ -185,6 +185,28 @@ def test_truncated_slices_keep_the_tail_mass_bound():
     path = simulate_slices(trawl, GaussianSeed(1.0, 1e-300), GridScheme(n=4000, delta=0.1, master_seed=3))
     assert path.provenance["horizon"] < 200
     assert np.max(np.abs(path.values - trawl.leb_A)) <= path.provenance["tail_mass"]
+
+
+def test_slices_record_the_bias_bound():
+    """bias_bound = |kappa1| * tail_mass bounds the mean bias of a truncated
+    path: with a near-deterministic seed of mean -2, X_k stays within it of
+    kappa1 * Leb(A)."""
+    trawl, seed = ExponentialTrawl(1.0), GaussianSeed(-2.0, 1e-300)
+    path = simulate_slices(trawl, seed, GridScheme(n=4000, delta=0.1, master_seed=3))
+    prov = path.provenance
+    assert prov["bias_bound"] == 2.0 * prov["tail_mass"] > 0
+    assert np.max(np.abs(path.values - seed.kappa1 * trawl.leb_A)) <= prov["bias_bound"]
+
+
+def test_points_record_expected_and_realised_counts():
+    """expected_points = rate * (Leb(A) + n * (A(0) - A(delta))), and points
+    is the Poisson count drawn first from the sampler's substream."""
+    trawl, seed, scheme = PowerLawTrawl(2.5, 1.0), PoissonSeed(3.0), GridScheme(n=500, delta=0.2, master_seed=11)
+    prov = simulate_points(trawl, seed, scheme).provenance
+    cell = trawl.leb_A - float(trawl.tail_integral(scheme.delta))
+    assert prov["expected_points"] == pytest.approx(3.0 * (trawl.leb_A + 500 * cell), rel=1e-15)
+    assert prov["points"] == _substream(11, 3).poisson(prov["expected_points"])
+    assert isinstance(prov["points"], int)
 
 
 # -- circulant embedding -------------------------------------------------
@@ -345,9 +367,9 @@ def test_circulant_provenance_reproduces_path(trawl):
 @pytest.mark.parametrize(
     "method,seed,diagnostics",
     [
-        ("slices", GammaSeed(2.0, 0.5), {"mode", "horizon", "tail_mass"}),
-        ("slices-exact", GammaSeed(2.0, 0.5), {"mode", "horizon", "tail_mass"}),
-        ("points", PoissonSeed(1.0), set()),
+        ("slices", GammaSeed(2.0, 0.5), {"mode", "horizon", "tail_mass", "bias_bound"}),
+        ("slices-exact", GammaSeed(2.0, 0.5), {"mode", "horizon", "tail_mass", "bias_bound"}),
+        ("points", PoissonSeed(1.0), {"expected_points", "points"}),
         ("circulant", GaussianSeed(0.0, 1.0), {"min_eigenvalue_ratio"}),
     ],
 )
