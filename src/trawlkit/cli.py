@@ -13,7 +13,6 @@ which the run can be reproduced bitwise.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
@@ -33,7 +32,7 @@ from .inference import tau_test
 from .limit_theory import AvarKernel
 from .mc import ExperimentConfig, run_experiment, test_function_from_dict
 from .models import seed_from_dict, trawl_from_dict
-from .simulate import SIMULATORS, GridScheme, export_csv, ingest_csv, simulate
+from .simulate import SIMULATORS, GridScheme, _write_csv, export_csv, ingest_csv, simulate
 
 USAGE_ERROR = 2
 RUNTIME_ERROR = 3
@@ -82,28 +81,17 @@ def cmd_simulate(args) -> int:
 def cmd_estimate(args) -> int:
     path = ingest_csv(args.input, delta=args.delta)
     est = estimate_trawl(path)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lag_time", "a_hat"])
-        for lag, value in zip(est.lag_times, est.a_hat):
-            writer.writerow([repr(float(lag)), repr(float(value))])
+    _write_csv(args.out, ["lag_time", "a_hat"], zip(est.lag_times, est.a_hat))
     _sidecar(args.out, {"command": "estimate", "input": args.input, "delta": args.delta})
     if args.functionals_out:
         g = test_function_from_dict(_parse_g(args.g))
         window = choose_window(est.n, args.varpi, args.theta, args.kappa)
         t_grid = [float(t) for t in args.t_grid.split(",")]
-        with open(args.functionals_out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "psi_n", "lambda_n", "lambda_bar_n"])
-            for t in t_grid:
-                bar = (
-                    lambda_bar_n(est, g, t, window)
-                    if num_head_terms(est, t) < window
-                    else float("nan")
-                )
-                writer.writerow(
-                    [repr(t), repr(psi_n(est, g, t)), repr(lambda_n(est, g, t)), repr(bar)]
-                )
+        rows = []
+        for t in t_grid:
+            bar = lambda_bar_n(est, g, t, window) if num_head_terms(est, t) < window else float("nan")
+            rows.append((t, psi_n(est, g, t), lambda_n(est, g, t), bar))
+        _write_csv(args.functionals_out, ["t", "psi_n", "lambda_n", "lambda_bar_n"], rows)
         _sidecar(
             args.functionals_out,
             {
@@ -161,11 +149,7 @@ def cmd_kernels(args) -> int:
         else:
             values = [kern.appendix_f(*pair, u, v) for u, v in zip(s, r)]
         header, rows = ["s", "r", "value"], zip(s, r, values)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(x)) for x in row])
+    _write_csv(args.out, header, rows)
     _sidecar(args.out, {"command": "kernels", "trawl": trawl.to_dict(), "k4": args.k4, "what": args.what})
     return 0
 

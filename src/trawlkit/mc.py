@@ -14,7 +14,6 @@ or the worker count.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
@@ -39,7 +38,7 @@ from .estimators import (
 from .inference import tau_test
 from .limit_theory import AvarKernel
 from .models import seed_from_dict, trawl_from_dict
-from .simulate import GridScheme, simulate
+from .simulate import GridScheme, _write_csv, simulate
 
 __all__ = [
     "ExperimentConfig",
@@ -112,6 +111,8 @@ class ExperimentConfig:
             raise ValueError("c must be positive")
         if self.replications < 1:
             raise ValueError("need at least one replication")
+        if self.threads < 1:
+            raise ValueError("threads must be at least 1")
         if not self.n_grid:
             raise ValueError("empty n grid")
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
@@ -159,11 +160,7 @@ class McResult:
                 yield n, rep, float(value)
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "rep", "stat"])
-            for row in self.raw_rows():
-                writer.writerow([row[0], row[1], repr(row[2])])
+        _write_csv(path, ["n", "rep", "stat"], self.raw_rows())
 
     def summary_dict(self):
         return {

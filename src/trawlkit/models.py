@@ -3,16 +3,18 @@
 A trawl process is built from two ingredients: a non-increasing, integrable
 trawl function ``a`` whose graph bounds the trawl set, and a homogeneous Levy
 basis whose seed law determines the marginal distribution.  Every family
-implemented here exposes closed forms for the tail integral
-``A(t) = int_t^inf a(s) ds``, the power tail integral ``int_t^inf a(s)^p ds``
-and the generalized inverse of ``a`` so that all downstream quadrature has an
-analytic cross-check.
+implemented here exposes closed forms for the power tail integral
+``int_t^inf a(s)^p ds`` and the generalized inverse of ``a`` so that all
+downstream quadrature has an analytic cross-check; the tail integral
+``A(t) = int_t^inf a(s) ds`` is the power tail integral at p = 1.  A spec's
+dict form (``to_dict``) and its parser (``trawl_from_dict``,
+``seed_from_dict``) both come from the family tables at the end of the module.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -49,8 +51,8 @@ def _check_area(area):
 class TrawlSpec:
     """Base class for parametric trawl functions.
 
-    Subclasses implement ``a`` (the trawl function), its tail integrals, and
-    the generalized inverse ``inverse_a(y) = sup{s : a(s) >= y}``.  All
+    Subclasses implement ``a`` (the trawl function), its power tail integral,
+    and the generalized inverse ``inverse_a(y) = sup{s : a(s) >= y}``.  All
     methods accept scalars or arrays and are vectorized.
     """
 
@@ -65,7 +67,8 @@ class TrawlSpec:
         raise NotImplementedError
 
     def tail_integral(self, t):
-        raise NotImplementedError
+        """``A(t) = int_t^inf a(s) ds``, the power tail integral at p = 1."""
+        return self.power_tail_integral(t, 1.0)
 
     def power_tail_integral(self, t, p):
         raise NotImplementedError
@@ -89,7 +92,8 @@ class TrawlSpec:
         return float(out) if np.ndim(out) == 0 else out
 
     def to_dict(self):
-        raise NotImplementedError
+        """``{"family": ..., <params>}``, the mapping ``trawl_from_dict`` reads."""
+        return _to_dict(_TRAWL_FAMILIES, self)
 
 
 @dataclass(frozen=True)
@@ -104,10 +108,6 @@ class ExponentialTrawl(TrawlSpec):
 
     def a(self, s):
         return np.exp(-self.rate * np.asarray(s, dtype=float))
-
-    def tail_integral(self, t):
-        t = _check_nonneg("t", t)
-        return np.exp(-self.rate * t) / self.rate
 
     def power_tail_integral(self, t, p):
         t = _check_nonneg("t", t)
@@ -124,9 +124,6 @@ class ExponentialTrawl(TrawlSpec):
     def tail_integral_inverse(self, m):
         m = np.asarray(m, dtype=float)
         return -np.log(self.rate * m) / self.rate
-
-    def to_dict(self):
-        return {"family": "exponential", "rate": self.rate}
 
 
 @dataclass(frozen=True)
@@ -153,10 +150,6 @@ class PowerLawTrawl(TrawlSpec):
     def a(self, s):
         return (1.0 + np.asarray(s, dtype=float) / self.scale) ** (-self.alpha)
 
-    def tail_integral(self, t):
-        t = _check_nonneg("t", t)
-        return self.scale / (self.alpha - 1) * (1.0 + t / self.scale) ** (1.0 - self.alpha)
-
     def power_tail_integral(self, t, p):
         t = _check_nonneg("t", t)
         q = p * self.alpha
@@ -174,9 +167,6 @@ class PowerLawTrawl(TrawlSpec):
         m = np.asarray(m, dtype=float)
         base = (self.alpha - 1) * m / self.scale
         return self.scale * (base ** (1.0 / (1.0 - self.alpha)) - 1.0)
-
-    def to_dict(self):
-        return {"family": "powerlaw", "alpha": self.alpha, "scale": self.scale}
 
 
 @dataclass(frozen=True)
@@ -203,11 +193,6 @@ class CompactTriangleTrawl(TrawlSpec):
         s = np.asarray(s, dtype=float)
         return np.maximum(0.0, 1.0 - s / self.support)
 
-    def tail_integral(self, t):
-        t = _check_nonneg("t", t)
-        inside = np.maximum(0.0, 1.0 - t / self.support)
-        return 0.5 * self.support * inside**2
-
     def power_tail_integral(self, t, p):
         t = _check_nonneg("t", t)
         if p <= 0:
@@ -224,9 +209,6 @@ class CompactTriangleTrawl(TrawlSpec):
     def tail_integral_inverse(self, m):
         m = np.asarray(m, dtype=float)
         return self.support * (1.0 - np.sqrt(2.0 * m / self.support))
-
-    def to_dict(self):
-        return {"family": "triangle", "support": self.support}
 
 
 class LevySeedSpec:
@@ -260,7 +242,8 @@ class LevySeedSpec:
         raise NotImplementedError
 
     def to_dict(self):
-        raise NotImplementedError
+        """``{"family": ..., <params>}``, the mapping ``seed_from_dict`` reads."""
+        return _to_dict(_SEED_FAMILIES, self)
 
 
 @dataclass(frozen=True)
@@ -289,9 +272,6 @@ class GaussianSeed(LevySeedSpec):
         area = _check_area(area)
         z = rng.standard_normal(np.shape(area) if size is None else size)
         return self.mean * area + np.sqrt(self.var * area) * z
-
-    def to_dict(self):
-        return {"family": "gaussian", "mean": self.mean, "var": self.var}
 
 
 @dataclass(frozen=True)
@@ -323,9 +303,6 @@ class PoissonSeed(LevySeedSpec):
     def sample(self, area, rng, size=None):
         area = _check_area(area)
         return np.asarray(rng.poisson(self.rate * area, size), dtype=float)
-
-    def to_dict(self):
-        return {"family": "poisson", "rate": self.rate}
 
 
 @dataclass(frozen=True)
@@ -364,21 +341,15 @@ class GammaSeed(LevySeedSpec):
         area = _check_area(area)
         return rng.gamma(self.shape * area, self.scale, size)
 
-    def to_dict(self):
-        return {"family": "gamma", "shape": self.shape, "scale": self.scale}
+
+#: Family name -> spec class; a spec's parameters are its dataclass fields.
+_TRAWL_FAMILIES = {"exponential": ExponentialTrawl, "powerlaw": PowerLawTrawl, "triangle": CompactTriangleTrawl}
+_SEED_FAMILIES = {"gaussian": GaussianSeed, "poisson": PoissonSeed, "gamma": GammaSeed}
 
 
-_TRAWL_FAMILIES = {
-    "exponential": (ExponentialTrawl, ("rate",)),
-    "powerlaw": (PowerLawTrawl, ("alpha", "scale")),
-    "triangle": (CompactTriangleTrawl, ("support",)),
-}
-
-_SEED_FAMILIES = {
-    "gaussian": (GaussianSeed, ("mean", "var")),
-    "poisson": (PoissonSeed, ("rate",)),
-    "gamma": (GammaSeed, ("shape", "scale")),
-}
+def _to_dict(table, spec):
+    family = next(name for name, cls in table.items() if isinstance(spec, cls))
+    return {"family": family, **{f.name: getattr(spec, f.name) for f in fields(spec)}}
 
 
 def _from_dict(table, cfg, what):
@@ -386,8 +357,8 @@ def _from_dict(table, cfg, what):
     family = cfg.pop("family", None)
     if family not in table:
         raise ValueError(f"unknown {what} family {family!r}; choose from {sorted(table)}")
-    cls, fields = table[family]
-    unknown = set(cfg) - set(fields)
+    cls = table[family]
+    unknown = set(cfg) - {f.name for f in fields(cls)}
     if unknown:
         raise ValueError(f"unknown {what} parameters {sorted(unknown)} for family {family!r}")
     return cls(**cfg)

@@ -14,7 +14,9 @@ non-increasing and convex, so the minimal embedding is non-negative definite
 (Craigmile 2003) and two real FFTs give an exact path (Wood & Chan 1994).
 
 The slice and point schemes stream through a difference array, never
-materializing the O(n^2) slice matrix.
+materializing the O(n^2) slice matrix.  ``slice_area`` and ``residual_area``
+are the slice scheme's geometry: the sampler draws its slices with exactly
+the areas they return, so checking those two functions checks the sampler.
 """
 
 from __future__ import annotations
@@ -163,6 +165,21 @@ def _substream(master_seed: int, *key):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(master_seed, spawn_key=key)))
 
 
+def _path(name, trawl, seed, scheme, values, **diagnostics) -> SampledPath:
+    """A sampled path whose provenance holds the simulator's name, its own
+    diagnostics and everything needed to replay it."""
+    provenance = {
+        "simulator": name,
+        **diagnostics,
+        "n": scheme.n,
+        "delta": scheme.delta,
+        "master_seed": scheme.master_seed,
+        "trawl": trawl.to_dict(),
+        "seed_spec": seed.to_dict(),
+    }
+    return SampledPath(scheme.delta, values, provenance)
+
+
 def simulate_slices(
     trawl: TrawlSpec,
     seed: LevySeedSpec,
@@ -192,56 +209,44 @@ def simulate_slices(
     # removes them; the path is the prefix sum.
     diff = np.zeros(n + 2)
 
-    # Row 0 (the infinite past): slices j = 0..J-1 with areas B(j), residual
-    # tail_integral(J*delta) active for every k.
-    j0 = np.arange(horizon)
-    areas0 = _interval_mass(trawl, delta, j0)
+    # Row 0 (the infinite past): slices j = 0..J-1, residual
+    # tail_integral(J*delta) active for every k.  The two scalar areas here,
+    # this residual and the cut-row area B(J + 1) below, stay 0-d: numpy's
+    # scalar pow can differ from its array pow in the last bit, and the 0-d
+    # forms keep paths bitwise equal to those drawn by earlier releases.
     tail_mass = float(trawl.tail_integral(horizon * delta))
     g = _substream(scheme.master_seed, 0)
-    row0 = seed.sample(areas0, g)
+    row0 = seed.sample(slice_area(trawl, delta, 0, np.arange(horizon)), g)
     diff[0] += np.sum(row0) + seed.sample(tail_mass, g)
-    diff[1 : len(j0) + 1] -= row0
+    diff[1 : horizon + 1] -= row0
 
     # Rows i >= 1, grouped by offset m = j - i: every slice at offset m has
-    # the same area diffB(m), so one vectorized draw covers a whole diagonal.
-    diffB = _interval_mass(trawl, delta, np.arange(n + 1))
-    diffB = diffB[:-1] - diffB[1:]  # area of slice (i, i+m) for i >= 1
-    for m in range(min(horizon, n - 1) + 1):
-        count = n - m - 1  # rows i = 1..n-m-1, so that j = i + m <= n - 1
-        if count <= 0:
-            break
-        area = float(diffB[m])
+    # the area of slice (1, 1 + m), so one vectorized draw covers a whole
+    # diagonal of rows i = 1..n-m-1 (so that j = i + m <= n - 1).
+    diagonals = slice_area(trawl, delta, 1, np.arange(1, min(horizon, n - 2) + 2))
+    for m, area in enumerate(diagonals.tolist()):
+        count = n - m - 1
         vals = seed.sample(area, _substream(scheme.master_seed, 1, m), count) if area > 0 else np.zeros(count)
         diff[1 : count + 1] += vals  # start at k = i
         diff[m + 2 : m + 2 + count] -= vals  # end after k = i + m
 
-    # Residuals for rows i >= 1: the slices j >= n, of area B(n - i), active
-    # for every k >= i.  A row cut at the horizon (n - i > J) instead folds
-    # all its slices j > i + J, of area B(J + 1), into one draw that acts as
-    # slice (i, i + J + 1): it ends after k = i + J + 1, so X_k misses at most
-    # the slices that outlive k by more than J, of area A((J + 2) delta).
+    # Residuals for rows i >= 1: the slices j >= n, active for every k >= i.
+    # A row cut at the horizon (n - i > J) instead folds all its slices
+    # j > i + J, of area B(J + 1), into one draw that acts as slice
+    # (i, i + J + 1): it ends after k = i + J + 1, so X_k misses at most the
+    # slices that outlive k by more than J, of area A((J + 2) delta).
     i = np.arange(1, n + 1)
-    res_areas = _interval_mass(trawl, delta, (n - i).astype(float))
     cut = n - i > horizon  # never in exact mode, where J = n
-    res_areas = np.where(cut, _interval_mass(trawl, delta, float(horizon + 1)), res_areas)
+    res_areas = np.where(cut, _interval_mass(trawl, delta, float(horizon + 1)), residual_area(trawl, delta, n, i))
     res_vals = seed.sample(res_areas, _substream(scheme.master_seed, 2))
     diff[1 : n + 1] += res_vals
     diff[i[cut] + horizon + 2] -= res_vals[cut]
 
-    values = np.cumsum(diff[: n + 1])
-    provenance = {
-        "simulator": "slices",
-        "mode": "exact" if exact else "truncated",
-        "horizon": horizon,
-        "tail_mass": tail_mass,
-        "bias_bound": abs(seed.kappa1) * tail_mass,
-        "n": n,
-        "delta": delta,
-        "master_seed": scheme.master_seed,
-        "trawl": trawl.to_dict(),
-        "seed_spec": seed.to_dict(),
-    }
-    return SampledPath(delta, values, provenance)
+    mode = "exact" if exact else "truncated"
+    return _path(
+        "slices", trawl, seed, scheme, np.cumsum(diff[: n + 1]),
+        mode=mode, horizon=horizon, tail_mass=tail_mass, bias_bound=abs(seed.kappa1) * tail_mass,
+    )
 
 
 def simulate_points(trawl: TrawlSpec, seed: LevySeedSpec, scheme: GridScheme) -> SampledPath:
@@ -297,17 +302,7 @@ def simulate_points(trawl: TrawlSpec, seed: LevySeedSpec, scheme: GridScheme) ->
         np.subtract.at(diff, kmax[keep] + 1, 1.0)
 
     values = np.cumsum(diff[: n + 1])
-    provenance = {
-        "simulator": "points",
-        "expected_points": expected_points,
-        "points": int(count),
-        "n": n,
-        "delta": delta,
-        "master_seed": scheme.master_seed,
-        "trawl": trawl.to_dict(),
-        "seed_spec": seed.to_dict(),
-    }
-    return SampledPath(delta, values, provenance)
+    return _path("points", trawl, seed, scheme, values, expected_points=expected_points, points=int(count))
 
 
 def _circulant_embedding(trawl: TrawlSpec, seed: GaussianSeed, n: int, delta: float):
@@ -345,16 +340,7 @@ def simulate_circulant(trawl: TrawlSpec, seed: LevySeedSpec, scheme: GridScheme)
     w = _substream(scheme.master_seed, 4).standard_normal(2 * n)
     noise = np.fft.irfft(np.sqrt(np.maximum(lam, 0.0)) * np.fft.rfft(w), 2 * n)
     values = seed.kappa1 * trawl.leb_A + noise[: n + 1]
-    provenance = {
-        "simulator": "circulant",
-        "min_eigenvalue_ratio": ratio,
-        "n": n,
-        "delta": delta,
-        "master_seed": scheme.master_seed,
-        "trawl": trawl.to_dict(),
-        "seed_spec": seed.to_dict(),
-    }
-    return SampledPath(delta, values, provenance)
+    return _path("circulant", trawl, seed, scheme, values, min_eigenvalue_ratio=ratio)
 
 
 def simulate(
@@ -385,7 +371,8 @@ def ingest_csv(path, delta: Optional[float] = None) -> SampledPath:
     """Read a path from a one-column (x) or two-column (t, x) CSV file.
 
     A two-column file must have a uniformly spaced time column (relative
-    deviation at most 1e-9); a one-column file requires ``delta``.
+    deviation at most 1e-9), and a ``delta`` given with it must match the
+    column's step to the same tolerance; a one-column file requires ``delta``.
     """
     rows = []
     with open(path, newline="") as fh:
@@ -411,10 +398,13 @@ def ingest_csv(path, delta: Optional[float] = None) -> SampledPath:
         t, values = data[:, 0], data[:, 1]
         steps = np.diff(t)
         step = steps[0]
-        if step <= 0 or np.any(np.abs(steps - step) > 1e-9 * max(abs(step), 1.0)):
+        tol = 1e-9 * max(abs(step), 1.0)
+        if step <= 0 or np.any(np.abs(steps - step) > tol):
             raise NonUniformGrid(f"time column of {path} is not equidistant")
         if delta is None:
             delta = float(step)
+        elif abs(delta - step) > tol:
+            raise ValueError(f"delta={delta!r} disagrees with the time step {float(step)!r} of {path}")
     else:
         raise ValueError("expected one (x) or two (t, x) columns")
     return SampledPath(delta, values, {"simulator": "external", "source": str(path)})
@@ -430,8 +420,13 @@ def _is_number(token: str) -> bool:
 
 def export_csv(path_obj: SampledPath, path) -> None:
     """Write a path as a ``t,x`` CSV at full precision."""
+    _write_csv(path, ["t", "x"], zip(path_obj.times, path_obj.values))
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write a header row, then ``rows`` at full precision: an int cell as
+    it is, any other cell as ``repr(float(cell))``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["t", "x"])
-        for t, x in zip(path_obj.times, path_obj.values):
-            writer.writerow([repr(float(t)), repr(float(x))])
+        writer.writerow(header)
+        writer.writerows([c if isinstance(c, int) else repr(float(c)) for c in row] for row in rows)

@@ -205,6 +205,25 @@ def test_estimate_bad_g(tmp_path, sim_spec_file):
     assert code == 2
 
 
+@pytest.mark.parametrize("command,extra", [("estimate", []), ("tdep", ["--T", "1.0"])])
+def test_delta_disagreeing_with_the_time_column_is_a_usage_error(tmp_path, capsys, command, extra):
+    two = tmp_path / "two.csv"
+    two.write_text("t,x\n" + "".join(f"{0.2 * k!r},{x}\n" for k, x in enumerate([1.0, 2.0, 3.5, 0.5, 1.5, 2.5] * 2)))
+    out = tmp_path / "o"
+    assert main([command, "--input", str(two), "--delta", "0.1", "--out", str(out), *extra]) == 2
+    assert "disagrees with the time step" in capsys.readouterr().err
+    assert not out.exists()
+    assert main([command, "--input", str(two), "--delta", "0.2", "--out", str(out), *extra]) == 0
+
+
+def test_mc_rejects_threads_below_one(tmp_path, capsys):
+    exp = Path(__file__).resolve().parent.parent / "experiments" / "theorem3.json"
+    out = tmp_path / "result.json"
+    assert main(["mc", "--experiment", str(exp), "--out", str(out), "--threads", "-3"]) == 2
+    assert "threads must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_estimate_rejects_nan_delta(tmp_path, capsys):
     one_column = tmp_path / "x.csv"
     one_column.write_text("x\n1.0\n2.0\n3.5\n0.5\n")

@@ -117,6 +117,9 @@ def test_config_validation():
         _config(replications=0)
     with pytest.raises(ValueError):
         _config(n_grid=[])
+    for threads in (0, -3):
+        with pytest.raises(ValueError, match="threads"):
+            _config(threads=threads)
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({"trawl": {}, "bogus_field": 1})
     with pytest.raises(ValueError, match="unknown simulator"):

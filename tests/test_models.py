@@ -173,11 +173,29 @@ def test_sample_seed_rejects_negative_area(seed_spec):
 # -- dict round trips and validation -------------------------------------
 
 
+#: The exact spec dicts, key order included: provenance sidecars hash them.
+SPEC_DICTS = {
+    ExponentialTrawl(1.0): [("family", "exponential"), ("rate", 1.0)],
+    ExponentialTrawl(0.5): [("family", "exponential"), ("rate", 0.5)],
+    PowerLawTrawl(2.5, 1.0): [("family", "powerlaw"), ("alpha", 2.5), ("scale", 1.0)],
+    PowerLawTrawl(1.8, 0.7): [("family", "powerlaw"), ("alpha", 1.8), ("scale", 0.7)],
+    CompactTriangleTrawl(1.0): [("family", "triangle"), ("support", 1.0)],
+    CompactTriangleTrawl(2.3): [("family", "triangle"), ("support", 2.3)],
+    GaussianSeed(0.0, 1.0): [("family", "gaussian"), ("mean", 0.0), ("var", 1.0)],
+    GaussianSeed(0.3, 2.0): [("family", "gaussian"), ("mean", 0.3), ("var", 2.0)],
+    PoissonSeed(1.0): [("family", "poisson"), ("rate", 1.0)],
+    PoissonSeed(0.4): [("family", "poisson"), ("rate", 0.4)],
+    GammaSeed(2.0, 0.5): [("family", "gamma"), ("shape", 2.0), ("scale", 0.5)],
+}
+
+
 def test_trawl_dict_round_trip(trawl):
+    assert list(trawl.to_dict().items()) == SPEC_DICTS[trawl]
     assert trawl_from_dict(trawl.to_dict()) == trawl
 
 
 def test_seed_dict_round_trip(seed_spec):
+    assert list(seed_spec.to_dict().items()) == SPEC_DICTS[seed_spec]
     assert seed_from_dict(seed_spec.to_dict()) == seed_spec
 
 

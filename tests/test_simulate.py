@@ -177,14 +177,23 @@ def test_exact_mode_cap():
         )
 
 
-def test_truncated_slices_keep_the_tail_mass_bound():
+#: The trawls of acceptance gate 8's area-conservation check.
+GATE8_TRAWLS = [ExponentialTrawl(1.0), PowerLawTrawl(2.5, 1.0), CompactTriangleTrawl(1.5)]
+
+
+@pytest.mark.parametrize("trawl", GATE8_TRAWLS, ids=repr)
+@pytest.mark.parametrize("exact,n", [(False, 4000), (True, 512)], ids=["truncated", "exact"])
+def test_truncated_slices_keep_the_tail_mass_bound(trawl, exact, n):
     """With a near-deterministic seed X_k is the area the sampler assigns to
     the trawl set A_k; truncation may lose at most tail_mass = A(J delta) of
-    Leb(A), at every k and not only near the start."""
-    trawl = ExponentialTrawl(1.0)
-    path = simulate_slices(trawl, GaussianSeed(1.0, 1e-300), GridScheme(n=4000, delta=0.1, master_seed=3))
-    assert path.provenance["horizon"] < 200
-    assert np.max(np.abs(path.values - trawl.leb_A)) <= path.provenance["tail_mass"]
+    Leb(A), at every k and not only near the start.  The exponential and
+    triangle trawls are cut at J < n; the power law's J exceeds n.  Exact
+    mode loses nothing: gate 8(a)'s area conservation, through the sampler."""
+    path = simulate_slices(trawl, GaussianSeed(1.0, 1e-300), GridScheme(n=n, delta=0.1, master_seed=3), exact=exact)
+    if not exact and not isinstance(trawl, PowerLawTrawl):
+        assert path.provenance["horizon"] < 200  # rows are cut
+    bound = 1e-10 if exact else path.provenance["tail_mass"]
+    assert np.max(np.abs(path.values - trawl.leb_A)) <= bound
 
 
 def test_slices_record_the_bias_bound():
@@ -439,6 +448,9 @@ def test_csv_round_trip(tmp_path):
     back = ingest_csv(out)
     assert back.delta == path.delta
     np.testing.assert_array_equal(back.values, path.values)
+    assert ingest_csv(out, delta=0.1 * (1 + 1e-12)).delta == 0.1 * (1 + 1e-12)  # within the grid tolerance
+    with pytest.raises(ValueError, match="disagrees with the time step"):
+        ingest_csv(out, delta=0.05)  # an explicit delta may not override the file's step
 
 
 def test_ingest_single_column(tmp_path):
