@@ -57,8 +57,8 @@ def _agree(coarse, fine, what):
 class AvarKernel:
     """Asymptotic variance kernels for a trawl spec and seed fourth moment.
 
-    ``k4`` is the fourth moment of the Levy measure of the seed (0 for a
-    Gaussian seed, the rate for a Poisson seed).
+    ``k4`` is the seed's kappa4, the fourth moment of its Levy measure (0
+    for a Gaussian seed, the rate for a Poisson seed).
     """
 
     trawl: TrawlSpec

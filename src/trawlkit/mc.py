@@ -51,7 +51,7 @@ __all__ = [
     "test_function_from_dict",
 ]
 
-THEOREM_TAGS = ("T1", "T2", "T3", "T4", "T5", "T6", "C1")
+THEOREM_TAGS = ("T1", "T3", "T4", "T5", "T6", "C1")
 
 
 def test_function_from_dict(cfg) -> TestFunction:
@@ -206,8 +206,8 @@ def _rep_seed(master_seed: int, n: int, rep: int) -> int:
 
 
 def _one_replication(cfg: ExperimentConfig, n: int, rep: int) -> float:
-    """One replication's raw statistic: psi_n (T1, T5), lambda_n (T2, T3,
-    T6), the windowed lambda_bar_n (T4) or the scaled ratio tau (C1)."""
+    """One replication's raw statistic: psi_n (T1, T5), lambda_n (T3, T6),
+    the windowed lambda_bar_n (T4) or the scaled ratio tau (C1)."""
     trawl = trawl_from_dict(cfg.trawl)
     seed = seed_from_dict(cfg.seed_spec)
     g = test_function_from_dict(cfg.test_function)
@@ -219,7 +219,7 @@ def _one_replication(cfg: ExperimentConfig, n: int, rep: int) -> float:
     est = estimate_trawl(path)
     if cfg.theorem in ("T1", "T5"):
         return psi_n(est, g, cfg.t)
-    if cfg.theorem in ("T2", "T3", "T6"):
+    if cfg.theorem in ("T3", "T6"):
         return lambda_n(est, g, cfg.t)
     # The floor(e)-th derivative of |x|^e is O(|x|^p) at 0.
     p = g.exponent - math.floor(g.exponent)
@@ -242,10 +242,10 @@ def run_experiment(cfg: ExperimentConfig) -> McResult:
     theory = {}
     if cfg.theorem in ("T1", "T5"):
         theory["psi"] = true_psi(trawl, g, cfg.t)
-    if cfg.theorem in ("T2", "T3", "T4", "T6"):
+    if cfg.theorem in ("T3", "T4", "T6"):
         theory["lambda"] = true_lambda(trawl, g, cfg.t)
     if cfg.theorem in ("T5", "T6"):
-        kern = AvarKernel(trawl, k4=seed.k4_levy)
+        kern = AvarKernel(trawl, k4=seed.kappa4)
         limit_cov = kern.limit_cov_psi if cfg.theorem == "T5" else kern.limit_cov_lambda
         theory["limit_variance"] = limit_cov(g, cfg.t, cfg.t)
 
@@ -273,7 +273,7 @@ def run_experiment(cfg: ExperimentConfig) -> McResult:
         }
         if cfg.theorem == "T1":
             summary["rmse"] = float(np.sqrt(np.mean((vals - theory["psi"]) ** 2)))
-        if cfg.theorem in ("T2", "T3", "T4"):
+        if cfg.theorem in ("T3", "T4"):
             summary["rmse"] = float(np.sqrt(np.mean((vals - theory["lambda"]) ** 2)))
         if cfg.theorem in ("T5", "T6"):
             limit_var = theory["limit_variance"]
@@ -285,7 +285,7 @@ def run_experiment(cfg: ExperimentConfig) -> McResult:
             summary["q95_abs_scaled"] = float(np.quantile(np.abs(vals), 0.95))
         summaries[n] = summary
 
-    if cfg.theorem in ("T1", "T2", "T3", "T4") and len(cfg.n_grid) >= 3:
+    if cfg.theorem in ("T1", "T3", "T4") and len(cfg.n_grid) >= 3:
         nds = [n * cfg.delta_for(n) for n in cfg.n_grid]
         rmses = [summaries[n]["rmse"] for n in cfg.n_grid]
         if all(r > 0 for r in rmses):

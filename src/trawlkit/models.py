@@ -2,12 +2,13 @@
 
 A trawl process is built from two ingredients: a non-increasing, integrable
 trawl function ``a`` whose graph bounds the trawl set, and a homogeneous Levy
-basis whose seed law determines the marginal distribution.  Every family
-implemented here exposes closed forms for the power tail integral
-``int_t^inf a(s)^p ds`` and the generalized inverse of ``a`` so that all
-downstream quadrature has an analytic cross-check; the tail integral
-``A(t) = int_t^inf a(s) ds`` is the power tail integral at p = 1.  A spec's
-dict form (``to_dict``) and its parser (``trawl_from_dict``,
+basis whose seed law determines the marginal distribution.  Every trawl
+family gives closed forms for the power tail integral ``int_t^inf a(s)^p ds``
+and for the inverses of ``a`` and of the tail integral, so that all
+downstream quadrature has an analytic cross-check; the tail integral ``A(t)``
+is the power tail integral at p = 1.  Every seed law gives its per-unit-area
+cumulants by one formula, and its kappa4 is the fourth moment of its Levy
+measure.  A spec's dict form (``to_dict``) and its parser (``trawl_from_dict``,
 ``seed_from_dict``) both come from the family tables at the end of the module.
 """
 
@@ -51,9 +52,11 @@ def _check_area(area):
 class TrawlSpec:
     """Base class for parametric trawl functions.
 
-    Subclasses implement ``a`` (the trawl function), its power tail integral,
-    and the generalized inverse ``inverse_a(y) = sup{s : a(s) >= y}``.  All
-    methods accept scalars or arrays and are vectorized.
+    Subclasses implement ``a`` and three private formulas: ``_power_tail``,
+    ``_inverse_a`` (the generalized inverse ``sup{s : a(s) >= y}``) and
+    ``_tail_inverse``.  The public methods check and convert their arguments
+    once, here.  Every family has a(0) = 1.  All methods accept scalars or
+    arrays and are vectorized.
     """
 
     #: Tail exponent alpha with phi(s) = O(s^{-alpha-1}); infinity for
@@ -71,14 +74,22 @@ class TrawlSpec:
         return self.power_tail_integral(t, 1.0)
 
     def power_tail_integral(self, t, p):
-        raise NotImplementedError
+        """``int_t^inf a(s)^p ds`` for t >= 0 and p > 0."""
+        t = _check_nonneg("t", t)
+        if p <= 0:
+            raise ValueError("p must be positive")
+        return self._power_tail(t, p)
 
     def inverse_a(self, y):
-        raise NotImplementedError
+        """``sup{s : a(s) >= y}`` for 0 < y <= a(0) = 1."""
+        y = np.asarray(y, dtype=float)
+        if np.any(y <= 0) or np.any(y > 1.0):
+            raise ValueError("y must lie in (0, a(0)]")
+        return self._inverse_a(y)
 
     def tail_integral_inverse(self, m):
         """Solve ``tail_integral(t) = m`` for t (used by the point sampler)."""
-        raise NotImplementedError
+        return self._tail_inverse(np.asarray(m, dtype=float))
 
     @property
     def leb_A(self):
@@ -109,20 +120,13 @@ class ExponentialTrawl(TrawlSpec):
     def a(self, s):
         return np.exp(-self.rate * np.asarray(s, dtype=float))
 
-    def power_tail_integral(self, t, p):
-        t = _check_nonneg("t", t)
-        if p <= 0:
-            raise ValueError("p must be positive")
+    def _power_tail(self, t, p):
         return np.exp(-p * self.rate * t) / (p * self.rate)
 
-    def inverse_a(self, y):
-        y = np.asarray(y, dtype=float)
-        if np.any(y <= 0) or np.any(y > 1.0):
-            raise ValueError("y must lie in (0, a(0)]")
+    def _inverse_a(self, y):
         return -np.log(y) / self.rate
 
-    def tail_integral_inverse(self, m):
-        m = np.asarray(m, dtype=float)
+    def _tail_inverse(self, m):
         return -np.log(self.rate * m) / self.rate
 
 
@@ -150,21 +154,16 @@ class PowerLawTrawl(TrawlSpec):
     def a(self, s):
         return (1.0 + np.asarray(s, dtype=float) / self.scale) ** (-self.alpha)
 
-    def power_tail_integral(self, t, p):
-        t = _check_nonneg("t", t)
+    def _power_tail(self, t, p):
         q = p * self.alpha
         if q <= 1:
             raise ValueError("need p * alpha > 1 for a finite integral")
         return self.scale / (q - 1) * (1.0 + t / self.scale) ** (1.0 - q)
 
-    def inverse_a(self, y):
-        y = np.asarray(y, dtype=float)
-        if np.any(y <= 0) or np.any(y > 1.0):
-            raise ValueError("y must lie in (0, a(0)]")
+    def _inverse_a(self, y):
         return self.scale * (y ** (-1.0 / self.alpha) - 1.0)
 
-    def tail_integral_inverse(self, m):
-        m = np.asarray(m, dtype=float)
+    def _tail_inverse(self, m):
         base = (self.alpha - 1) * m / self.scale
         return self.scale * (base ** (1.0 / (1.0 - self.alpha)) - 1.0)
 
@@ -193,48 +192,41 @@ class CompactTriangleTrawl(TrawlSpec):
         s = np.asarray(s, dtype=float)
         return np.maximum(0.0, 1.0 - s / self.support)
 
-    def power_tail_integral(self, t, p):
-        t = _check_nonneg("t", t)
-        if p <= 0:
-            raise ValueError("p must be positive")
+    def _power_tail(self, t, p):
         inside = np.maximum(0.0, 1.0 - t / self.support)
         return self.support / (p + 1.0) * inside ** (p + 1.0)
 
-    def inverse_a(self, y):
-        y = np.asarray(y, dtype=float)
-        if np.any(y <= 0) or np.any(y > 1.0):
-            raise ValueError("y must lie in (0, a(0)]")
+    def _inverse_a(self, y):
         return self.support * (1.0 - y)
 
-    def tail_integral_inverse(self, m):
-        m = np.asarray(m, dtype=float)
+    def _tail_inverse(self, m):
         return self.support * (1.0 - np.sqrt(2.0 * m / self.support))
 
 
 class LevySeedSpec:
     """Base class for infinitely divisible Levy seed laws.
 
-    Exposes the per-unit-area cumulants kappa1, kappa2, kappa4 of the seed
-    L' and the fourth moment of the Levy measure ``k4_levy = int x^4 nu(dx)``
-    which drives the leading term of the asymptotic variance kernel.
+    Each family states its per-unit-area cumulants once, as ``_cumulant(m)``,
+    and kappa1, kappa2 and kappa4 are read from it.  For m >= 3 the cumulant
+    of an infinitely divisible law is the m-th moment of its Levy measure
+    (Sato 1999), so kappa4 = int x^4 nu(dx) is the moment that drives the
+    leading term of the asymptotic variance kernel.
     """
+
+    def _cumulant(self, m):
+        raise NotImplementedError
 
     @property
     def kappa1(self):
-        raise NotImplementedError
+        return self._cumulant(1)
 
     @property
     def kappa2(self):
-        raise NotImplementedError
+        return self._cumulant(2)
 
     @property
     def kappa4(self):
-        raise NotImplementedError
-
-    @property
-    def k4_levy(self):
-        """Fourth moment of the Levy measure (excludes any Gaussian part)."""
-        raise NotImplementedError
+        return self._cumulant(4)
 
     def sample(self, area, rng, size=None):
         """Draw L(B) for regions of Lebesgue measure ``area`` (a scalar or an
@@ -257,16 +249,8 @@ class GaussianSeed(LevySeedSpec):
         if self.var <= 0:
             raise ValueError("var must be positive")
 
-    kappa4 = 0.0
-    k4_levy = 0.0
-
-    @property
-    def kappa1(self):
-        return self.mean
-
-    @property
-    def kappa2(self):
-        return self.var
+    def _cumulant(self, m):
+        return self.mean if m == 1 else self.var if m == 2 else 0.0
 
     def sample(self, area, rng, size=None):
         area = _check_area(area)
@@ -276,7 +260,7 @@ class GaussianSeed(LevySeedSpec):
 
 @dataclass(frozen=True)
 class PoissonSeed(LevySeedSpec):
-    """Poisson seed: L(B) ~ Poisson(rate * Leb(B))."""
+    """Poisson seed: L(B) ~ Poisson(rate * Leb(B)); every cumulant is the rate."""
 
     rate: float = 1.0
 
@@ -284,20 +268,7 @@ class PoissonSeed(LevySeedSpec):
         if self.rate <= 0:
             raise ValueError("rate must be positive")
 
-    @property
-    def kappa1(self):
-        return self.rate
-
-    @property
-    def kappa2(self):
-        return self.rate
-
-    @property
-    def kappa4(self):
-        return self.rate
-
-    @property
-    def k4_levy(self):
+    def _cumulant(self, m):
         return self.rate
 
     def sample(self, area, rng, size=None):
@@ -309,9 +280,9 @@ class PoissonSeed(LevySeedSpec):
 class GammaSeed(LevySeedSpec):
     """Gamma seed: L(B) ~ Gamma(shape * Leb(B), scale).
 
-    Per-unit-area cumulants are kappa_m = shape * (m-1)! * scale^m, so the
-    fourth Levy-measure moment 6 * shape * scale^4 is generally distinct
-    from both 0 (Gaussian) and kappa2 (Poisson).
+    Per-unit-area cumulants are kappa_m = shape * (m-1)! * scale^m, so
+    kappa4 = 6 * shape * scale^4 is generally distinct from both 0
+    (Gaussian) and kappa2 (Poisson).
     """
 
     shape: float = 1.0
@@ -321,21 +292,8 @@ class GammaSeed(LevySeedSpec):
         if self.shape <= 0 or self.scale <= 0:
             raise ValueError("shape and scale must be positive")
 
-    @property
-    def kappa1(self):
-        return self.shape * self.scale
-
-    @property
-    def kappa2(self):
-        return self.shape * self.scale**2
-
-    @property
-    def kappa4(self):
-        return 6.0 * self.shape * self.scale**4
-
-    @property
-    def k4_levy(self):
-        return self.kappa4
+    def _cumulant(self, m):
+        return self.shape * math.factorial(m - 1) * self.scale**m
 
     def sample(self, area, rng, size=None):
         area = _check_area(area)

@@ -138,23 +138,29 @@ def residual_area(trawl: TrawlSpec, delta: float, n: int, i):
     rows = np.atleast_1d(i)
     if np.any(rows < 0) or np.any(rows > n):
         raise ValueError("need 0 <= i <= n")
-    row0 = trawl.tail_integral(np.full(rows.shape, n * delta))
-    area = np.where(rows == 0, row0, _interval_mass(trawl, delta, n - rows))
+    area = _interval_mass(trawl, delta, n - rows)
+    if np.any(rows == 0):  # row 0 extends to s = -inf: its residual is A(n delta)
+        area[rows == 0] = trawl.tail_integral(np.array([n * delta]))
     return area if np.ndim(i) else float(area[0])
 
 
-def truncation_horizon(trawl: TrawlSpec, delta: float, eps: float = EPS_TRUNC) -> int:
-    """Smallest J >= 1 with tail_integral(J*delta) <= eps * tail_integral(0)."""
-    total = trawl.leb_A
+def truncation_horizon(trawl: TrawlSpec, delta: float) -> int:
+    """Smallest J >= 1 with tail_integral(J*delta) <= EPS_TRUNC * tail_integral(0).
+
+    The search stops at J = 2^30, far past any grid the slice sampler takes
+    (it uses min(J, n)); a heavy tail, such as PowerLawTrawl(1.8, 0.7) at
+    delta = 0.05, returns that cap without meeting the bound.
+    """
+    bound = EPS_TRUNC * trawl.leb_A
     if trawl.support_end < math.inf:
         return max(1, math.ceil(trawl.support_end / delta))
     j = 1
-    while trawl.tail_integral(j * delta) > eps * total and j < 10**9:
+    while trawl.tail_integral(j * delta) > bound and j < 2**30:
         j *= 2
     lo, hi = j // 2, j
     while lo + 1 < hi:
         mid = (lo + hi) // 2
-        if trawl.tail_integral(mid * delta) <= eps * total:
+        if trawl.tail_integral(mid * delta) <= bound:
             hi = mid
         else:
             lo = mid
@@ -275,24 +281,20 @@ def simulate_points(trawl: TrawlSpec, seed: LevySeedSpec, scheme: GridScheme) ->
     diff = np.zeros(n + 2)
     if count > 0:
         u = rng.random(count) * total_area
-        past = u < a0
-        # Horizontal offset v >= 0 measured leftwards from the owning grid
-        # time; sampled by inverting the tail integral, i.e. v has density
-        # proportional to a on the admissible range.
-        v = np.empty(count)
-        s = np.empty(count)
-        kmin = np.zeros(count, dtype=np.int64)
-        if np.any(past):
-            v[past] = trawl.tail_integral_inverse(a0 - u[past])
-            s[past] = -v[past]
-        if np.any(~past):
-            k_cell = np.minimum(((u[~past] - a0) // cell).astype(np.int64), n - 1)
-            frac = rng.random(np.count_nonzero(~past))
-            # v uniform w.r.t. area within one cell: A(v) in (A(delta), A(0)).
-            mass = trawl.tail_integral(delta) + frac * cell
-            v[~past] = trawl.tail_integral_inverse(mass)
-            s[~past] = (k_cell + 1) * delta - v[~past]
-            kmin[~past] = k_cell + 1
+        # A time-zero point lies in cell k = -1, a forward point in cell
+        # k >= 0; either way it sits a horizontal offset v >= 0 left of grid
+        # time (k + 1) delta.  v is drawn by inverting the tail integral, so
+        # it has density proportional to a on its range: the mass is a0 - u
+        # for a time-zero point, and uniform w.r.t. area within one cell,
+        # A(v) in (A(delta), A(0)), for a forward point.
+        forward = u >= a0
+        k = np.full(count, -1, dtype=np.int64)
+        k[forward] = np.minimum((u[forward] - a0) // cell, n - 1)
+        mass = a0 - u
+        mass[forward] = trawl.tail_integral(delta) + rng.random(np.count_nonzero(forward)) * cell
+        v = trawl.tail_integral_inverse(mass)
+        s = (k + 1) * delta - v
+        kmin = k + 1
         y = rng.random(count) * trawl.a(v)
         y = np.maximum(y, np.finfo(float).tiny)  # keep inside (0, a(0)]
         reach = s + trawl.inverse_a(y)
@@ -370,21 +372,24 @@ def simulate(
 def ingest_csv(path, delta: Optional[float] = None) -> SampledPath:
     """Read a path from a one-column (x) or two-column (t, x) CSV file.
 
-    A two-column file must have a uniformly spaced time column (relative
-    deviation at most 1e-9), and a ``delta`` given with it must match the
-    column's step to the same tolerance; a one-column file requires ``delta``.
+    Blank rows are skipped and the first other row may be a header; any
+    later non-numeric row raises ``ValueError``.  A two-column file must
+    have a uniformly spaced time column (relative deviation at most 1e-9),
+    and a ``delta`` given with it must match the column's step to the same
+    tolerance; a one-column file requires ``delta``.
     """
-    rows = []
+    rows, seen = [], 0
     with open(path, newline="") as fh:
-        for rec in csv.reader(fh):
+        reader = csv.reader(fh)
+        for rec in reader:
             if not rec or not rec[0].strip():
                 continue
-            if rows == [] and any(not _is_number(c) for c in rec):
-                continue  # header
+            seen += 1
             try:
                 rows.append([float(c) for c in rec])
             except ValueError as exc:
-                raise ValueError(f"non-numeric row in {path}: {rec!r}") from exc
+                if seen > 1:  # only the first non-blank row may be a header
+                    raise ValueError(f"non-numeric row {reader.line_num} of {path}: {rec!r}") from exc
     if not rows:
         raise ValueError(f"no numeric data in {path}")
     data = np.asarray(rows)
@@ -408,14 +413,6 @@ def ingest_csv(path, delta: Optional[float] = None) -> SampledPath:
     else:
         raise ValueError("expected one (x) or two (t, x) columns")
     return SampledPath(delta, values, {"simulator": "external", "source": str(path)})
-
-
-def _is_number(token: str) -> bool:
-    try:
-        float(token)
-    except ValueError:
-        return False
-    return True
 
 
 def export_csv(path_obj: SampledPath, path) -> None:

@@ -224,6 +224,15 @@ def test_mc_rejects_threads_below_one(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_estimate_rejects_corrupt_rows_after_the_header(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("t,x\nfoo,bar\nbaz,qux\n0,1\n0.1,2\n0.2,3\n0.3,4\n")
+    out = tmp_path / "ahat.csv"
+    assert main(["estimate", "--input", str(bad), "--out", str(out)]) == 2
+    assert "non-numeric row 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_estimate_rejects_nan_delta(tmp_path, capsys):
     one_column = tmp_path / "x.csv"
     one_column.write_text("x\n1.0\n2.0\n3.5\n0.5\n")

@@ -109,8 +109,9 @@ def test_convergence_slope_exact():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        _config(theorem="T9")
+    for theorem in ("T9", "T2"):
+        with pytest.raises(ValueError, match="unknown theorem tag"):
+            _config(theorem=theorem)
     with pytest.raises(ValueError):
         _config(varpi=3.5)
     with pytest.raises(ValueError):

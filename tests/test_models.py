@@ -114,14 +114,13 @@ def test_support_flags():
 
 def test_seed_cumulants():
     g = GaussianSeed(0.3, 2.0)
-    assert (g.kappa1, g.kappa2, g.kappa4, g.k4_levy) == (0.3, 2.0, 0.0, 0.0)
+    assert (g.kappa1, g.kappa2, g.kappa4) == (0.3, 2.0, 0.0)
     p = PoissonSeed(0.7)
-    assert (p.kappa1, p.kappa2, p.kappa4, p.k4_levy) == (0.7,) * 4
+    assert (p.kappa1, p.kappa2, p.kappa4) == (0.7,) * 3
     gam = GammaSeed(2.0, 0.5)
     assert gam.kappa1 == pytest.approx(1.0)
     assert gam.kappa2 == pytest.approx(0.5)
     assert gam.kappa4 == pytest.approx(0.75)
-    assert gam.k4_levy == gam.kappa4
 
 
 def _draws(seed_spec, area, size, rng):

@@ -27,7 +27,7 @@ from trawlkit import (
     slice_area,
     truncation_horizon,
 )
-from trawlkit.simulate import CIRCULANT_TOL, _circulant_embedding, _substream, simulate
+from trawlkit.simulate import CIRCULANT_TOL, EPS_TRUNC, _circulant_embedding, _substream, simulate
 
 from conftest import ALL_TRAWLS
 
@@ -75,10 +75,13 @@ def test_residual_area_is_remaining_mass(trawl):
 
 def test_truncation_horizon(trawl):
     delta = 0.05
-    j = truncation_horizon(trawl, delta, eps=1e-6)
-    assert float(trawl.tail_integral(j * delta)) <= 1e-6 * trawl.leb_A + 1e-300
+    j = truncation_horizon(trawl, delta)
+    if j < 2**30:  # the search stops at 2^30, reached here only by PowerLawTrawl(1.8, 0.7)
+        assert float(trawl.tail_integral(j * delta)) <= EPS_TRUNC * trawl.leb_A + 1e-300
+    else:
+        assert j == 2**30 and trawl.tail_exponent < 2
     if j > 1 and trawl.support_end == math.inf:
-        assert float(trawl.tail_integral((j - 1) * delta)) > 1e-6 * trawl.leb_A
+        assert float(trawl.tail_integral((j - 1) * delta)) > EPS_TRUNC * trawl.leb_A
 
 
 def test_slice_area_validation():
@@ -139,12 +142,14 @@ def test_points_matches_slices_in_law():
     assert variances[0] == pytest.approx(variances[1], rel=0.1)
 
 
-def test_points_integer_valued():
-    path = simulate_points(
-        ExponentialTrawl(1.0), PoissonSeed(2.0), GridScheme(n=200, delta=0.1, master_seed=1)
-    )
+@pytest.mark.parametrize("n,delta,rate", [(200, 0.1, 2.0), (2, 1e-9, 50.0)])
+def test_points_integer_valued(n, delta, rate):
+    """The second case puts every point in the time-zero set, so the sampler
+    draws no forward offsets."""
+    path = simulate_points(ExponentialTrawl(1.0), PoissonSeed(rate), GridScheme(n=n, delta=delta, master_seed=1))
     assert np.all(path.values == np.round(path.values))
     assert np.all(path.values >= 0)
+    assert np.all(path.values <= path.provenance["points"])
 
 
 def test_points_requires_poisson():
@@ -474,6 +479,11 @@ def test_ingest_rejects_garbage(tmp_path):
     f = tmp_path / "bad.csv"
     f.write_text("t,x\n0.0,1.0\nfoo,bar\n")
     with pytest.raises(ValueError):
+        ingest_csv(f)
+    # Only the first row may be a header: corrupt rows after it are not
+    # skipped as more header lines.
+    f.write_text("t,x\nfoo,bar\nbaz,qux\n0,1\n0.1,2\n0.2,3\n0.3,4\n")
+    with pytest.raises(ValueError, match="non-numeric row 2"):
         ingest_csv(f)
     empty = tmp_path / "empty.csv"
     empty.write_text("t,x\n")
