@@ -40,7 +40,6 @@ from .models import (
 )
 from .simulate import (
     GridScheme,
-    NonUniformGrid,
     SampledPath,
     export_csv,
     ingest_csv,

@@ -144,10 +144,7 @@ def cmd_kernels(args) -> int:
         header, rows = ["t", "value"], zip(grid, kern.sigma_a_matrix(grid, grid))
     else:
         s, r = (m.ravel() for m in np.meshgrid(grid, grid, indexing="ij"))
-        if pair is None:
-            values = kern.sigma_a_matrix(s, r)
-        else:
-            values = [kern.appendix_f(*pair, u, v) for u, v in zip(s, r)]
+        values = kern.sigma_a_matrix(s, r) if pair is None else kern.appendix_f(*pair, s, r)
         header, rows = ["s", "r", "value"], zip(s, r, values)
     _write_csv(args.out, header, rows)
     _sidecar(args.out, {"command": "kernels", "trawl": trawl.to_dict(), "k4": args.k4, "what": args.what})

@@ -10,8 +10,8 @@ K(s, S) + K(r, S) = K(S, S),
                   = k4 a(max(s, r)) + Phi(D) - Phi(S),   Phi(h) = 2 C(h) - K(h, h).
 
 Every integral is an array evaluation on fixed Gauss panels split at every
-kink, with infinite ranges mapped onto [0, 1) by the length scale A(0)/a(0)
-and a Gauss-Jacobi weight for the power-law decay of the mapped integrand.
+kink, with infinite ranges mapped onto [0, 1) by the length scale A(0) and
+a Gauss-Jacobi weight for the power-law decay of the mapped integrand.
 Each is computed at two node counts, and a disagreement beyond ``_ABS_TOL``
 and ``_REL_TOL`` raises ``QuadratureError``.  The adaptive sigma kernels,
 sigma_a^2 and block kernels that the identity was derived from live in the
@@ -34,7 +34,7 @@ __all__ = ["QuadratureError", "AvarKernel"]
 #: Gauss nodes per panel (coarse, fine): of Phi, and per axis of a covariance.
 _INNER_NODES = (24, 32)
 _OUTER_NODES = (20, 28)
-#: Sigma_a points per block, which keeps the points x nodes arrays small.
+#: Kernel points per block, which keeps the points x nodes arrays small.
 _BLOCK = 512
 #: How far the two node counts may differ: absolute, or relative to the result.
 _ABS_TOL = 1e-9
@@ -72,19 +72,12 @@ class AvarKernel:
 
     def sigma_a_matrix(self, s, r):
         """Sigma_a(s, r) elementwise over broadcast arrays; scalars give a float."""
-        s, r = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(r, dtype=float))
-        _check_times(s, r)
-        out = _agree(*(self._sigma_a(s.ravel(), r.ravel(), m) for m in _INNER_NODES), "Sigma_a")
-        return float(out[0]) if s.ndim == 0 else out.reshape(s.shape)
+        return _elementwise(self._sigma_a, s, r, "Sigma_a")
 
     def _sigma_a(self, s, r, m):
         """Sigma_a on 1-D arrays with ``m`` nodes per panel of Phi, unchecked."""
-        out = np.empty_like(s)
-        for i in range(0, s.size, _BLOCK):
-            u, v = s[i : i + _BLOCK], r[i : i + _BLOCK]
-            sigma1 = self.k4 * self.trawl.a(np.maximum(u, v))
-            out[i : i + _BLOCK] = sigma1 + self._phi(np.abs(u - v), m) - self._phi(u + v, m)
-        return out
+        sigma1 = self.k4 * self.trawl.a(np.maximum(s, r))
+        return sigma1 + self._phi(np.abs(s - r), m) - self._phi(s + r, m)
 
     def _phi(self, h, m):
         """Phi(h) = 2 int_0^inf a(w) (a(w + h) - [w < h/2] a(h - w)) dw.
@@ -96,7 +89,7 @@ class AvarKernel:
             cuts = np.clip([0 * h, end - h, h - end, h / 2, 0 * h + end], 0.0, end)
             w, dw = _panels(np.sort(cuts, axis=0), m)
         else:  # geometric grid on [0, h/2]; [h/2, inf) mapped onto [0, 1)
-            scale, alpha = self.trawl.leb_A / float(a(0.0)), self.trawl.tail_exponent
+            scale, alpha = self.trawl.leb_A, self.trawl.tail_exponent
             x, xw = _gauss(m)
             y, yw = _gauss(m, 2.0 * alpha - 2.0 if alpha < math.inf else 0.0)
             half = h[:, None] / 2.0
@@ -138,7 +131,7 @@ class AvarKernel:
         end = self.trawl.support_end
         if end < math.inf:
             return self._limit_cov(g, (min(t, end), end, min(s, end), end))
-        scale = self.trawl.leb_A / float(self.trawl.a(0.0))
+        scale = self.trawl.leb_A
         return self._limit_cov(g, (t / (t + scale), 1.0, s / (s + scale), 1.0), scale)
 
     def _limit_cov(self, g, box, scale=None):
@@ -167,15 +160,16 @@ class AvarKernel:
                 u, r = scale * u / (1.0 - u), scale * r / (1.0 - r)
             weight = weight * g.dg(a(u)) * g.dg(a(r))
             keep = weight != 0.0
-            return float(np.dot(weight[keep], self._sigma_a(u[keep], r[keep], m)))
+            return float(np.dot(weight[keep], _blockwise(self._sigma_a, u[keep], r[keep], m)))
 
         coarse, fine = (rule(n, m) for n, m in zip(_OUTER_NODES, _INNER_NODES))
         return _agree(coarse, fine, "limit covariance")
 
     # -- martingale-block limit kernels -----------------------------------
 
-    def appendix_f(self, l1: int, l2: int, s: float, r: float) -> float:
-        """Limit kernel of block pair (l1, l2), 1 <= l1 <= l2 <= 4.
+    def appendix_f(self, l1: int, l2: int, s, r):
+        """Limit kernel of block pair (l1, l2), 1 <= l1 <= l2 <= 4, elementwise
+        over broadcast arrays; scalars give a float.
 
         The ten kernels arise as limits of conditional-covariance sums of
         the four martingale blocks of the estimation error; their symmetrized
@@ -185,74 +179,59 @@ class AvarKernel:
         """
         if not 1 <= l1 <= l2 <= 4:
             raise ValueError("need 1 <= l1 <= l2 <= 4")
-        _check_times(s, r)
-        a, A, C = self.trawl.a, self.trawl.tail_integral, self._overlap
-        a0 = float(a(0.0))
-        hi, lo = max(s, r), min(s, r)
-        gap = float(a(max(s - r, 0.0)))
-        end = self.trawl.support_end
+        return _elementwise(functools.partial(self._block, l1, l2), s, r, "block kernel")
 
+    def _block(self, l1, l2, s, r, m):
+        """Block kernel (l1, l2) on 1-D arrays with ``m`` nodes per panel, unchecked."""
+        a, A, C, end = self.trawl.a, self.trawl.tail_integral, self._overlap, self.trawl.support_end
+        s, r = s[:, None], r[:, None]
+        hi, lo = np.maximum(s, r), np.minimum(s, r)
+        gap = a(np.maximum(s - r, 0.0))
         if (l1, l2) == (1, 1):
-            return self.k4 * float(a(hi)) + a0 * float(A(hi - lo) - A(hi))
-        if (l1, l2) == (2, 2):
-            return a0 * float(A(hi))
-        if (l1, l2) == (3, 3):
-            return C(hi, 0.0) + a0 * float(A(hi - lo) - A(hi))
-        if (l1, l2) == (4, 4):
-            return a0 * float(A(hi)) - C(hi, 0.0)
-        if (l1, l2) == (1, 2):
-            return self._segment(lambda u: a(u) * a(s + r - u), r, s + r, (end, s + r - end))
-        if (l1, l2) == (1, 3):
+            out = self.k4 * a(hi) + (A(hi - lo) - A(hi))
+        elif (l1, l2) == (2, 2):
+            out = A(hi)
+        elif (l1, l2) == (3, 3):
+            out = C(hi, 0.0, m) + (A(hi - lo) - A(hi))
+        elif (l1, l2) == (4, 4):
+            out = A(hi) - C(hi, 0.0, m)
+        elif (l1, l2) == (1, 2):
+            out = _segment(lambda u: a(u) * a(s + r - u), r, s + r, (end, s + r - end), m)
+        elif (l1, l2) == (1, 3):
             # int_hi^inf (a(u - s) - a(u)) (gap - a(u - r)) du
-            part1 = gap * float(A(hi - s) - A(hi)) - C(hi - s, hi - r) + C(hi, hi - r)
-            part2 = self._segment(
-                lambda u: a(u) * (a(np.maximum(s - r - u, 0.0)) - gap), 0.0, s, (end, s - r, s - r - end)
+            part1 = gap * (A(hi - s) - A(hi)) - C(hi - s, hi - r, m) + C(hi, hi - r, m)
+            part2 = _segment(
+                lambda u: a(u) * (a(np.maximum(s - r - u, 0.0)) - gap), 0.0, s, (end, s - r, s - r - end), m
             )
-            return -part1 - part2
-        if (l1, l2) == (1, 4):
+            out = -part1 - part2
+        elif (l1, l2) == (1, 4):
             # -int_s^inf (a(u - s) - a(u)) a(u + r) du
-            return C(s, s + r) - C(0.0, s + r)
-        if (l1, l2) == (2, 3):
-            return -C(s, s + r)
-        if (l1, l2) == (2, 4):
+            out = C(s, s + r, m) - C(0.0, s + r, m)
+        elif (l1, l2) == (2, 3):
+            out = -C(s, s + r, m)
+        elif (l1, l2) == (2, 4):
             # int_hi^inf a(u) (gap - a(u - r)) du
-            part2 = gap * float(A(hi)) - C(hi, hi - r)
-            return -(a0 - gap) * float(A(s)) - part2
-        # (3, 4) vanishes identically.
-        return 0.0
+            part2 = gap * A(hi) - C(hi, hi - r, m)
+            out = -(1.0 - gap) * A(s) - part2
+        else:  # (3, 4) vanishes identically.
+            out = np.zeros_like(s)
+        return out[:, 0]
 
-    def _overlap(self, p: float, q: float) -> float:
-        """C(p, q) = int_0^inf a(v + p) a(v + q) dv for p, q >= 0.
+    def _overlap(self, p, q, m):
+        """C(p, q) = int_0^inf a(v + p) a(v + q) dv for columns p, q >= 0.
 
         A compact trawl needs one panel, up to end - max(p, q), where the
         product vanishes.  Otherwise [0, inf) is mapped onto [0, 1) by
-        v = L x / (1 - x) with L = min(p, q) + A(0)/a(0), as in ``_phi``.
+        v = L x / (1 - x) with L = min(p, q) + A(0), as in ``_phi``.
         """
         a, end = self.trawl.a, self.trawl.support_end
         if end < math.inf:
-            return self._segment(lambda v: a(v + p) * a(v + q), 0.0, end - max(p, q))
-        scale, alpha = self.trawl.leb_A / float(a(0.0)), self.trawl.tail_exponent
-        length = min(p, q) + scale
-
-        def rule(m):
-            x, w = _gauss(m, 2.0 * alpha - 2.0 if alpha < math.inf else 0.0)
-            v = length * x / (1.0 - x)
-            return float(np.dot(w * length / (1.0 - x) ** 2, a(v + p) * a(v + q)))
-
-        return _agree(*(rule(m) for m in _INNER_NODES), "block kernel")
-
-    def _segment(self, f, lo: float, hi: float, kinks=()) -> float:
-        """int_lo^hi f(u) du for an array function f, on Gauss panels
-        between the ``kinks`` inside (lo, hi)."""
-        if lo >= hi:
-            return 0.0
-        cuts = np.array(sorted({lo, hi} | {c for c in kinks if lo < c < hi}))[:, None]
-
-        def rule(m):
-            u, du = _panels(cuts, m)
-            return float(np.dot(du[0], f(u[0])))
-
-        return _agree(*(rule(m) for m in _INNER_NODES), "block kernel")
+            return _segment(lambda v: a(v + p) * a(v + q), 0.0, end - np.maximum(p, q), (), m)
+        alpha = self.trawl.tail_exponent
+        length = np.minimum(p, q) + self.trawl.leb_A
+        x, w = _gauss(m, 2.0 * alpha - 2.0 if alpha < math.inf else 0.0)
+        v = length * x / (1.0 - x)
+        return np.sum((w * length / (1.0 - x) ** 2) * (a(v + p) * a(v + q)), axis=1, keepdims=True)
 
     def decomposition_residual(self, s: float, r: float) -> float:
         """|sum of all (symmetrized) limit kernels - Sigma_a(s, r)|."""
@@ -261,6 +240,31 @@ class AvarKernel:
             for l2 in range(l1 + 1, 5):
                 total += self.appendix_f(l1, l2, s, r) + self.appendix_f(l1, l2, r, s)
         return abs(total - self.sigma_a_matrix(s, r))
+
+
+def _elementwise(rule, s, r, what):
+    """rule(s, r, m) elementwise over broadcast arrays, at both node counts
+    and checked by ``_agree``; scalars give a float."""
+    s, r = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(r, dtype=float))
+    _check_times(s, r)
+    out = _agree(*(_blockwise(rule, s.ravel(), r.ravel(), m) for m in _INNER_NODES), what).reshape(s.shape)
+    return float(out) if s.ndim == 0 else out
+
+
+def _blockwise(rule, s, r, m):
+    """rule(s, r, m) on 1-D arrays, ``_BLOCK`` points at a time."""
+    out = np.empty_like(s)
+    for i in range(0, s.size, _BLOCK):
+        out[i : i + _BLOCK] = rule(s[i : i + _BLOCK], r[i : i + _BLOCK], m)
+    return out
+
+
+def _segment(f, lo, hi, kinks, m):
+    """int_lo^hi f(u) du for columns lo, hi (0 where hi <= lo), on Gauss
+    panels of ``m`` nodes between the ``kinks`` clipped into [lo, hi]."""
+    lo, hi, *kinks = np.broadcast_arrays(lo, np.maximum(hi, lo), *kinks)
+    u, du = _panels(np.sort(np.clip([lo, hi, *kinks], lo, hi), axis=0)[..., 0], m)
+    return np.sum(du * f(u), axis=1, keepdims=True)
 
 
 def _check_times(*values):

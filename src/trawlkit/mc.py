@@ -168,7 +168,6 @@ class McResult:
             "config_hash": self.config.config_hash(),
             "theory": self.theory,
             "summaries": {str(n): s for n, s in self.summaries.items()},
-            "tolerance_provenance": "finite-n tolerances calibrated by this artifact's pilot runs",
         }
 
     def write_json(self, path):

@@ -34,7 +34,6 @@ __all__ = [
     "SIMULATORS",
     "GridScheme",
     "SampledPath",
-    "NonUniformGrid",
     "slice_area",
     "residual_area",
     "truncation_horizon",
@@ -60,10 +59,6 @@ EPS_TRUNC = 1e-8
 #: FFT rounding and clip to 0; a more negative one means the embedding is not
 #: non-negative definite, and the sampler raises.
 CIRCULANT_TOL = 1e-10
-
-
-class NonUniformGrid(ValueError):
-    """Raised when an ingested time column is not equidistant."""
 
 
 @dataclass(frozen=True)
@@ -147,24 +142,17 @@ def residual_area(trawl: TrawlSpec, delta: float, n: int, i):
 def truncation_horizon(trawl: TrawlSpec, delta: float) -> int:
     """Smallest J >= 1 with tail_integral(J*delta) <= EPS_TRUNC * tail_integral(0).
 
-    The search stops at J = 2^30, far past any grid the slice sampler takes
-    (it uses min(J, n)); a heavy tail, such as PowerLawTrawl(1.8, 0.7) at
-    delta = 0.05, returns that cap without meeting the bound.
+    A compact trawl's J covers its support.  Otherwise J = max(1,
+    ceil(A^-1(EPS_TRUNC * Leb(A)) / delta)) from the closed-form tail inverse,
+    a Python int of any size; past J of about 1e12 rounding can leave
+    A(J*delta) a few ulps above the bound.  Where the quotient overflows a
+    float (a power law with alpha below about 1.026), J is the cap 2^1024.
     """
-    bound = EPS_TRUNC * trawl.leb_A
     if trawl.support_end < math.inf:
         return max(1, math.ceil(trawl.support_end / delta))
-    j = 1
-    while trawl.tail_integral(j * delta) > bound and j < 2**30:
-        j *= 2
-    lo, hi = j // 2, j
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if trawl.tail_integral(mid * delta) <= bound:
-            hi = mid
-        else:
-            lo = mid
-    return max(1, hi)
+    with np.errstate(over="ignore"):
+        steps = float(trawl.tail_integral_inverse(EPS_TRUNC * trawl.leb_A)) / delta
+    return max(1, math.ceil(steps)) if math.isfinite(steps) else 2**1024
 
 
 def _substream(master_seed: int, *key):
@@ -194,11 +182,11 @@ def simulate_slices(
 ) -> SampledPath:
     """Sample a path by drawing one seed variate per grid slice.
 
-    Works for any seed family.  By default slices with j - i > J, for the
-    smallest J with tail_integral(J*delta) <= EPS_TRUNC * tail_integral(0),
-    fold into the row residual, giving a per-point mean bias of at most
-    kappa1 * tail_integral(J*delta) and the analogous variance error;
-    ``exact=True`` keeps every slice (up to n = EXACT_CAP).
+    Works for any seed family.  By default slices with j - i > J, for J =
+    min(truncation_horizon(trawl, delta), n), fold into the row residual,
+    giving a per-point mean bias of at most kappa1 * tail_integral(J*delta)
+    and the analogous variance error; ``exact=True`` keeps every slice (up to
+    n = EXACT_CAP).
 
     Slices at a fixed offset m = j - i share one counter-based substream, so
     paths are reproducible bit-for-bit from ``scheme.master_seed`` alone.
@@ -298,7 +286,7 @@ def simulate_points(trawl: TrawlSpec, seed: LevySeedSpec, scheme: GridScheme) ->
         y = rng.random(count) * trawl.a(v)
         y = np.maximum(y, np.finfo(float).tiny)  # keep inside (0, a(0)]
         reach = s + trawl.inverse_a(y)
-        kmax = np.minimum(np.floor(reach / delta + 1e-12).astype(np.int64), n)
+        kmax = np.minimum(np.floor(reach / delta + 1e-12), n).astype(np.int64)
         keep = kmax >= kmin
         np.add.at(diff, kmin[keep], 1.0)
         np.subtract.at(diff, kmax[keep] + 1, 1.0)
@@ -405,7 +393,7 @@ def ingest_csv(path, delta: Optional[float] = None) -> SampledPath:
         step = steps[0]
         tol = 1e-9 * max(abs(step), 1.0)
         if step <= 0 or np.any(np.abs(steps - step) > tol):
-            raise NonUniformGrid(f"time column of {path} is not equidistant")
+            raise ValueError(f"time column of {path} is not equidistant")
         if delta is None:
             delta = float(step)
         elif abs(delta - step) > tol:

@@ -38,6 +38,20 @@ from oracles import AdaptiveKernel, naive_trawl_estimate
 
 MASTER = 777
 
+#: The CLT regimes of gates 4 and 5.  The tail statistic approaches its
+#: Gaussian limit slowly in n*delta (the residual quadratic term decays like
+#: (n*delta)^(-1/2)), so T6 runs in a wider-horizon regime than T5.
+HEAD_CLT = dict(theorem="T5", t=1.0, replications=500)
+TAIL_CLT = dict(
+    theorem="T6",
+    t=0.0,
+    replications=500,
+    test_function={"kind": "power", "exponent": 4.0},
+    varpi=2.5,
+    c=0.9,
+    n_grid=[2**15],
+)
+
 
 @pytest.fixture(scope="session")
 def report(tmp_path_factory):
@@ -121,8 +135,7 @@ def test_03_head_functional_convergence_rate(report):
 
 
 def test_04_head_functional_clt(report):
-    cfg = _exp_poisson_config(theorem="T5", t=1.0, replications=500)
-    res = run_experiment(cfg)
+    res = run_experiment(_exp_poisson_config(**HEAD_CLT))
     summary = res.summaries[2**14]
     ratio = summary["variance_ratio"]
     ks = summary["ks_distance"]
@@ -137,19 +150,7 @@ def test_04_head_functional_clt(report):
 
 
 def test_05_tail_functional_clt(report):
-    # The tail statistic approaches its Gaussian limit slowly in n*delta
-    # (the residual quadratic term decays like (n*delta)^(-1/2)), so this
-    # check runs in a wider-horizon regime than the head-functional CLT.
-    cfg = _exp_poisson_config(
-        theorem="T6",
-        t=0.0,
-        replications=500,
-        test_function={"kind": "power", "exponent": 4.0},
-        varpi=2.5,
-        c=0.9,
-        n_grid=[2**15],
-    )
-    res = run_experiment(cfg)
+    res = run_experiment(_exp_poisson_config(**TAIL_CLT))
     ratio = res.summaries[2**15]["variance_ratio"]
     ok = 0.8 <= ratio <= 1.25
     report(5, ok, f"|x|^4 tail CLT variance ratio = {ratio:.3f} (target [0.8, 1.25])")
@@ -313,4 +314,28 @@ def test_10_bitwise_determinism(report):
         10,
         ok,
         f"thread-count bitwise equality = {mc_ok}; provenance replay bitwise = {path_ok}",
+    )
+
+
+def test_11_clt_with_gaussian_seed(report):
+    # For the Poisson seeds of gates 4 and 5, kappa4 = kappa2, so a Sigma_a
+    # that read kappa2 for the kappa4 term would pass them.  A Gaussian seed
+    # has kappa4 = 0; the auto sampler draws its paths by circulant embedding.
+    gaussian = {"family": "gaussian", "mean": 0.0, "var": 1.0}
+    head = run_experiment(_exp_poisson_config(seed_spec=gaussian, **HEAD_CLT)).summaries[2**14]
+    tail_run = run_experiment(_exp_poisson_config(seed_spec=gaussian, **TAIL_CLT))
+    tail = tail_run.summaries[2**15]
+    tail_mean_sd = tail["mean"] / math.sqrt(tail_run.theory["limit_variance"])
+    ks_crit = 1.63 / math.sqrt(500)
+    ok = (
+        0.8 <= head["variance_ratio"] <= 1.25
+        and head["ks_distance"] < ks_crit
+        and 0.8 <= tail["variance_ratio"] <= 1.25
+    )
+    report(
+        11,
+        ok,
+        f"Gaussian seed: T5 variance ratio = {head['variance_ratio']:.3f} (target [0.8, 1.25]), "
+        f"KS = {head['ks_distance']:.4f} < {ks_crit:.4f}; T6 variance ratio = {tail['variance_ratio']:.3f} "
+        f"(target [0.8, 1.25]), KS = {tail['ks_distance']:.4f}, mean = {tail_mean_sd:.3f} SD",
     )

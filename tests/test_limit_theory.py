@@ -221,6 +221,21 @@ def test_appendix_f_matches_adaptive_oracle(trawl):
                     assert kern.appendix_f(l1, l2, u, v) == pytest.approx(expect, abs=1e-9, rel=0.0)
 
 
+@pytest.mark.parametrize("trawl", FAMILIES, ids=repr)
+def test_appendix_f_arrays_match_scalar_calls(trawl):
+    """A 2-D (s, r) grid gives, bitwise, the per-element scalar calls."""
+    kern = AvarKernel(trawl, k4=0.7)
+    grid = np.linspace(0.0, 2.5, 7)
+    s, r = np.meshgrid(grid, grid[::-1] * 0.9, indexing="ij")
+    for l1 in range(1, 5):
+        for l2 in range(l1, 5):
+            got = kern.appendix_f(l1, l2, s, r)
+            assert got.shape == s.shape
+            expect = [[kern.appendix_f(l1, l2, u, v) for u, v in zip(su, ru)] for su, ru in zip(s, r)]
+            np.testing.assert_array_equal(got, expect)
+            assert isinstance(kern.appendix_f(l1, l2, 0.4, 1.1), float)
+
+
 def test_diagonal_kernels_aggregate():
     """Sum of the four diagonal kernels = k4 a(M) + 2 a(0) A(|s-r|)."""
     kern = AvarKernel(EXP, k4=0.7)

@@ -14,7 +14,6 @@ from trawlkit import (
     GammaSeed,
     GaussianSeed,
     GridScheme,
-    NonUniformGrid,
     PoissonSeed,
     PowerLawTrawl,
     SampledPath,
@@ -74,14 +73,21 @@ def test_residual_area_is_remaining_mass(trawl):
 
 
 def test_truncation_horizon(trawl):
+    """J meets the bound and J - 1 does not; PowerLawTrawl(1.8, 0.7) needs J of about 1.4e11."""
     delta = 0.05
     j = truncation_horizon(trawl, delta)
-    if j < 2**30:  # the search stops at 2^30, reached here only by PowerLawTrawl(1.8, 0.7)
-        assert float(trawl.tail_integral(j * delta)) <= EPS_TRUNC * trawl.leb_A + 1e-300
-    else:
-        assert j == 2**30 and trawl.tail_exponent < 2
+    assert isinstance(j, int)
+    assert float(trawl.tail_integral(j * delta)) <= EPS_TRUNC * trawl.leb_A
     if j > 1 and trawl.support_end == math.inf:
         assert float(trawl.tail_integral((j - 1) * delta)) > EPS_TRUNC * trawl.leb_A
+
+
+def test_truncation_horizon_near_alpha_one():
+    """At alpha = 1.05 the closed form still meets the bound; at 1.02 the tail
+    inverse overflows, and J is the cap 2^1024 without a RuntimeWarning."""
+    trawl, delta = PowerLawTrawl(1.05, 1.0), 0.05
+    assert float(trawl.tail_integral(truncation_horizon(trawl, delta) * delta)) <= EPS_TRUNC * trawl.leb_A
+    assert truncation_horizon(PowerLawTrawl(1.02, 1.0), delta) == 2**1024
 
 
 def test_slice_area_validation():
@@ -140,6 +146,23 @@ def test_points_matches_slices_in_law():
         variances.append(np.var(vals))
     assert means[0] == pytest.approx(means[1], abs=0.05)
     assert variances[0] == pytest.approx(variances[1], rel=0.1)
+
+
+def test_points_keep_long_lived_points():
+    """At alpha = 1.05 many points reach more than 2^63 grid steps past t_n;
+    they count up to X_{t_n}, so the mean matches kappa1 * Leb(A) and the
+    exact slice sampler within 4 SE."""
+    trawl, seed = PowerLawTrawl(1.05, 1.0), PoissonSeed(1.0)
+
+    def path_means(method, reps):
+        schemes = (GridScheme(n=64, delta=0.1, master_seed=rep) for rep in range(reps))
+        return np.array([np.mean(simulate(trawl, seed, scheme, method).values) for scheme in schemes])
+
+    points, exact = path_means("points", 2000), path_means("slices-exact", 400)
+    se_points = np.std(points, ddof=1) / math.sqrt(len(points))
+    assert abs(np.mean(points) - seed.kappa1 * trawl.leb_A) < 4.0 * se_points
+    se = math.sqrt(se_points**2 + np.var(exact, ddof=1) / len(exact))
+    assert abs(np.mean(points) - np.mean(exact)) < 4.0 * se
 
 
 @pytest.mark.parametrize("n,delta,rate", [(200, 0.1, 2.0), (2, 1e-9, 50.0)])
@@ -471,7 +494,7 @@ def test_ingest_single_column(tmp_path):
 def test_ingest_rejects_non_uniform_grid(tmp_path):
     f = tmp_path / "bad.csv"
     f.write_text("t,x\n0.0,1.0\n0.1,2.0\n0.3,3.0\n")
-    with pytest.raises(NonUniformGrid):
+    with pytest.raises(ValueError, match="not equidistant"):
         ingest_csv(f)
 
 
