@@ -10,9 +10,7 @@ from .estimators import (
     lambda_bar_n,
     lambda_n,
     num_head_terms,
-    power_function,
     psi_n,
-    square_function,
     window_exponent_bounds,
 )
 from .inference import TestReport, tau_test

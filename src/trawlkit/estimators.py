@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -37,8 +37,6 @@ from .simulate import SampledPath
 
 __all__ = [
     "TestFunction",
-    "power_function",
-    "square_function",
     "TrawlEstimate",
     "estimate_trawl",
     "psi_n",
@@ -52,32 +50,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TestFunction:
-    """A test function g with an optional derivative.
+    """The test function g(x) = |x|^exponent; ``TestFunction(2.0)`` is the
+    quadratic case with the tail-sum bias.
 
-    ``exponent`` is set when g(x) = |x|^exponent; it enables closed-form
-    target functionals and is the order at 0 that the tail CLT checks.
+    The exponent gives the closed-form target functionals and is the order
+    at 0 that the tail CLT checks.
     """
 
-    g: Callable[[np.ndarray], np.ndarray]
-    dg: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    exponent: Optional[float] = None
+    exponent: float
 
+    def __post_init__(self):
+        if not 0 < self.exponent < math.inf:
+            raise ValueError(f"exponent must be positive and finite, got {self.exponent!r}")
 
-def power_function(exponent: float) -> TestFunction:
-    """g(x) = |x|^exponent."""
-    if exponent <= 0:
-        raise ValueError("exponent must be positive")
-    e = exponent
-    return TestFunction(
-        g=lambda x: np.abs(x) ** e,
-        dg=lambda x: e * np.abs(x) ** (e - 1) * np.sign(x),
-        exponent=e,
-    )
+    def g(self, x):
+        return np.abs(x) ** self.exponent
 
-
-def square_function() -> TestFunction:
-    """g(x) = x^2, the quadratic case with the tail-sum bias."""
-    return power_function(2.0)
+    def dg(self, x):
+        e = self.exponent
+        return e * np.abs(x) ** (e - 1) * np.sign(x)
 
 
 @dataclass
@@ -167,8 +158,8 @@ def num_head_terms(est: TrawlEstimate, t: float) -> int:
     """floor(t / delta), the number of lags below t: the head sum's length
     and the tail sums' first lag.  The 1e-12 slack keeps a t on the grid
     from losing a lag to rounding (0.3 / 0.1 = 2.9999999999999996)."""
-    if t < 0:
-        raise ValueError("t must be non-negative")
+    if not 0 <= t < math.inf:
+        raise ValueError("t must be non-negative and finite")
     return int(math.floor(t / est.delta + 1e-12))
 
 
@@ -237,8 +228,8 @@ def choose_window(
     When ``kappa`` is omitted the midpoint of the admissible interval is
     used; an explicit kappa is validated against that interval.
     """
-    if theta <= 0:
-        raise ValueError("theta must be positive")
+    if not 0 < theta < math.inf:
+        raise ValueError("theta must be positive and finite")
     lower, upper = window_exponent_bounds(varpi, alpha, p)
     if kappa is None:
         kappa = 0.5 * (lower + upper)

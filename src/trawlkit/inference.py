@@ -51,10 +51,10 @@ def tau_test(path: SampledPath, T: float, p: float = 4.0) -> TestReport:
     ``p`` defaults to 4, the smallest integer satisfying the p > 3 moment
     condition of the divergence result; smaller p is allowed but flagged.
     """
-    if T <= 0:
-        raise ValueError("T must be positive")
-    if p <= 0:
-        raise ValueError("p must be positive")
+    if not 0 < T < math.inf:
+        raise ValueError("T must be positive and finite")
+    if not 0 < p < math.inf:
+        raise ValueError("p must be positive and finite")
     n, delta = path.n, path.delta
     if T > (n - 1) * delta:
         raise ValueError("T exceeds the observed horizon (n-1)*delta")

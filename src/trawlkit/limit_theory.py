@@ -65,8 +65,8 @@ class AvarKernel:
     k4: float = 0.0
 
     def __post_init__(self):
-        if self.k4 < 0:
-            raise ValueError("k4 must be non-negative")
+        if not 0 <= self.k4 < math.inf:
+            raise ValueError("k4 must be non-negative and finite")
 
     # -- Sigma_a -----------------------------------------------------------
 
@@ -109,20 +109,16 @@ class AvarKernel:
         Product rule for dg(a(u)) Sigma_a(u, r) dg(a(r)) over [0, t] x [0, s].
         """
         _check_times(t, s)
-        _require_dg(g)
         return self._limit_cov(g, (0.0, t, 0.0, s))
 
     def limit_cov_lambda(self, g: TestFunction, t: float, s: float) -> float:
         """Limit covariance of the tail-functional CLT at times (t, s).
 
         Same kernel as the head functional but integrated over the tails
-        [t, inf) x [s, inf); requires the dg(a(u)) factor to decay, i.e. a
-        test function vanishing fast enough at 0.
+        [t, inf) x [s, inf); requires the dg(a(u)) factor to decay, i.e. an
+        exponent p > 3 unless the trawl is compact.
         """
         _check_times(t, s)
-        _require_dg(g)
-        if g.exponent is None:
-            raise ValueError("tail covariance needs a power test function (exponent)")
         if g.exponent <= 3.0 and not self.trawl.support_end < math.inf:
             raise ValueError(
                 "tail CLT needs a test function of power order > 3 (quadratic g has a "
@@ -269,13 +265,8 @@ def _segment(f, lo, hi, kinks, m):
 
 def _check_times(*values):
     for v in values:
-        if np.any(np.asarray(v) < 0):
+        if not np.all(np.asarray(v) >= 0):  # also rejects NaN
             raise ValueError("time arguments must be non-negative")
-
-
-def _require_dg(g: TestFunction):
-    if g.dg is None:
-        raise ValueError("limit covariances need the derivative dg of the test function")
 
 
 @functools.lru_cache(maxsize=None)

@@ -31,9 +31,7 @@ from .estimators import (
     lambda_bar_n,
     lambda_n,
     num_head_terms,
-    power_function,
     psi_n,
-    square_function,
 )
 from .inference import tau_test
 from .limit_theory import AvarKernel
@@ -55,30 +53,37 @@ THEOREM_TAGS = ("T1", "T3", "T4", "T5", "T6", "C1")
 
 
 def test_function_from_dict(cfg) -> TestFunction:
-    """Build a test function from ``{"kind": "square"}`` or power config."""
-    kind = cfg.get("kind", "square")
-    if kind == "square":
-        return square_function()
-    if kind == "power":
-        return power_function(float(cfg["exponent"]))
-    raise ValueError(f"unknown test function kind {kind!r}")
-
-
-def _exponent(g: TestFunction) -> float:
-    if g.exponent is None:
-        raise ValueError("true functionals have closed forms for power test functions only; g has no exponent")
-    return g.exponent
+    """Build g(x) = |x|^p from ``{"kind": "square"}`` (p = 2, also the kind
+    when none is named) or ``{"kind": "power", "exponent": p}``."""
+    cfg = dict(cfg)
+    kind = cfg.pop("kind", "square")
+    keys = {"square": set(), "power": {"exponent"}}
+    if kind not in keys:
+        raise ValueError(f"unknown test function kind {kind!r}; choose from {sorted(keys)}")
+    unknown = set(cfg) - keys[kind]
+    if unknown:
+        raise ValueError(f"unknown test function parameters {sorted(unknown)} for kind {kind!r}")
+    return TestFunction(float(cfg["exponent"]) if kind == "power" else 2.0)
 
 
 def true_psi(trawl, g: TestFunction, t: float) -> float:
     """Ground-truth head functional ``int_0^t g(a(s)) ds`` of g(x) = |x|^p."""
-    p = _exponent(g)
+    p = g.exponent
     return float(trawl.power_tail_integral(0.0, p) - trawl.power_tail_integral(t, p))
 
 
 def true_lambda(trawl, g: TestFunction, t: float) -> float:
     """Ground-truth tail functional ``int_t^inf g(a(s)) ds`` of g(x) = |x|^p."""
-    return float(trawl.power_tail_integral(t, _exponent(g)))
+    return float(trawl.power_tail_integral(t, g.exponent))
+
+
+def _whole(name, value) -> int:
+    """``value`` as an int; a float is accepted only when it is integral."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -107,15 +112,17 @@ class ExperimentConfig:
             raise ValueError(f"unknown theorem tag {self.theorem!r}; choose from {THEOREM_TAGS}")
         if not 1 < self.varpi < 3:
             raise ValueError("varpi must lie in (1, 3)")
-        if self.c <= 0:
-            raise ValueError("c must be positive")
+        if not 0 < self.c < math.inf:
+            raise ValueError("c must be positive and finite")
+        if not self.n_grid:
+            raise ValueError("empty n grid")
+        object.__setattr__(self, "n_grid", tuple(_whole("n_grid", n) for n in self.n_grid))
+        for name in ("replications", "threads", "master_seed"):
+            object.__setattr__(self, name, _whole(name, getattr(self, name)))
         if self.replications < 1:
             raise ValueError("need at least one replication")
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
-        if not self.n_grid:
-            raise ValueError("empty n grid")
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
         if self.theorem in ("T5", "T6", "C1"):
             n_max = max(self.n_grid)
             nd3 = n_max * self.delta_for(n_max) ** 3

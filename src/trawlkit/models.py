@@ -35,7 +35,7 @@ __all__ = [
 
 def _check_nonneg(name, value):
     arr = np.asarray(value, dtype=float)
-    if np.any(arr < 0):
+    if not np.all(arr >= 0):  # also rejects NaN
         raise ValueError(f"{name} must be non-negative, got {value!r}")
     return arr
 
@@ -43,7 +43,7 @@ def _check_nonneg(name, value):
 def _check_area(area):
     # A float takes one comparison: the slice sampler draws once per diagonal.
     if isinstance(area, float):
-        if area < 0:
+        if not area >= 0:
             raise ValueError(f"area must be non-negative, got {area!r}")
         return area
     return _check_nonneg("area", area)
@@ -76,8 +76,8 @@ class TrawlSpec:
     def power_tail_integral(self, t, p):
         """``int_t^inf a(s)^p ds`` for t >= 0 and p > 0."""
         t = _check_nonneg("t", t)
-        if p <= 0:
-            raise ValueError("p must be positive")
+        if not 0 < p < math.inf:
+            raise ValueError("p must be positive and finite")
         return self._power_tail(t, p)
 
     def inverse_a(self, y):
@@ -96,12 +96,6 @@ class TrawlSpec:
         """Lebesgue measure of the trawl set, ``int_0^inf a(s) ds``."""
         return float(self.tail_integral(0.0))
 
-    def autocorrelation(self, h):
-        """Autocorrelation of the trawl process, ``A(h) / A(0)``."""
-        h = _check_nonneg("h", h)
-        out = self.tail_integral(h) / self.leb_A
-        return float(out) if np.ndim(out) == 0 else out
-
     def to_dict(self):
         """``{"family": ..., <params>}``, the mapping ``trawl_from_dict`` reads."""
         return _to_dict(_TRAWL_FAMILIES, self)
@@ -114,8 +108,8 @@ class ExponentialTrawl(TrawlSpec):
     rate: float = 1.0
 
     def __post_init__(self):
-        if self.rate <= 0:
-            raise ValueError("rate must be positive")
+        if not 0 < self.rate < math.inf:
+            raise ValueError("rate must be positive and finite")
 
     def a(self, s):
         return np.exp(-self.rate * np.asarray(s, dtype=float))
@@ -142,10 +136,10 @@ class PowerLawTrawl(TrawlSpec):
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.alpha <= 1:
-            raise ValueError("alpha must exceed 1")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        if not 1 < self.alpha < math.inf:
+            raise ValueError("alpha must exceed 1 and be finite")
+        if not 0 < self.scale < math.inf:
+            raise ValueError("scale must be positive and finite")
 
     @property
     def tail_exponent(self):
@@ -181,8 +175,8 @@ class CompactTriangleTrawl(TrawlSpec):
     support: float = 1.0
 
     def __post_init__(self):
-        if self.support <= 0:
-            raise ValueError("support must be positive")
+        if not 0 < self.support < math.inf:
+            raise ValueError("support must be positive and finite")
 
     @property
     def support_end(self):
@@ -246,8 +240,10 @@ class GaussianSeed(LevySeedSpec):
     var: float = 1.0
 
     def __post_init__(self):
-        if self.var <= 0:
-            raise ValueError("var must be positive")
+        if not math.isfinite(self.mean):
+            raise ValueError("mean must be finite")
+        if not 0 < self.var < math.inf:
+            raise ValueError("var must be positive and finite")
 
     def _cumulant(self, m):
         return self.mean if m == 1 else self.var if m == 2 else 0.0
@@ -265,8 +261,8 @@ class PoissonSeed(LevySeedSpec):
     rate: float = 1.0
 
     def __post_init__(self):
-        if self.rate <= 0:
-            raise ValueError("rate must be positive")
+        if not 0 < self.rate < math.inf:
+            raise ValueError("rate must be positive and finite")
 
     def _cumulant(self, m):
         return self.rate
@@ -289,8 +285,8 @@ class GammaSeed(LevySeedSpec):
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.shape <= 0 or self.scale <= 0:
-            raise ValueError("shape and scale must be positive")
+        if not (0 < self.shape < math.inf and 0 < self.scale < math.inf):
+            raise ValueError("shape and scale must be positive and finite")
 
     def _cumulant(self, m):
         return self.shape * math.factorial(m - 1) * self.scale**m

@@ -72,8 +72,8 @@ class GridScheme:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("n must be at least 2")
-        if not self.delta > 0:  # also rejects NaN
-            raise ValueError("delta must be positive")
+        if not 0 < self.delta < math.inf:  # also rejects NaN
+            raise ValueError("delta must be positive and finite")
 
 
 @dataclass
@@ -88,8 +88,8 @@ class SampledPath:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 1 or len(self.values) < 3:
             raise ValueError("a path needs at least 3 equidistant observations")
-        if not self.delta > 0:  # also rejects NaN
-            raise ValueError("delta must be positive")
+        if not 0 < self.delta < math.inf:  # also rejects NaN
+            raise ValueError("delta must be positive and finite")
 
     @property
     def n(self):
@@ -295,32 +295,22 @@ def simulate_points(trawl: TrawlSpec, seed: LevySeedSpec, scheme: GridScheme) ->
     return _path("points", trawl, seed, scheme, values, expected_points=expected_points, points=int(count))
 
 
-def _circulant_embedding(trawl: TrawlSpec, seed: GaussianSeed, n: int, delta: float):
-    """First row of the minimal circulant embedding of the path's covariance,
-    and the embedding's eigenvalues.
-
-    The row has length 2n: c_h = kappa2 * tail_integral(h*delta) for
-    h = 0..n, then c_{n-1}, ..., c_1.  It is real and symmetric, so its
-    eigenvalues are the real part of one rfft (n + 1 distinct values).
-    """
-    c = seed.kappa2 * trawl.tail_integral(delta * np.arange(n + 1))
-    row = np.concatenate([c, c[-2:0:-1]])
-    return row, np.fft.rfft(row).real
-
-
 def simulate_circulant(trawl: TrawlSpec, seed: LevySeedSpec, scheme: GridScheme) -> SampledPath:
     """Sample a path of a Gaussian-seeded trawl process by circulant embedding.
 
     X is then a stationary Gaussian sequence with mean kappa1 * Leb(A) and
-    autocovariance kappa2 * tail_integral(h*delta).  With the embedding's
-    eigenvalues lam and w ~ N(0, I_{2n}), the first n + 1 entries of
-    irfft(sqrt(lam) * rfft(w)) have exactly that covariance: O(n log n) work
-    and exact in distribution for every trawl, long memory included.
+    autocovariance c_h = kappa2 * tail_integral(h*delta).  The minimal
+    circulant embedding has first row c_0, ..., c_n, c_{n-1}, ..., c_1; it is
+    real and symmetric, so its eigenvalues lam are the real part of one rfft
+    (n + 1 distinct values).  With w ~ N(0, I_{2n}), the first n + 1 entries
+    of irfft(sqrt(lam) * rfft(w)) have exactly that covariance: O(n log n)
+    work and exact in distribution for every trawl, long memory included.
     """
     if not isinstance(seed, GaussianSeed):
         raise ValueError("simulate_circulant requires a Gaussian seed")
     n, delta = scheme.n, scheme.delta
-    _, lam = _circulant_embedding(trawl, seed, n, delta)
+    c = seed.kappa2 * trawl.tail_integral(delta * np.arange(n + 1))
+    lam = np.fft.rfft(np.concatenate([c, c[-2:0:-1]])).real
     ratio = float(np.min(lam) / np.max(lam))
     if ratio < -CIRCULANT_TOL:
         raise ValueError(
@@ -392,7 +382,7 @@ def ingest_csv(path, delta: Optional[float] = None) -> SampledPath:
         steps = np.diff(t)
         step = steps[0]
         tol = 1e-9 * max(abs(step), 1.0)
-        if step <= 0 or np.any(np.abs(steps - step) > tol):
+        if not step > 0 or not np.all(np.abs(steps - step) <= tol):  # a NaN step fails both comparisons
             raise ValueError(f"time column of {path} is not equidistant")
         if delta is None:
             delta = float(step)

@@ -24,11 +24,9 @@ from trawlkit import (
     convergence_slope,
     estimate_trawl,
     ks_distance,
-    power_function,
     run_experiment,
     simulate_points,
     simulate_slices,
-    square_function,
     true_lambda,
     true_psi,
 )

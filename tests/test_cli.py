@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,8 @@ import numpy as np
 import pytest
 
 from trawlkit.cli import main
+
+EXPERIMENTS = Path(__file__).resolve().parent.parent / "experiments"
 
 SIM_SPEC = {
     "trawl": {"family": "exponential", "rate": 1.0},
@@ -217,7 +220,7 @@ def test_delta_disagreeing_with_the_time_column_is_a_usage_error(tmp_path, capsy
 
 
 def test_mc_rejects_threads_below_one(tmp_path, capsys):
-    exp = Path(__file__).resolve().parent.parent / "experiments" / "theorem3.json"
+    exp = EXPERIMENTS / "theorem3.json"
     out = tmp_path / "result.json"
     assert main(["mc", "--experiment", str(exp), "--out", str(out), "--threads", "-3"]) == 2
     assert "threads must be at least 1" in capsys.readouterr().err
@@ -230,6 +233,63 @@ def test_estimate_rejects_corrupt_rows_after_the_header(tmp_path, capsys):
     out = tmp_path / "ahat.csv"
     assert main(["estimate", "--input", str(bad), "--out", str(out)]) == 2
     assert "non-numeric row 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_estimate_rejects_nan_in_the_time_column(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("t,x\n0.0,1.0\n0.1,2.0\nnan,3.5\n0.3,0.5\n0.4,1.5\n")
+    out = tmp_path / "ahat.csv"
+    assert main(["estimate", "--input", str(bad), "--out", str(out)]) == 2
+    assert "not equidistant" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("delta", math.inf, "delta must be positive and finite"),
+        ("trawl", {"family": "powerlaw", "alpha": math.nan, "scale": 1.0}, "alpha must exceed 1"),
+        ("seed_spec", {"family": "gamma", "shape": math.nan, "scale": 1.0}, "shape and scale must be"),
+        ("seed_spec", {"family": "gaussian", "mean": math.nan, "var": 1.0}, "mean must be finite"),
+    ],
+    ids=["delta", "alpha", "shape", "mean"],
+)
+def test_simulate_rejects_non_finite_parameters(tmp_path, capsys, key, value, message):
+    """Each once wrote a CSV of NaN or inf rows and exited 0."""
+    bad = tmp_path / "spec.json"
+    bad.write_text(json.dumps({**SIM_SPEC, key: value}))  # as the JSON extensions NaN and Infinity
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--spec", str(bad), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag,message", [("--k4", "k4 must be non-negative and finite"), ("--lo", "time arguments must be non-negative")]
+)
+def test_kernels_rejects_nan_arguments(tmp_path, capsys, flag, message):
+    """Each once ended in a QuadratureError, a runtime error (exit 3)."""
+    out = tmp_path / "grid.csv"
+    trawl = json.dumps({"family": "exponential", "rate": 1.0})
+    assert main(["kernels", "--trawl", trawl, flag, "nan", "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("c", math.inf), ("replications", 2.5), ("threads", 1.5), ("master_seed", 1.5), ("n_grid", [100.7])],
+)
+def test_mc_rejects_infinite_c_and_non_integral_counts(tmp_path, capsys, field, value):
+    """Each would run to NaN summaries, crash with a TypeError or silently
+    truncate; each is a config error naming its field instead."""
+    exp = tmp_path / "exp.json"
+    cfg = {**json.loads((EXPERIMENTS / "theorem3.json").read_text()), "theorem": "T1", field: value}
+    exp.write_text(json.dumps(cfg))
+    out = tmp_path / "result.json"
+    assert main(["mc", "--experiment", str(exp), "--out", str(out)]) == 2
+    assert field in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -332,7 +392,7 @@ def test_mc_subcommand(tmp_path):
 
 def test_mc_bundled_experiment(tmp_path):
     """The shipped tail-sum experiment shows the factor-2 bias."""
-    exp = Path(__file__).resolve().parent.parent / "experiments" / "theorem3.json"
+    exp = EXPERIMENTS / "theorem3.json"
     out = tmp_path / "result.json"
     assert main(["mc", "--experiment", str(exp), "--out", str(out)]) == 0
     summary = json.loads(out.read_text())

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trawlkit import TestFunction as G  # aliased: pytest would try to collect a Test* class
 from trawlkit import (
     ExponentialTrawl,
     GaussianSeed,
@@ -20,10 +21,8 @@ from trawlkit import (
     estimate_trawl,
     lambda_bar_n,
     lambda_n,
-    power_function,
     psi_n,
     simulate_slices,
-    square_function,
     window_exponent_bounds,
 )
 
@@ -179,7 +178,7 @@ def test_threads_match_serial_estimates():
 
 def test_functional_riemann_sums(short_path):
     est = estimate_trawl(short_path)
-    g = square_function()
+    g = G(2.0)
     t = 1.0
     terms = int(t / est.delta)
     head = est.delta * np.sum(est.a_hat[:terms] ** 2)
@@ -197,16 +196,17 @@ def test_full_sum_decomposition(t):
     """psi_n(t) + lambda_n(t) is the full sum, independent of t."""
     rng = np.random.default_rng(3)
     est = estimate_trawl(SampledPath(0.1, rng.standard_normal(202)))
-    g = square_function()
+    g = G(2.0)
     full = est.delta * float(np.sum(g.g(est.a_hat)))
     assert psi_n(est, g, t) + lambda_n(est, g, t) == pytest.approx(full, rel=1e-12)
 
 
 def test_functionals_validate_horizon(short_path):
     est = estimate_trawl(short_path)
-    g = square_function()
-    with pytest.raises(ValueError):
-        psi_n(est, g, -1.0)
+    g = G(2.0)
+    for t in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="t must be non-negative"):
+            psi_n(est, g, t)
     with pytest.raises(ValueError):
         psi_n(est, g, (est.n + 2) * est.delta)
     with pytest.raises(ValueError):
@@ -228,20 +228,15 @@ def test_trawl_estimate_validation():
 
 
 def test_power_function_metadata():
-    g = power_function(4.0)
+    g = G(4.0)
     assert g.exponent == 4.0
     x = np.array([-2.0, 0.5])
     np.testing.assert_allclose(g.g(x), [16.0, 0.0625])
     np.testing.assert_allclose(g.dg(x), [-32.0, 0.5])
-    assert power_function(3.5).exponent == 3.5
-    with pytest.raises(ValueError):
-        power_function(0.0)
-
-
-def test_square_function_matches_power():
-    x = np.linspace(-2, 2, 11)
-    np.testing.assert_allclose(square_function().g(x), power_function(2.0).g(x))
-    np.testing.assert_allclose(square_function().dg(x), power_function(2.0).dg(x))
+    assert G(3.5).exponent == 3.5
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="exponent"):
+            G(bad)
 
 
 # -- window choice -------------------------------------------------------
@@ -283,6 +278,9 @@ def test_choose_window():
         choose_window(n, 2.0, kappa=0.9)  # outside admissible interval
     with pytest.raises(ValueError):
         choose_window(n, 2.0, theta=0.0)
+    for theta in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="theta"):
+            choose_window(n, 2.0, theta=theta)
 
 
 @settings(max_examples=25, deadline=None)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trawlkit import TestFunction as G  # aliased: pytest would try to collect a Test* class
 from trawlkit import (
     CompactTriangleTrawl,
     ExponentialTrawl,
@@ -16,7 +17,6 @@ from trawlkit import (
     SampledPath,
     estimate_trawl,
     lambda_n,
-    power_function,
     psi_n,
     simulate_points,
     tau_test,
@@ -47,7 +47,7 @@ def test_tau_is_tail_to_head_ratio():
         report = tau_test(path, T=T, p=p)
         assert report.tau == pytest.approx(report.numerator / report.denominator, rel=1e-12)
         assert report.tau >= 0.0 or report.numerator < 0.0
-        g = power_function(p)
+        g = G(p)
         assert report.numerator + report.denominator == pytest.approx(lambda_n(est, g, 0.0), rel=1e-9)
         assert report.denominator == pytest.approx(psi_n(est, g, T), rel=1e-9)
         assert report.numerator == pytest.approx(lambda_n(est, g, T), rel=1e-9)
@@ -90,6 +90,11 @@ def test_validation():
         tau_test(path, T=0.0)
     with pytest.raises(ValueError):
         tau_test(path, T=1.0, p=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="T must be positive"):
+            tau_test(path, T=bad)
+        with pytest.raises(ValueError, match="p must be positive"):
+            tau_test(path, T=1.0, p=bad)
     with pytest.raises(ValueError):
         tau_test(path, T=(path.n + 5) * path.delta)
     flat = SampledPath(0.1, np.zeros(50))

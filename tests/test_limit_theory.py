@@ -20,15 +20,15 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+from trawlkit import TestFunction as G  # aliased: pytest would try to collect a Test* class
 from trawlkit import (
     AvarKernel,
     CompactTriangleTrawl,
     ExponentialTrawl,
     PowerLawTrawl,
     QuadratureError,
-    power_function,
-    square_function,
 )
+from trawlkit import limit_theory
 from trawlkit.limit_theory import _ABS_TOL, _INNER_NODES, _gauss
 
 from oracles import AdaptiveKernel
@@ -191,8 +191,13 @@ def test_kernels_reject_negative_times():
         kern.sigma_a_matrix(-0.1, 0.0)
     with pytest.raises(ValueError):
         kern.appendix_f(1, 3, 0.5, -1.0)
-    with pytest.raises(ValueError):
-        AvarKernel(EXP, k4=-1.0)
+    with pytest.raises(ValueError, match="time arguments"):
+        kern.sigma_a_matrix(np.array([0.5, math.nan]), 0.0)
+    with pytest.raises(ValueError, match="time arguments"):
+        kern.limit_cov_psi(G(2.0), math.nan, 1.0)
+    for k4 in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="k4"):
+            AvarKernel(EXP, k4=k4)
 
 
 # -- decomposition into the ten limit kernels ----------------------------
@@ -274,20 +279,20 @@ def test_limit_cov_psi_exponential_closed_form(k4):
     kern = AvarKernel(EXP, k4=k4)
     e = math.e
     expect = (8 * e * k4 - 3 * (4 * k4 + 3) * e**2 + (4 * k4 + 3) * e**4 + 6) * e**-4 / 3
-    assert kern.limit_cov_psi(square_function(), 1.0, 1.0) == pytest.approx(expect, rel=1e-5)
+    assert kern.limit_cov_psi(G(2.0), 1.0, 1.0) == pytest.approx(expect, rel=1e-5)
 
 
 @pytest.mark.parametrize("k4", [0.0, 1.0, 2.0])
 def test_limit_cov_lambda_exponential_closed_form(k4):
     kern = AvarKernel(EXP, k4=k4)
     expect = 8.0 * k4 / 7.0 + 0.5
-    assert kern.limit_cov_lambda(power_function(4.0), 0.0, 0.0) == pytest.approx(expect, rel=1e-5)
+    assert kern.limit_cov_lambda(G(4.0), 0.0, 0.0) == pytest.approx(expect, rel=1e-5)
 
 
 @pytest.mark.parametrize("trawl", ORACLE_FAMILIES, ids=repr)
 def test_limit_cov_psi_matches_adaptive_oracle(trawl):
     kern = AvarKernel(trawl, k4=1.0)
-    g = square_function()
+    g = G(2.0)
     expect = adaptive_limit_cov_psi(kern, g, 1.0, 0.4)
     assert kern.limit_cov_psi(g, 1.0, 0.4) == pytest.approx(expect, rel=1e-6)
 
@@ -299,7 +304,7 @@ def test_limit_cov_psi_matches_adaptive_oracle(trawl):
 )
 def test_limit_cov_lambda_matches_adaptive_oracle(trawl, t, s):
     kern = AvarKernel(trawl, k4=1.0)
-    g = power_function(4.0)
+    g = G(4.0)
     expect = adaptive_limit_cov_lambda(kern, g, t, s)
     assert kern.limit_cov_lambda(g, t, s) == pytest.approx(expect, rel=1e-6)
 
@@ -307,7 +312,7 @@ def test_limit_cov_lambda_matches_adaptive_oracle(trawl, t, s):
 def test_limit_cov_psi_constant_beyond_support_end():
     """dg(a(u)) vanishes beyond the support end; the rule splits at the kinks there."""
     kern = AvarKernel(CompactTriangleTrawl(1.0), k4=1.0)
-    g = square_function()
+    g = G(2.0)
     inside = kern.limit_cov_psi(g, 1.0, 1.0)
     assert kern.limit_cov_psi(g, 2.0, 2.0) == pytest.approx(inside, rel=1e-12)
     assert kern.limit_cov_psi(g, 3.0, 1.2) == pytest.approx(inside, rel=1e-12)
@@ -315,54 +320,42 @@ def test_limit_cov_psi_constant_beyond_support_end():
 
 def test_limit_cov_symmetric_in_times():
     kern = AvarKernel(PowerLawTrawl(2.5, 1.0), k4=1.0)
-    g = power_function(4.0)
+    g = G(4.0)
     assert kern.limit_cov_psi(g, 1.0, 0.4) == pytest.approx(kern.limit_cov_psi(g, 0.4, 1.0), rel=1e-12)
     assert kern.limit_cov_lambda(g, 0.3, 0.8) == pytest.approx(kern.limit_cov_lambda(g, 0.8, 0.3), rel=1e-12)
 
 
-def test_under_resolved_integrand_raises():
-    """An integrand the fixed rules cannot resolve surfaces as an error."""
-    from trawlkit import TestFunction
-
+def test_under_resolved_integrand_raises(monkeypatch):
+    """An integrand the fixed rules cannot resolve surfaces as an error: two
+    outer nodes per panel leave the coarse rule far from the fine one."""
+    monkeypatch.setattr(limit_theory, "_OUTER_NODES", (2, 28))
     kern = AvarKernel(EXP, k4=1.0)
-    wiggly = TestFunction(g=lambda x: -np.cos(300.0 * x) / 300.0, dg=lambda x: np.sin(300.0 * x))
-    with pytest.raises(QuadratureError):
-        kern.limit_cov_psi(wiggly, 1.0, 1.0)
+    with pytest.raises(QuadratureError, match="limit covariance"):
+        kern.limit_cov_psi(G(2.0), 1.0, 1.0)
+    with pytest.raises(QuadratureError, match="limit covariance"):
+        kern.limit_cov_lambda(G(4.0), 0.0, 0.0)
 
 
 def test_limit_cov_psi_zero_time():
     kern = AvarKernel(EXP)
-    assert kern.limit_cov_psi(square_function(), 0.0, 1.0) == 0.0
-
-
-def test_limit_cov_psi_needs_derivative():
-    from trawlkit import TestFunction
-
-    kern = AvarKernel(EXP)
-    with pytest.raises(ValueError):
-        kern.limit_cov_psi(TestFunction(g=np.square), 1.0, 1.0)
+    assert kern.limit_cov_psi(G(2.0), 0.0, 1.0) == 0.0
 
 
 def test_limit_cov_lambda_rejects_low_power():
     """The quadratic case has a non-central limit, not a CLT."""
-    from trawlkit import TestFunction
-
     kern = AvarKernel(EXP)
     with pytest.raises(ValueError):
-        kern.limit_cov_lambda(square_function(), 0.0, 0.0)
+        kern.limit_cov_lambda(G(2.0), 0.0, 0.0)
     with pytest.raises(ValueError):
-        kern.limit_cov_lambda(power_function(3.0), 0.0, 0.0)
-    quartic = power_function(4.0)
-    with pytest.raises(ValueError, match="exponent"):
-        kern.limit_cov_lambda(TestFunction(g=quartic.g, dg=quartic.dg), 0.0, 0.0)
+        kern.limit_cov_lambda(G(3.0), 0.0, 0.0)
 
 
 def test_limit_cov_lambda_compact_support():
     """Beyond the support end the tail covariance vanishes."""
     trawl = CompactTriangleTrawl(1.0)
     kern = AvarKernel(trawl, k4=1.0)
-    assert kern.limit_cov_lambda(power_function(4.0), 2.0, 2.0) == 0.0
-    inside = kern.limit_cov_lambda(power_function(4.0), 0.0, 0.0)
+    assert kern.limit_cov_lambda(G(4.0), 2.0, 2.0) == 0.0
+    inside = kern.limit_cov_lambda(G(4.0), 0.0, 0.0)
     assert inside > 0.0
 
 

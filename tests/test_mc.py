@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from trawlkit import TestFunction as G  # aliased: pytest would try to collect a Test* class
 from trawlkit import (
     ExponentialTrawl,
     ExperimentConfig,
     convergence_slope,
     ks_distance,
-    power_function,
     run_experiment,
-    square_function,
     true_lambda,
     true_psi,
 )
@@ -40,33 +39,29 @@ def _config(**overrides):
 
 def test_true_functionals_closed_form():
     trawl = ExponentialTrawl(1.0)
-    g = square_function()
+    g = G(2.0)
     assert true_psi(trawl, g, 1.0) == pytest.approx((1 - math.exp(-2)) / 2)
     assert true_lambda(trawl, g, 0.0) == pytest.approx(0.5)
     assert true_psi(trawl, g, 1.0) + true_lambda(trawl, g, 1.0) == pytest.approx(0.5)
-    g4 = power_function(4.0)
+    g4 = G(4.0)
     assert true_lambda(trawl, g4, 0.0) == pytest.approx(0.25)
-    root = power_function(0.5)  # p < 1: int_0^1 exp(-s/2) ds
+    root = G(0.5)  # p < 1: int_0^1 exp(-s/2) ds
     assert true_psi(trawl, root, 1.0) == pytest.approx(2.0 * (1.0 - math.exp(-0.5)), rel=1e-14)
-
-
-def test_true_functionals_need_a_power_function():
-    """Only g(x) = |x|^p has closed-form targets; there is no quadrature fallback."""
-    from trawlkit import TestFunction
-
-    trawl = ExponentialTrawl(1.0)
-    g = TestFunction(g=lambda x: np.sin(np.abs(x)))
-    with pytest.raises(ValueError, match="exponent"):
-        true_psi(trawl, g, 1.0)
-    with pytest.raises(ValueError, match="exponent"):
-        true_lambda(trawl, g, 1.0)
 
 
 def test_test_function_from_dict():
     assert tf_from_dict({"kind": "square"}).exponent == 2.0
     assert tf_from_dict({"kind": "power", "exponent": 3.0}).exponent == 3.0
-    with pytest.raises(ValueError):
-        tf_from_dict({"kind": "nope"})
+    # An unknown kind or key is an error that names it, never a silent x^2;
+    # with no kind the g is a square, which takes no exponent.
+    for cfg, name in (
+        ({"kind": "nope"}, "'nope'"),
+        ({"exponent": 4.0}, "'exponent'"),
+        ({"kind": "square", "exponent": 4.0}, "'exponent'"),
+        ({"kind": "power", "exponent": 4.0, "shift": 1.0}, "'shift'"),
+    ):
+        with pytest.raises(ValueError, match=name):
+            tf_from_dict(cfg)
 
 
 # -- summary statistics --------------------------------------------------
@@ -121,6 +116,9 @@ def test_config_validation():
     for threads in (0, -3):
         with pytest.raises(ValueError, match="threads"):
             _config(threads=threads)
+    for c in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="c must be positive"):
+            _config(c=c)
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({"trawl": {}, "bogus_field": 1})
     with pytest.raises(ValueError, match="unknown simulator"):

@@ -1,6 +1,7 @@
 """Trawl families and seed laws against quadrature and sampling oracles."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from trawlkit import (
     seed_from_dict,
     trawl_from_dict,
 )
+
+from trawlkit.models import _SEED_FAMILIES, _TRAWL_FAMILIES
 
 from conftest import ALL_TRAWLS, ALL_SEEDS
 
@@ -52,8 +55,9 @@ def test_leb_A_is_integral_of_a(trawl):
 
 
 def test_autocorrelation_normalized(trawl):
+    """The process autocorrelation A(h) / Leb(A) starts at 1 and decays in [0, 1]."""
     h = np.array([0.0, 0.5, 1.5, 4.0])
-    rho = trawl.autocorrelation(h)
+    rho = trawl.tail_integral(h) / trawl.leb_A
     assert rho[0] == pytest.approx(1.0)
     assert np.all(np.diff(rho) <= 1e-15)
     assert np.all((0.0 <= rho) & (rho <= 1.0))
@@ -164,7 +168,8 @@ def test_sample_seed_zero_area(seed_spec):
 
 def test_sample_seed_rejects_negative_area(seed_spec):
     rng = np.random.default_rng(0)
-    for area, size in ((-0.1, None), (-0.1, 5), (np.array([0.5, -0.1]), None)):
+    bad = ((-0.1, None), (-0.1, 5), (np.array([0.5, -0.1]), None), (math.nan, None), (np.array([math.nan]), None))
+    for area, size in bad:
         with pytest.raises(ValueError):
             seed_spec.sample(area, rng, size)
 
@@ -230,11 +235,25 @@ def test_parameter_validation(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "family,param",
+    [(cls, f.name) for cls in (*_TRAWL_FAMILIES.values(), *_SEED_FAMILIES.values()) for f in fields(cls)],
+    ids=lambda x: getattr(x, "__name__", x),
+)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_parameters_reject_nan_and_infinity(family, param, bad):
+    """Every family parameter must be finite, so no spec can yield a NaN path."""
+    with pytest.raises(ValueError, match=param):
+        family(**{param: bad})
+
+
 def test_power_tail_integral_rejects_small_p(trawl):
     """The domain is p > 0, and p * alpha > 1 for the power law."""
-    for p in (0.0, -1.0):
+    for p in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             trawl.power_tail_integral(0.0, p)
+    with pytest.raises(ValueError, match="t must be non-negative"):
+        trawl.power_tail_integral(math.nan, 2.0)
     alpha = trawl.tail_exponent
     if alpha < math.inf:
         with pytest.raises(ValueError):

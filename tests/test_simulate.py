@@ -26,7 +26,7 @@ from trawlkit import (
     slice_area,
     truncation_horizon,
 )
-from trawlkit.simulate import CIRCULANT_TOL, EPS_TRUNC, _circulant_embedding, _substream, simulate
+from trawlkit.simulate import CIRCULANT_TOL, EPS_TRUNC, _substream, simulate
 
 from conftest import ALL_TRAWLS
 
@@ -129,7 +129,7 @@ def test_slices_autocorrelation():
     x = path.values - np.mean(path.values)
     for lag in [1, 5, 10]:
         acf = float(np.dot(x[:-lag], x[lag:]) / np.dot(x, x))
-        assert acf == pytest.approx(float(trawl.autocorrelation(lag * 0.1)), abs=0.05)
+        assert acf == pytest.approx(float(trawl.tail_integral(lag * 0.1) / trawl.leb_A), abs=0.05)
 
 
 def test_points_matches_slices_in_law():
@@ -249,18 +249,26 @@ def test_points_record_expected_and_realised_counts():
 # -- circulant embedding -------------------------------------------------
 
 
+def _embedding(trawl, seed, n, delta):
+    """First row of the minimal circulant embedding of the path covariance,
+    kappa2 * A(h*delta) for h = 0..n mirrored for h > n, and the n + 1
+    distinct eigenvalues of the embedding by the sampler's real FFT."""
+    c = seed.kappa2 * trawl.tail_integral(delta * np.arange(n + 1))
+    row = np.concatenate([c, c[n - 1 : 0 : -1]])
+    return row, np.fft.rfft(row).real
+
+
 @pytest.mark.parametrize("n,delta", [(3, 0.5), (100, 0.1), (2048, 0.02)])
 def test_circulant_embedding_row_and_eigenvalues(trawl, n, delta):
-    """The embedding's first row is kappa2 * A(h*delta) for h <= n, mirrored
-    for h > n, and every eigenvalue of the minimal embedding is >= 0."""
+    """Every eigenvalue of the minimal embedding is >= 0, the real FFT agrees
+    with the full complex one, and the sampler records the same min/max
+    eigenvalue ratio."""
     seed = GaussianSeed(0.3, 2.0)
-    row, lam = _circulant_embedding(trawl, seed, n, delta)
-    lags = delta * np.arange(n + 1)
-    assert len(row) == 2 * n
-    np.testing.assert_array_equal(row[: n + 1], seed.kappa2 * trawl.tail_integral(lags))
-    np.testing.assert_array_equal(row[n + 1 :], row[n - 1 : 0 : -1])
-    assert len(lam) == n + 1 and np.min(lam) >= 0.0
+    row, lam = _embedding(trawl, seed, n, delta)
+    assert len(row) == 2 * n and len(lam) == n + 1 and np.min(lam) >= 0.0
     np.testing.assert_allclose(lam, np.fft.fft(row).real[: n + 1], rtol=0, atol=1e-12 * lam[0])
+    path = simulate_circulant(trawl, seed, GridScheme(n=n, delta=delta, master_seed=1))
+    assert path.provenance["min_eigenvalue_ratio"] == np.min(lam) / np.max(lam)
 
 
 @pytest.mark.parametrize(
@@ -303,7 +311,7 @@ def test_circulant_long_memory_moments():
         x = simulate(trawl, seed, GridScheme(n=n, delta=delta, master_seed=70000 + rep)).values - mu
         rows.append([np.mean(x * x) / var] + [np.mean(x[:-h] * x[h:]) / var for h in lags])
     rows = np.array(rows)
-    target = np.array([1.0] + [trawl.autocorrelation(h * delta) for h in lags])
+    target = np.array([1.0] + [trawl.tail_integral(h * delta) / trawl.leb_A for h in lags])
     se = np.std(rows, axis=0, ddof=1) / math.sqrt(len(rows))
     assert np.all(np.abs(np.mean(rows, axis=0) - target) < 3.0 * se), (np.mean(rows, axis=0), target, se)
 
@@ -316,7 +324,7 @@ def test_circulant_rejects_a_non_convex_tail_integral():
             return np.maximum(0.0, 1.0 - np.asarray(t, dtype=float) ** 2)
 
     trawl, scheme = ConcaveTail(1.0), GridScheme(n=64, delta=0.1)
-    _, lam = _circulant_embedding(trawl, GaussianSeed(0.0, 1.0), scheme.n, scheme.delta)
+    _, lam = _embedding(trawl, GaussianSeed(0.0, 1.0), scheme.n, scheme.delta)
     assert np.min(lam) < -CIRCULANT_TOL * np.max(lam)
     with pytest.raises(ValueError, match="not non-negative definite"):
         simulate_circulant(trawl, GaussianSeed(0.0, 1.0), scheme)
@@ -420,7 +428,7 @@ def test_provenance_schema(method, seed, diagnostics):
     if "tail_mass" in prov:
         assert prov["tail_mass"] == float(trawl.tail_integral(prov["horizon"] * scheme.delta))
     if "min_eigenvalue_ratio" in prov:
-        _, lam = _circulant_embedding(trawl, seed, scheme.n, scheme.delta)
+        _, lam = _embedding(trawl, seed, scheme.n, scheme.delta)
         assert prov["min_eigenvalue_ratio"] == np.min(lam) / np.max(lam) > 0
 
 
@@ -445,6 +453,7 @@ def test_provenance_records_master_seed(sampler):
         {"n": 10, "delta": 0.0},
         {"n": 10, "delta": -1.0},
         {"n": 10, "delta": float("nan")},
+        {"n": 10, "delta": float("inf")},
     ],
 )
 def test_grid_scheme_validation(kwargs):
@@ -457,8 +466,9 @@ def test_sampled_path_validation():
         SampledPath(0.1, np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         SampledPath(-0.1, np.zeros(10))
-    with pytest.raises(ValueError, match="delta must be positive"):
-        SampledPath(float("nan"), np.zeros(10))
+    for delta in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            SampledPath(delta, np.zeros(10))
     p = SampledPath(0.5, np.arange(5.0))
     assert p.n == 4
     np.testing.assert_allclose(p.times, 0.5 * np.arange(5))
@@ -494,6 +504,9 @@ def test_ingest_single_column(tmp_path):
 def test_ingest_rejects_non_uniform_grid(tmp_path):
     f = tmp_path / "bad.csv"
     f.write_text("t,x\n0.0,1.0\n0.1,2.0\n0.3,3.0\n")
+    with pytest.raises(ValueError, match="not equidistant"):
+        ingest_csv(f)
+    f.write_text("t,x\n0.0,1.0\n0.1,2.0\nnan,3.0\n0.3,4.0\n")  # a NaN step compares false
     with pytest.raises(ValueError, match="not equidistant"):
         ingest_csv(f)
 
