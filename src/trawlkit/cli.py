@@ -30,7 +30,7 @@ from .estimators import (
 )
 from .inference import tau_test
 from .limit_theory import AvarKernel
-from .mc import ExperimentConfig, run_experiment, test_function_from_dict
+from .mc import ExperimentConfig, _whole, run_experiment, test_function_from_dict
 from .models import seed_from_dict, trawl_from_dict
 from .simulate import SIMULATORS, GridScheme, _write_csv, export_csv, ingest_csv, simulate
 
@@ -68,9 +68,9 @@ def cmd_simulate(args) -> int:
     trawl = trawl_from_dict(spec["trawl"])
     seed_spec = seed_from_dict(spec["seed_spec"])
     scheme = GridScheme(
-        n=int(spec["n"]),
+        n=_whole("n", spec["n"]),
         delta=float(spec["delta"]),
-        master_seed=int(spec.get("seed", 0)),
+        master_seed=_whole("seed", spec.get("seed", 0)),
     )
     path = simulate(trawl, seed_spec, scheme, spec["simulator"])
     export_csv(path, args.out)
@@ -137,6 +137,8 @@ def cmd_mc(args) -> int:
 
 def cmd_kernels(args) -> int:
     pair = _parse_what(args.what)
+    if args.points < 1:
+        raise ValueError(f"--points must be at least 1, got {args.points}")
     trawl = trawl_from_dict(_load_json(args.trawl) if args.trawl.endswith(".json") else json.loads(args.trawl))
     kern = AvarKernel(trawl, k4=args.k4)
     grid = np.linspace(args.lo, args.hi, args.points)
@@ -189,7 +191,7 @@ def build_parser():
     p.add_argument("--out", required=True, help="summary JSON path")
     p.add_argument("--raw-out", help="raw n,rep,stat CSV path")
     p.add_argument("--seed", type=int, help="override the master seed")
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int, help="threads that run replications side by side")
     p.set_defaults(func=cmd_mc)
 
     p = sub.add_parser("kernels", help="dump asymptotic-variance kernel grids")

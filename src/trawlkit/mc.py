@@ -10,6 +10,13 @@ convergence slopes) are computed per grid point.
 Everything is deterministic given the master seed: per-replication seeds are
 derived by keyed spawning, so results do not depend on the execution order
 or the worker count.
+
+With ``threads > 1`` the replications run on a thread pool inside the
+calling process.  Their heavy kernels (pocketfft, numpy's loops over large
+arrays, ``Generator`` draws) release the interpreter lock, and the
+estimator's FFT workspace is per thread, so threads overlap the work that
+dominates.  A very short replication spends a larger share of its time in
+Python under the lock and scales less.
 """
 
 from __future__ import annotations
@@ -17,10 +24,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -35,7 +42,7 @@ from .estimators import (
 )
 from .inference import tau_test
 from .limit_theory import AvarKernel
-from .models import seed_from_dict, trawl_from_dict
+from .models import LevySeedSpec, TrawlSpec, seed_from_dict, trawl_from_dict
 from .simulate import GridScheme, _write_csv, simulate
 
 __all__ = [
@@ -211,14 +218,21 @@ def _rep_seed(master_seed: int, n: int, rep: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _one_replication(cfg: ExperimentConfig, n: int, rep: int) -> float:
+class _Parsed(NamedTuple):
+    """An experiment with its trawl, seed law and test function parsed once
+    and shared, read-only, by every replication."""
+
+    cfg: ExperimentConfig
+    trawl: TrawlSpec
+    seed: LevySeedSpec
+    g: TestFunction
+
+
+def _one_replication(exp: _Parsed, n: int, rep: int) -> float:
     """One replication's raw statistic: psi_n (T1, T5), lambda_n (T3, T6),
     the windowed lambda_bar_n (T4) or the scaled ratio tau (C1)."""
-    trawl = trawl_from_dict(cfg.trawl)
-    seed = seed_from_dict(cfg.seed_spec)
-    g = test_function_from_dict(cfg.test_function)
-    delta = cfg.delta_for(n)
-    scheme = GridScheme(n=n, delta=delta, master_seed=_rep_seed(cfg.master_seed, n, rep))
+    cfg, trawl, seed, g = exp
+    scheme = GridScheme(n=n, delta=cfg.delta_for(n), master_seed=_rep_seed(cfg.master_seed, n, rep))
     path = simulate(trawl, seed, scheme, cfg.simulator)
     if cfg.theorem == "C1":
         return tau_test(path, T=cfg.tdep_T, p=cfg.tdep_p).scaled
@@ -236,14 +250,17 @@ def _one_replication(cfg: ExperimentConfig, n: int, rep: int) -> float:
 def run_experiment(cfg: ExperimentConfig) -> McResult:
     """Run all replications over the n-grid and summarize.
 
-    Replications are independent work units; with ``threads > 1`` they run
-    in one process pool for the whole n-grid, gathered in order, so the
-    result is bit-identical at any worker count.  T5 and T6 centre and scale
-    the gathered estimates as sqrt(n delta) (estimate - target).
+    The trawl, seed law and test function are parsed once.  Replications are
+    independent work units, each drawing only from its own substreams; with
+    ``threads > 1`` they run on one thread pool for the whole n-grid,
+    gathered in order, so the result is bit-identical at any worker count.
+    T5 and T6 centre and scale the gathered estimates as
+    sqrt(n delta) (estimate - target).
     """
     trawl = trawl_from_dict(cfg.trawl)
     seed = seed_from_dict(cfg.seed_spec)
     g = test_function_from_dict(cfg.test_function)
+    exp = _Parsed(cfg, trawl, seed, g)
 
     theory = {}
     if cfg.theorem in ("T1", "T5"):
@@ -258,10 +275,10 @@ def run_experiment(cfg: ExperimentConfig) -> McResult:
     ns = [n for n in cfg.n_grid for _ in range(cfg.replications)]
     reps = list(range(cfg.replications)) * len(cfg.n_grid)
     if cfg.threads > 1:
-        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
-            values = list(pool.map(_one_replication, repeat(cfg), ns, reps, chunksize=8))
+        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+            values = list(pool.map(_one_replication, repeat(exp), ns, reps))
     else:
-        values = list(map(_one_replication, repeat(cfg), ns, reps))
+        values = list(map(_one_replication, repeat(exp), ns, reps))
 
     all_stats, summaries = {}, {}
     for n, vals in zip(cfg.n_grid, np.reshape(values, (len(cfg.n_grid), cfg.replications))):

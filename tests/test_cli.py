@@ -265,6 +265,32 @@ def test_simulate_rejects_non_finite_parameters(tmp_path, capsys, key, value, me
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key,value", [("n", 100.7), ("seed", 1.5), ("n", "512")])
+def test_simulate_rejects_non_integral_n_and_seed(tmp_path, capsys, key, value):
+    """A fractional n or seed was truncated: the path came from other values
+    than the ones its sidecar records."""
+    bad = tmp_path / "spec.json"
+    bad.write_text(json.dumps({**SIM_SPEC, key: value}))
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--spec", str(bad), "--out", str(out)]) == 2
+    assert f"{key} must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+    whole = tmp_path / "whole.json"
+    whole.write_text(json.dumps({**SIM_SPEC, "n": 512.0, "seed": 7.0}))
+    assert main(["simulate", "--spec", str(whole), "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 513
+
+
+@pytest.mark.parametrize("points", ["0", "-2"])
+def test_kernels_rejects_fewer_than_one_point(tmp_path, capsys, points):
+    """--points 0 once wrote a header-only grid and a sidecar and exited 0."""
+    out = tmp_path / "grid.csv"
+    trawl = json.dumps({"family": "exponential", "rate": 1.0})
+    assert main(["kernels", "--trawl", trawl, "--points", points, "--out", str(out)]) == 2
+    assert "--points must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flag,message", [("--k4", "k4 must be non-negative and finite"), ("--lo", "time arguments must be non-negative")]
 )

@@ -1,6 +1,9 @@
 """Monte Carlo harness: configs, summaries, determinism."""
 
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -138,16 +141,52 @@ def test_config_hash_stable_and_sensitive():
 # -- experiment runs -----------------------------------------------------
 
 
-def test_run_deterministic_and_thread_invariant():
-    """One pool serves the whole n-grid, and T5 centres after the gather."""
-    for overrides in ({}, {"theorem": "T5", "t": 1.0}):
-        res1 = run_experiment(_config(n_grid=[128, 256], **overrides))
-        res2 = run_experiment(_config(n_grid=[128, 256], **overrides))
-        res_threads = run_experiment(_config(n_grid=[128, 256], threads=2, **overrides))
-        for n in (128, 256):
-            np.testing.assert_array_equal(res1.stats[n], res2.stats[n])
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {"theorem": "T5", "t": 1.0},
+        {"theorem": "T1", "t": 0.5, "seed_spec": {"family": "gamma", "shape": 1.0, "scale": 1.0}},
+        {"theorem": "T1", "t": 0.5, "seed_spec": {"family": "gaussian", "mean": 1.0, "var": 1.0}},
+        {"theorem": "T4"},
+        {"theorem": "C1", "tdep_T": 1.0},
+    ],
+    ids=["T3", "T5", "T1-gamma-slices", "T1-gaussian-circulant", "T4", "C1"],
+)
+def test_run_deterministic_and_thread_invariant(overrides):
+    """One pool serves the whole n-grid, and T5 centres after the gather.
+    Every sampler (points, slices, circulant) and statistic gives the serial
+    bits on 2 and 3 threads, with the interpreter switching threads as often
+    as it can."""
+    res1 = run_experiment(_config(n_grid=[128, 256], **overrides))
+    res2 = run_experiment(_config(n_grid=[128, 256], **overrides))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = [run_experiment(_config(n_grid=[128, 256], threads=t, **overrides)) for t in (2, 3)]
+    finally:
+        sys.setswitchinterval(interval)
+    for n in (128, 256):
+        np.testing.assert_array_equal(res1.stats[n], res2.stats[n])
+        for res_threads in pooled:
             np.testing.assert_array_equal(res1.stats[n], res_threads.stats[n])
-    assert not np.array_equal(res1.stats[256], run_experiment(_config(master_seed=9)).stats[256])
+    reseeded = run_experiment(_config(n_grid=[128, 256], master_seed=9, **overrides))
+    assert not np.array_equal(res1.stats[256], reseeded.stats[256])
+
+
+def test_thread_pool_starts_no_process(monkeypatch):
+    def no_fork():
+        raise AssertionError("run_experiment forked a process")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    res = run_experiment(_config(threads=2))
+    np.testing.assert_array_equal(res.stats[256], run_experiment(_config()).stats[256])
+
+
+def test_thread_pool_leaves_no_thread_running():
+    before = set(threading.enumerate())
+    run_experiment(_config(threads=3))
+    assert set(threading.enumerate()) == before
 
 
 def test_simulator_choices_agree_in_law():
