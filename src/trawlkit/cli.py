@@ -7,7 +7,8 @@ T-dependence test, ``mc`` executes a Monte Carlo experiment file, and
 
 Exit codes: 0 success, 2 usage/config error, 3 runtime error.  Every output
 file gets a JSON provenance sidecar (config hash, master seed, version) from
-which the run can be reproduced bitwise.
+which the run can be reproduced bitwise, except the raw CSV of ``mc``: the
+summary JSON's sidecar covers it, since the same experiment writes both.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .estimators import (
 from .inference import tau_test
 from .limit_theory import AvarKernel
 from .mc import ExperimentConfig, _whole, run_experiment, test_function_from_dict
-from .models import seed_from_dict, trawl_from_dict
+from .models import _check_number, seed_from_dict, trawl_from_dict
 from .simulate import SIMULATORS, GridScheme, _write_csv, export_csv, ingest_csv, simulate
 
 USAGE_ERROR = 2
@@ -69,7 +70,7 @@ def cmd_simulate(args) -> int:
     seed_spec = seed_from_dict(spec["seed_spec"])
     scheme = GridScheme(
         n=_whole("n", spec["n"]),
-        delta=float(spec["delta"]),
+        delta=float(_check_number("delta", spec["delta"])),
         master_seed=_whole("seed", spec.get("seed", 0)),
     )
     path = simulate(trawl, seed_spec, scheme, spec["simulator"])

@@ -7,6 +7,11 @@ records the theorem's statistic; summaries (means, variance ratios against
 the analytic limit variance, Kolmogorov-Smirnov normality distances,
 convergence slopes) are computed per grid point.
 
+The table ``_THEOREMS`` gives each tag one row, (estimate, summary), and
+the harness branches on the row's two values, never on the tag.  An
+``ExperimentConfig`` parses its trawl, seed law and test function when it is
+built, so a malformed experiment fails before any replication runs.
+
 Everything is deterministic given the master seed: per-replication seeds are
 derived by keyed spawning, so results do not depend on the execution order
 or the worker count.
@@ -25,9 +30,9 @@ import hashlib
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from itertools import repeat
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -42,7 +47,7 @@ from .estimators import (
 )
 from .inference import tau_test
 from .limit_theory import AvarKernel
-from .models import LevySeedSpec, TrawlSpec, seed_from_dict, trawl_from_dict
+from .models import _as_dict, _check_number, seed_from_dict, trawl_from_dict
 from .simulate import GridScheme, _write_csv, simulate
 
 __all__ = [
@@ -56,21 +61,29 @@ __all__ = [
     "test_function_from_dict",
 ]
 
-THEOREM_TAGS = ("T1", "T3", "T4", "T5", "T6", "C1")
+#: Theorem tag -> (estimate, summary).  The estimate is what a replication
+#: returns: psi_n, lambda_n, the windowed lambda_bar_n or the scaled ratio
+#: tau.  The summary says how the gathered values are read: as an RMSE
+#: against the true functional with a convergence slope, as a CLT statistic
+#: sqrt(n delta) (estimate - target) against the analytic limit variance, or
+#: by the quantiles of |tau|.
+_THEOREMS = {"T1": ("psi", "rmse"), "T3": ("lambda", "rmse"), "T4": ("lambda_bar", "rmse"),
+             "T5": ("psi", "clt"), "T6": ("lambda", "clt"), "C1": ("tau", "quantiles")}
+THEOREM_TAGS = tuple(_THEOREMS)
 
 
 def test_function_from_dict(cfg) -> TestFunction:
     """Build g(x) = |x|^p from ``{"kind": "square"}`` (p = 2, also the kind
     when none is named) or ``{"kind": "power", "exponent": p}``."""
-    cfg = dict(cfg)
+    cfg = _as_dict("test function", cfg)
     kind = cfg.pop("kind", "square")
     keys = {"square": set(), "power": {"exponent"}}
-    if kind not in keys:
+    if not isinstance(kind, str) or kind not in keys:
         raise ValueError(f"unknown test function kind {kind!r}; choose from {sorted(keys)}")
     unknown = set(cfg) - keys[kind]
     if unknown:
         raise ValueError(f"unknown test function parameters {sorted(unknown)} for kind {kind!r}")
-    return TestFunction(float(cfg["exponent"]) if kind == "power" else 2.0)
+    return TestFunction(float(_check_number("exponent", cfg["exponent"])) if kind == "power" else 2.0)
 
 
 def true_psi(trawl, g: TestFunction, t: float) -> float:
@@ -95,7 +108,13 @@ def _whole(name, value) -> int:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A reproducible Monte Carlo experiment definition."""
+    """A reproducible Monte Carlo experiment definition.
+
+    Building one checks every field and parses the trawl, seed law and test
+    function once, into the attributes ``trawl_model``, ``seed_model`` and
+    ``g`` that every replication reads.  They are not dataclass fields, so
+    ``to_dict``, ``config_hash`` and equality see only the fields as given.
+    """
 
     trawl: dict
     seed_spec: dict
@@ -117,12 +136,15 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.theorem not in THEOREM_TAGS:
             raise ValueError(f"unknown theorem tag {self.theorem!r}; choose from {THEOREM_TAGS}")
+        for name in ("varpi", "c", "t", "theta", "kappa", "tdep_T", "tdep_p"):
+            if name != "kappa" or self.kappa is not None:  # kappa None: choose_window's default
+                _check_number(name, getattr(self, name))
         if not 1 < self.varpi < 3:
             raise ValueError("varpi must lie in (1, 3)")
         if not 0 < self.c < math.inf:
             raise ValueError("c must be positive and finite")
-        if not self.n_grid:
-            raise ValueError("empty n grid")
+        if not isinstance(self.n_grid, (list, tuple)) or not self.n_grid:
+            raise ValueError(f"n_grid must be a non-empty list of integers, got {self.n_grid!r}")
         object.__setattr__(self, "n_grid", tuple(_whole("n_grid", n) for n in self.n_grid))
         for name in ("replications", "threads", "master_seed"):
             object.__setattr__(self, name, _whole(name, getattr(self, name)))
@@ -130,13 +152,14 @@ class ExperimentConfig:
             raise ValueError("need at least one replication")
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
-        if self.theorem in ("T5", "T6", "C1"):
+        if _THEOREMS[self.theorem][1] != "rmse":  # sqrt(n delta)-scaled: the CLTs and tau
             n_max = max(self.n_grid)
             nd3 = n_max * self.delta_for(n_max) ** 3
             if nd3 >= 0.1:
-                raise ValueError(
-                    f"CLT regime requires n*delta^3 -> 0; got {nd3:.3g} at n={n_max}"
-                )
+                raise ValueError(f"CLT regime requires n*delta^3 -> 0; got {nd3:.3g} at n={n_max}")
+        object.__setattr__(self, "trawl_model", trawl_from_dict(self.trawl))
+        object.__setattr__(self, "seed_model", seed_from_dict(self.seed_spec))
+        object.__setattr__(self, "g", test_function_from_dict(self.test_function))
 
     def delta_for(self, n: int) -> float:
         return self.c * n ** (-1.0 / self.varpi)
@@ -156,6 +179,9 @@ class ExperimentConfig:
         unknown = set(d) - known
         if unknown:
             raise ValueError(f"unknown experiment fields {sorted(unknown)}")
+        required = {f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING}
+        if required - set(d):
+            raise ValueError(f"missing experiment fields {sorted(required - set(d))}")
         return cls(**d)
 
 
@@ -218,72 +244,58 @@ def _rep_seed(master_seed: int, n: int, rep: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-class _Parsed(NamedTuple):
-    """An experiment with its trawl, seed law and test function parsed once
-    and shared, read-only, by every replication."""
-
-    cfg: ExperimentConfig
-    trawl: TrawlSpec
-    seed: LevySeedSpec
-    g: TestFunction
-
-
-def _one_replication(exp: _Parsed, n: int, rep: int) -> float:
-    """One replication's raw statistic: psi_n (T1, T5), lambda_n (T3, T6),
-    the windowed lambda_bar_n (T4) or the scaled ratio tau (C1)."""
-    cfg, trawl, seed, g = exp
+def _one_replication(cfg: ExperimentConfig, n: int, rep: int) -> float:
+    """One replication's raw statistic, the theorem's estimate: psi_n,
+    lambda_n, the windowed lambda_bar_n or the scaled ratio tau."""
+    estimate = _THEOREMS[cfg.theorem][0]
     scheme = GridScheme(n=n, delta=cfg.delta_for(n), master_seed=_rep_seed(cfg.master_seed, n, rep))
-    path = simulate(trawl, seed, scheme, cfg.simulator)
-    if cfg.theorem == "C1":
+    path = simulate(cfg.trawl_model, cfg.seed_model, scheme, cfg.simulator)
+    if estimate == "tau":
         return tau_test(path, T=cfg.tdep_T, p=cfg.tdep_p).scaled
     est = estimate_trawl(path)
-    if cfg.theorem in ("T1", "T5"):
-        return psi_n(est, g, cfg.t)
-    if cfg.theorem in ("T3", "T6"):
-        return lambda_n(est, g, cfg.t)
+    if estimate == "psi":
+        return psi_n(est, cfg.g, cfg.t)
+    if estimate == "lambda":
+        return lambda_n(est, cfg.g, cfg.t)
     # The floor(e)-th derivative of |x|^e is O(|x|^p) at 0.
-    p = g.exponent - math.floor(g.exponent)
-    window = choose_window(n, cfg.varpi, cfg.theta, cfg.kappa, alpha=trawl.tail_exponent, p=p)
-    return lambda_bar_n(est, g, cfg.t, max(window, num_head_terms(est, cfg.t) + 1))
+    p = cfg.g.exponent - math.floor(cfg.g.exponent)
+    window = choose_window(n, cfg.varpi, cfg.theta, cfg.kappa, alpha=cfg.trawl_model.tail_exponent, p=p)
+    return lambda_bar_n(est, cfg.g, cfg.t, max(window, num_head_terms(est, cfg.t) + 1))
 
 
 def run_experiment(cfg: ExperimentConfig) -> McResult:
     """Run all replications over the n-grid and summarize.
 
-    The trawl, seed law and test function are parsed once.  Replications are
-    independent work units, each drawing only from its own substreams; with
-    ``threads > 1`` they run on one thread pool for the whole n-grid,
-    gathered in order, so the result is bit-identical at any worker count.
-    T5 and T6 centre and scale the gathered estimates as
-    sqrt(n delta) (estimate - target).
+    Replications are independent work units, each drawing only from its own
+    substreams; with ``threads > 1`` they run on one thread pool for the
+    whole n-grid, gathered in order, so the result is bit-identical at any
+    worker count.  The theorem's row of ``_THEOREMS`` picks the target and
+    the summary: an RMSE summary compares the estimates with the true
+    functional; a CLT summary centres and scales them as
+    sqrt(n delta) (estimate - target) and compares their variance with the
+    limit variance of the same functional.
     """
-    trawl = trawl_from_dict(cfg.trawl)
-    seed = seed_from_dict(cfg.seed_spec)
-    g = test_function_from_dict(cfg.test_function)
-    exp = _Parsed(cfg, trawl, seed, g)
-
+    estimate, summary_kind = _THEOREMS[cfg.theorem]
     theory = {}
-    if cfg.theorem in ("T1", "T5"):
-        theory["psi"] = true_psi(trawl, g, cfg.t)
-    if cfg.theorem in ("T3", "T4", "T6"):
-        theory["lambda"] = true_lambda(trawl, g, cfg.t)
-    if cfg.theorem in ("T5", "T6"):
-        kern = AvarKernel(trawl, k4=seed.kappa4)
-        limit_cov = kern.limit_cov_psi if cfg.theorem == "T5" else kern.limit_cov_lambda
-        theory["limit_variance"] = limit_cov(g, cfg.t, cfg.t)
+    if estimate == "psi":
+        target = theory["psi"] = true_psi(cfg.trawl_model, cfg.g, cfg.t)
+    elif estimate != "tau":
+        target = theory["lambda"] = true_lambda(cfg.trawl_model, cfg.g, cfg.t)
+    if summary_kind == "clt":
+        limit_cov = getattr(AvarKernel(cfg.trawl_model, k4=cfg.seed_model.kappa4), f"limit_cov_{estimate}")
+        theory["limit_variance"] = limit_cov(cfg.g, cfg.t, cfg.t)
 
     ns = [n for n in cfg.n_grid for _ in range(cfg.replications)]
     reps = list(range(cfg.replications)) * len(cfg.n_grid)
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            values = list(pool.map(_one_replication, repeat(exp), ns, reps))
+            values = list(pool.map(_one_replication, repeat(cfg), ns, reps))
     else:
-        values = list(map(_one_replication, repeat(exp), ns, reps))
+        values = list(map(_one_replication, repeat(cfg), ns, reps))
 
     all_stats, summaries = {}, {}
     for n, vals in zip(cfg.n_grid, np.reshape(values, (len(cfg.n_grid), cfg.replications))):
-        if cfg.theorem in ("T5", "T6"):
-            target = theory["psi"] if cfg.theorem == "T5" else theory["lambda"]
+        if summary_kind == "clt":
             vals = math.sqrt(n * cfg.delta_for(n)) * (vals - target)
         all_stats[n] = vals
         summary = {
@@ -294,21 +306,19 @@ def run_experiment(cfg: ExperimentConfig) -> McResult:
             "variance": float(np.var(vals, ddof=1)) if len(vals) > 1 else 0.0,
             "median": float(np.median(vals)),
         }
-        if cfg.theorem == "T1":
-            summary["rmse"] = float(np.sqrt(np.mean((vals - theory["psi"]) ** 2)))
-        if cfg.theorem in ("T3", "T4"):
-            summary["rmse"] = float(np.sqrt(np.mean((vals - theory["lambda"]) ** 2)))
-        if cfg.theorem in ("T5", "T6"):
+        if summary_kind == "rmse":
+            summary["rmse"] = float(np.sqrt(np.mean((vals - target) ** 2)))
+        elif summary_kind == "clt":
             limit_var = theory["limit_variance"]
             summary["variance_ratio"] = summary["variance"] / limit_var if limit_var > 0 else math.inf
             if len(vals) >= 20 and limit_var > 0:
                 summary["ks_distance"] = ks_distance(vals / math.sqrt(limit_var))
-        if cfg.theorem == "C1":
+        else:
             summary["median_abs_scaled"] = float(np.median(np.abs(vals)))
             summary["q95_abs_scaled"] = float(np.quantile(np.abs(vals), 0.95))
         summaries[n] = summary
 
-    if cfg.theorem in ("T1", "T3", "T4") and len(cfg.n_grid) >= 3:
+    if summary_kind == "rmse" and len(cfg.n_grid) >= 3:
         nds = [n * cfg.delta_for(n) for n in cfg.n_grid]
         rmses = [summaries[n]["rmse"] for n in cfg.n_grid]
         if all(r > 0 for r in rmses):

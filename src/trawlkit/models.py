@@ -15,6 +15,8 @@ measure.  A spec's dict form (``to_dict``) and its parser (``trawl_from_dict``,
 from __future__ import annotations
 
 import math
+import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -38,6 +40,22 @@ def _check_nonneg(name, value):
     if not np.all(arr >= 0):  # also rejects NaN
         raise ValueError(f"{name} must be non-negative, got {value!r}")
     return arr
+
+
+def _check_number(name, value):
+    """``value`` itself if it is a real number; a string, list or None is a
+    config error that names ``name``."""
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return value
+
+
+def _as_dict(what, cfg) -> dict:
+    """A copy of the mapping ``cfg``; anything else is a config error that
+    names ``what``."""
+    if not isinstance(cfg, Mapping):
+        raise ValueError(f"{what} must be a mapping (a JSON object), got {cfg!r}")
+    return dict(cfg)
 
 
 def _check_area(area):
@@ -307,14 +325,16 @@ def _to_dict(table, spec):
 
 
 def _from_dict(table, cfg, what):
-    cfg = dict(cfg)
+    cfg = _as_dict(f"{what} spec", cfg)
     family = cfg.pop("family", None)
-    if family not in table:
+    if not isinstance(family, str) or family not in table:
         raise ValueError(f"unknown {what} family {family!r}; choose from {sorted(table)}")
     cls = table[family]
     unknown = set(cfg) - {f.name for f in fields(cls)}
     if unknown:
         raise ValueError(f"unknown {what} parameters {sorted(unknown)} for family {family!r}")
+    for name, value in cfg.items():
+        _check_number(f"{what} parameter {name!r}", value)
     return cls(**cfg)
 
 

@@ -319,6 +319,71 @@ def test_mc_rejects_infinite_c_and_non_integral_counts(tmp_path, capsys, field, 
     assert not out.exists()
 
 
+_THEOREM3 = json.loads((EXPERIMENTS / "theorem3.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "command,config,field",
+    [
+        ("mc", {k: v for k, v in _THEOREM3.items() if k != "replications"}, "replications"),
+        ("mc", {**_THEOREM3, "trawl": 5}, "trawl"),
+        ("mc", {**_THEOREM3, "trawl": {"family": "exponential", "rate": "fast"}}, "rate"),
+        ("mc", {**_THEOREM3, "n_grid": 4096}, "n_grid"),
+        ("mc", {**_THEOREM3, "varpi": "2"}, "varpi"),
+        ("mc", {**_THEOREM3, "test_function": {"kind": "power", "exponent": [3]}}, "exponent"),
+        ("simulate", {**SIM_SPEC, "trawl": 5}, "trawl"),
+        ("simulate", {**SIM_SPEC, "delta": [0.1]}, "delta"),
+        ("kernels", 5, "trawl"),
+    ],
+    ids=["no-replications", "trawl-5", "rate-fast", "n_grid-int", "varpi-str", "exponent-list",
+         "spec-trawl-5", "spec-delta-list", "kernels-trawl-5"],
+)
+def test_malformed_config_is_a_usage_error(tmp_path, capsys, command, config, field):
+    """Each once crashed with a TypeError, a runtime error (exit 3); each is
+    a config error that names its field, and writes nothing."""
+    conf = tmp_path / "config.json"
+    conf.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    flag = {"mc": "--experiment", "simulate": "--spec", "kernels": "--trawl"}[command]
+    assert main([command, flag, str(conf), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+    assert not out.exists()
+
+
+def test_simulate_spec_without_n_names_it(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({k: v for k, v in SIM_SPEC.items() if k != "n"}))
+    assert main(["simulate", "--spec", str(spec), "--out", str(tmp_path / "x.csv")]) == 2
+    assert "missing required field 'n'" in capsys.readouterr().err
+
+
+def test_runtime_failure_exits_3(tmp_path, capsys, monkeypatch):
+    def broken(cfg):
+        raise RuntimeError("replication failed")
+
+    monkeypatch.setattr("trawlkit.cli.run_experiment", broken)
+    out = tmp_path / "result.json"
+    assert main(["mc", "--experiment", str(EXPERIMENTS / "theorem3.json"), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "runtime error: replication failed\n"
+    assert not out.exists()
+
+
+def test_mc_seed_overrides_the_master_seed(tmp_path):
+    """``--seed`` runs what a file with that ``master_seed`` runs."""
+    small = {**_THEOREM3, "n_grid": [256], "replications": 5}
+    exp, reseeded = tmp_path / "exp.json", tmp_path / "reseeded.json"
+    exp.write_text(json.dumps(small))
+    reseeded.write_text(json.dumps({**small, "master_seed": 77}))
+    assert main(["mc", "--experiment", str(exp), "--out", str(tmp_path / "a.json"), "--seed", "77"]) == 0
+    assert main(["mc", "--experiment", str(reseeded), "--out", str(tmp_path / "b.json")]) == 0
+    assert json.loads((tmp_path / "a.json").read_text())["config"]["master_seed"] == 77
+    raw_a, raw_b = [(tmp_path / name).read_bytes() for name in ("a.json.raw.csv", "b.json.raw.csv")]
+    assert raw_a == raw_b
+    assert main(["mc", "--experiment", str(exp), "--out", str(tmp_path / "c.json")]) == 0
+    assert (tmp_path / "c.json.raw.csv").read_bytes() != raw_a
+
+
 def test_estimate_rejects_nan_delta(tmp_path, capsys):
     one_column = tmp_path / "x.csv"
     one_column.write_text("x\n1.0\n2.0\n3.5\n0.5\n")

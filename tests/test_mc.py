@@ -1,9 +1,11 @@
 """Monte Carlo harness: configs, summaries, determinism."""
 
+import json
 import math
 import os
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,8 @@ from trawlkit import (
     true_psi,
 )
 from trawlkit.mc import test_function_from_dict as tf_from_dict
+
+EXPERIMENTS = Path(__file__).resolve().parent.parent / "experiments"
 
 
 def _config(**overrides):
@@ -131,6 +135,21 @@ def test_config_validation():
         _config(theorem="T5", varpi=2.9, c=2.0, n_grid=[64])
 
 
+@pytest.mark.parametrize("path", sorted(EXPERIMENTS.glob("*.json")), ids=lambda p: p.stem)
+def test_shipped_experiments_build(path):
+    """Every shipped file builds a config, which parses its trawl, seed law
+    and g once; the parsed parts stay out of the dict form, which the hash
+    is taken from."""
+    d = json.loads(path.read_text())
+    cfg = ExperimentConfig.from_dict(d)
+    assert cfg.trawl_model.to_dict() == d["trawl"]
+    assert cfg.seed_model.to_dict() == d["seed_spec"]
+    assert cfg.g == tf_from_dict(d.get("test_function", {}))
+    as_dict = cfg.to_dict()
+    assert set(as_dict) == set(ExperimentConfig.__dataclass_fields__)
+    assert all(as_dict[k] == v for k, v in d.items())
+
+
 def test_config_hash_stable_and_sensitive():
     a, b = _config(), _config()
     assert a.config_hash() == b.config_hash()
@@ -208,6 +227,34 @@ def test_theorem3_summary_structure():
     rows = list(res.raw_rows())
     assert len(rows) == 60
     assert rows[0][:2] == (128, 0)
+
+
+_SUMMARY_BASE = {"n", "delta", "replications", "mean", "variance", "median"}
+
+
+@pytest.mark.parametrize(
+    "theorem,theory_keys,summary_keys",
+    [
+        ("T1", {"psi"}, {"rmse", "convergence_slope"}),
+        ("T3", {"lambda"}, {"rmse", "convergence_slope"}),
+        ("T4", {"lambda"}, {"rmse", "convergence_slope"}),
+        ("T5", {"psi", "limit_variance"}, {"variance_ratio", "ks_distance"}),
+        ("T6", {"lambda", "limit_variance"}, {"variance_ratio", "ks_distance"}),
+        ("C1", set(), {"median_abs_scaled", "q95_abs_scaled"}),
+    ],
+)
+def test_summary_schema(theorem, theory_keys, summary_keys):
+    """The exact keys of the theory block and of each per-n summary: the
+    summary JSON's schema, which downstream checks read by name.  g is
+    |x|^4, of the order the tail CLT (T6) needs."""
+    quartic = {"kind": "power", "exponent": 4.0}
+    res = run_experiment(
+        _config(theorem=theorem, t=0.5, test_function=quartic, n_grid=[128, 256, 512], replications=20)
+    )
+    assert set(res.theory) == theory_keys
+    for n in (128, 256, 512):
+        assert set(res.summaries[n]) == _SUMMARY_BASE | summary_keys
+    assert set(res.summary_dict()) == {"config", "config_hash", "theory", "summaries"}
 
 
 def test_t5_statistic_centered():

@@ -499,6 +499,8 @@ def test_ingest_single_column(tmp_path):
     np.testing.assert_array_equal(path.values, [1.0, 2.0, 3.5])
     with pytest.raises(ValueError):
         ingest_csv(f)  # delta required
+    f.write_text("\nx\n1.0\n\n2.0\n \n3.5\n\n")  # blank rows are skipped wherever they fall
+    np.testing.assert_array_equal(ingest_csv(f, delta=0.25).values, [1.0, 2.0, 3.5])
 
 
 def test_ingest_rejects_non_uniform_grid(tmp_path):
@@ -525,6 +527,9 @@ def test_ingest_rejects_garbage(tmp_path):
     empty.write_text("t,x\n")
     with pytest.raises(ValueError):
         ingest_csv(empty)
+    f.write_text("t,x,y\n0.0,1.0,2.0\n0.1,2.0,3.0\n")
+    with pytest.raises(ValueError, match=r"one \(x\) or two \(t, x\) columns"):
+        ingest_csv(f)
 
 
 @settings(max_examples=20, deadline=None)
