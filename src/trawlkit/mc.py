@@ -175,6 +175,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d):
+        d = _as_dict("experiment", d)
         known = set(cls.__dataclass_fields__)
         unknown = set(d) - known
         if unknown:

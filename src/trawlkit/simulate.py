@@ -350,23 +350,26 @@ def simulate(
 def ingest_csv(path, delta: Optional[float] = None) -> SampledPath:
     """Read a path from a one-column (x) or two-column (t, x) CSV file.
 
-    Blank rows are skipped and the first other row may be a header; any
-    later non-numeric row raises ``ValueError``.  A two-column file must
-    have a uniformly spaced time column (relative deviation at most 1e-9),
-    and a ``delta`` given with it must match the column's step to the same
-    tolerance; a one-column file requires ``delta``.
+    Rows whose every cell is blank are skipped and the first other row may
+    be a header; any later non-numeric row, and any row with a blank cell,
+    raises ``ValueError``.  A two-column file must have a uniformly spaced
+    time column (relative deviation at most 1e-9), and a ``delta`` given
+    with it must match the column's step to the same tolerance; a
+    one-column file requires ``delta``.
     """
     rows, seen = [], 0
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         for rec in reader:
-            if not rec or not rec[0].strip():
+            cells = [c.strip() for c in rec]
+            if not any(cells):
                 continue
             seen += 1
             try:
-                rows.append([float(c) for c in rec])
+                rows.append([float(c) for c in cells])
             except ValueError as exc:
-                if seen > 1:  # only the first non-blank row may be a header
+                # Only the first non-blank row may be a header, and never one with a blank cell.
+                if seen > 1 or not all(cells):
                     raise ValueError(f"non-numeric row {reader.line_num} of {path}: {rec!r}") from exc
     if not rows:
         raise ValueError(f"no numeric data in {path}")

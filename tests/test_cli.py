@@ -333,10 +333,11 @@ _THEOREM3 = json.loads((EXPERIMENTS / "theorem3.json").read_text())
         ("mc", {**_THEOREM3, "test_function": {"kind": "power", "exponent": [3]}}, "exponent"),
         ("simulate", {**SIM_SPEC, "trawl": 5}, "trawl"),
         ("simulate", {**SIM_SPEC, "delta": [0.1]}, "delta"),
+        ("simulate", 7, "simulate spec"),
         ("kernels", 5, "trawl"),
     ],
     ids=["no-replications", "trawl-5", "rate-fast", "n_grid-int", "varpi-str", "exponent-list",
-         "spec-trawl-5", "spec-delta-list", "kernels-trawl-5"],
+         "spec-trawl-5", "spec-delta-list", "spec-7", "kernels-trawl-5"],
 )
 def test_malformed_config_is_a_usage_error(tmp_path, capsys, command, config, field):
     """Each once crashed with a TypeError, a runtime error (exit 3); each is
@@ -348,6 +349,19 @@ def test_malformed_config_is_a_usage_error(tmp_path, capsys, command, config, fi
     assert main([command, flag, str(conf), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and field in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [[], ["--seed", "3", "--threads", "2"]], ids=["plain", "flags"])
+@pytest.mark.parametrize("config", [[1, 2], "T5", 7], ids=["list", "string", "number"])
+def test_mc_rejects_an_experiment_that_is_not_an_object(tmp_path, capsys, config, flags):
+    """A list once exited 3 with --seed ("list indices must be integers")
+    and, without it, named its items as unknown experiment fields."""
+    exp = tmp_path / "exp.json"
+    exp.write_text(json.dumps(config))
+    out = tmp_path / "result.json"
+    assert main(["mc", "--experiment", str(exp), "--out", str(out), *flags]) == 2
+    assert capsys.readouterr().err.startswith("error: experiment must be a mapping")
     assert not out.exists()
 
 

@@ -523,6 +523,12 @@ def test_ingest_rejects_garbage(tmp_path):
     f.write_text("t,x\nfoo,bar\nbaz,qux\n0,1\n0.1,2\n0.2,3\n0.3,4\n")
     with pytest.raises(ValueError, match="non-numeric row 2"):
         ingest_csv(f)
+    # A row with a blank cell is neither skipped as blank nor taken as a header.
+    for text, row in (("t,x\n0.0,1.0\n,7.0\n0.1,2.0\n0.2,3.0\n", 3), (",7.0\n0.0,1.0\n0.1,2.0\n", 1),
+                      ("t,x\n0.0,1.0\n0.1,\n0.2,3.0\n", 3)):
+        f.write_text(text)
+        with pytest.raises(ValueError, match=f"non-numeric row {row}"):
+            ingest_csv(f)
     empty = tmp_path / "empty.csv"
     empty.write_text("t,x\n")
     with pytest.raises(ValueError):
