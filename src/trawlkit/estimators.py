@@ -18,6 +18,9 @@ of order n * xbar^2 whose rounding error survives the difference
 R(l+1) - R(l), so a path with mean 100 and unit variance would lose about
 five digits.
 
+For a trawl process Cov(X_0, X_h) = kappa2 * A(h), so a_hat estimates
+kappa2 * a: the trawl function itself only for a seed with kappa2 = 1.
+
 Plug-in Riemann sums of g(a_hat) estimate the head functional
 ``int_0^t g(a(s)) ds`` and the tail functional ``int_t^inf g(a(s)) ds``.
 The full tail sum is biased by a factor of 2 for quadratic g; truncating the
@@ -112,7 +115,9 @@ _workspace = _Workspace()
 
 
 def estimate_trawl(path: SampledPath) -> TrawlEstimate:
-    """Estimate the trawl function at every lag of an observed path.
+    """Estimate the trawl function at every lag of an observed path: the
+    estimates converge to kappa2 * a, the seed's variance per unit area times
+    the trawl function.
 
     The path is centred, y = x - xbar, and the autocorrelation R(0..n) of y
     comes from one real FFT of length m = 2^ceil(log2(2n)) >= 2n and its

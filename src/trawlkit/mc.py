@@ -114,6 +114,9 @@ class ExperimentConfig:
     function once, into the attributes ``trawl_model``, ``seed_model`` and
     ``g`` that every replication reads.  They are not dataclass fields, so
     ``to_dict``, ``config_hash`` and equality see only the fields as given.
+    Every theorem but C1 needs a seed with kappa2 = 1: a_hat estimates
+    kappa2 * a, while the targets and the limit variances are functionals
+    of a itself.
     """
 
     trawl: dict
@@ -160,6 +163,12 @@ class ExperimentConfig:
         object.__setattr__(self, "trawl_model", trawl_from_dict(self.trawl))
         object.__setattr__(self, "seed_model", seed_from_dict(self.seed_spec))
         object.__setattr__(self, "g", test_function_from_dict(self.test_function))
+        kappa2 = self.seed_model.kappa2
+        if _THEOREMS[self.theorem][0] != "tau" and not math.isclose(kappa2, 1.0, rel_tol=1e-12):
+            raise ValueError(
+                f"{self.theorem} needs a seed with kappa2 = 1, got kappa2 = {kappa2!r}: a_hat estimates "
+                f"kappa2 * a, and the targets and limit variances are those of a (C1's ratio cancels kappa2)"
+            )
 
     def delta_for(self, n: int) -> float:
         return self.c * n ** (-1.0 / self.varpi)

@@ -8,16 +8,20 @@ and for the inverses of ``a`` and of the tail integral, so that all
 downstream quadrature has an analytic cross-check; the tail integral ``A(t)``
 is the power tail integral at p = 1.  Every seed law gives its per-unit-area
 cumulants by one formula, and its kappa4 is the fourth moment of its Levy
-measure.  A spec's dict form (``to_dict``) and its parser (``trawl_from_dict``,
-``seed_from_dict``) both come from the family tables at the end of the module.
+measure.  A seed with jumps also gives its jump law (``jump_law``): the
+compound Poisson points and drift that the point sampler draws.  A spec's dict
+form (``to_dict``) and its parser (``trawl_from_dict``, ``seed_from_dict``)
+both come from the family tables at the end of the module.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, fields
+from functools import partial
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -30,6 +34,7 @@ __all__ = [
     "GaussianSeed",
     "PoissonSeed",
     "GammaSeed",
+    "JumpLaw",
     "trawl_from_dict",
     "seed_from_dict",
 ]
@@ -215,6 +220,83 @@ class CompactTriangleTrawl(TrawlSpec):
         return self.support * (1.0 - np.sqrt(2.0 * m / self.support))
 
 
+#: Cutoff of the Levy-Ito split of a Gamma seed, in units of its scale: the
+#: point sampler draws the jumps above JUMP_EPS * scale as marked points and
+#: adds the mean of the smaller ones as a drift.  It must lie in (0, 1).
+JUMP_EPS = 1e-6
+
+_EULER_GAMMA = 0.5772156649015329
+
+
+def _exp1(x: float) -> float:
+    """The exponential integral E1(x) = int_x^inf e^-t / t dt for 0 < x < 1,
+    from its power series -gamma - ln x - sum_{k>=1} (-x)^k / (k k!)
+    (Abramowitz & Stegun 5.1.11); the terms fall below 1e-18 within 20."""
+    total, term, k = 0.0, 1.0, 0
+    while abs(term) >= 1e-18:
+        k += 1
+        term *= -x / k  # (-x)^k / k!
+        total += term / k
+    return -_EULER_GAMMA - math.log(x) - total
+
+
+def _lower_gamma(m: int, x: float) -> float:
+    """The lower incomplete gamma function gamma(m, x) = int_0^x t^(m-1) e^-t dt
+    for 0 < x < 1, from its series (m-1)! e^-x sum_{j>=m} x^j / j!, whose
+    terms are all positive."""
+    term = math.exp(-x) * x**m / math.factorial(m)
+    total, j = 0.0, m
+    while term > 1e-17 * total:
+        total += term
+        j += 1
+        term *= x / j
+    return math.factorial(m - 1) * total
+
+
+def _gamma_marks(eps: float, scale: float, rng, size: int) -> np.ndarray:
+    """``size`` jumps of a Gamma seed above eps * scale: draws of density
+    proportional to x^-1 e^-x on (eps, inf), times scale.
+
+    Rejection from an envelope mixture: x^-1 on (eps, 1], of mass ln(1/eps),
+    drawn log-uniformly as eps^U and accepted with probability e^-x; and e^-x
+    on (1, inf), of mass 1/e, drawn as 1 + Exp(1) and accepted with
+    probability 1/x.  A proposal picks its component by envelope mass.  At
+    eps = 1e-6 about 93% of proposals are accepted, so a few rounds fill the
+    array; each round redraws only the missing marks.
+    """
+    log_inv = -math.log(eps)
+    p_low = log_inv / (log_inv + math.exp(-1.0))
+    out = np.empty(size)
+    filled = 0
+    while filled < size:
+        m = size - filled
+        low = rng.random(m) < p_low
+        x = np.where(low, np.exp(-log_inv * rng.random(m)), 1.0 + rng.standard_exponential(m))
+        got = x[rng.random(m) < np.where(low, np.exp(-x), 1.0 / x)]
+        out[filled : filled + len(got)] = got
+        filled += len(got)
+    return scale * out
+
+
+class JumpLaw(NamedTuple):
+    """A seed's Levy basis as marked points plus a drift (Levy-Ito).
+
+    Jumps arrive at ``rate`` per unit area, and ``marks(rng, size)`` draws
+    their sizes; ``None`` means every jump is 1.  The jumps at or below
+    ``cutoff`` are left out, and their mean, ``drift`` per unit area, is added
+    instead.  ``dropped_kappa2`` and ``dropped_kappa4`` are the variance and
+    the fourth cumulant per unit area of the left-out jumps: the amounts by
+    which the sampled law falls short of the seed's.
+    """
+
+    rate: float
+    marks: Optional[Callable] = None
+    drift: float = 0.0
+    cutoff: float = 0.0
+    dropped_kappa2: float = 0.0
+    dropped_kappa4: float = 0.0
+
+
 class LevySeedSpec:
     """Base class for infinitely divisible Levy seed laws.
 
@@ -244,6 +326,11 @@ class LevySeedSpec:
         """Draw L(B) for regions of Lebesgue measure ``area`` (a scalar or an
         array, broadcast against ``size`` as numpy's samplers do)."""
         raise NotImplementedError
+
+    def jump_law(self) -> Optional[JumpLaw]:
+        """The seed as marked points plus a drift, which the point sampler
+        draws; ``None`` for a seed without jumps."""
+        return None
 
     def to_dict(self):
         """``{"family": ..., <params>}``, the mapping ``seed_from_dict`` reads."""
@@ -289,6 +376,10 @@ class PoissonSeed(LevySeedSpec):
         area = _check_area(area)
         return np.asarray(rng.poisson(self.rate * area, size), dtype=float)
 
+    def jump_law(self) -> JumpLaw:
+        """Unit jumps at ``rate`` per unit area, and nothing left out."""
+        return JumpLaw(self.rate)
+
 
 @dataclass(frozen=True)
 class GammaSeed(LevySeedSpec):
@@ -312,6 +403,29 @@ class GammaSeed(LevySeedSpec):
     def sample(self, area, rng, size=None):
         area = _check_area(area)
         return rng.gamma(self.shape * area, self.scale, size)
+
+    @property
+    def rate(self) -> float:
+        """Jumps per unit area above the cutoff JUMP_EPS * scale,
+        shape * E1(JUMP_EPS): the intensity of the point sampler's marks, as
+        ``PoissonSeed.rate`` is (not the Gamma law's inverse scale)."""
+        return self.shape * _exp1(JUMP_EPS)
+
+    def jump_law(self) -> JumpLaw:
+        """The Levy measure shape * x^-1 e^(-x/scale) dx split at
+        eps * scale, eps = JUMP_EPS: the jumps above it as marked points, the
+        ones below as their mean.  A left-out cumulant per unit area is
+        int_0^(eps scale) x^m nu(dx) = shape * scale^m * gamma(m, eps); at
+        m = 1 it is the drift shape * scale * (1 - e^-eps), and at m = 2 the
+        variance shape * scale^2 * (1 - e^-eps (1 + eps))."""
+        eps = JUMP_EPS
+        if not 0 < eps < 1:
+            raise ValueError(f"JUMP_EPS must lie in (0, 1), got {eps!r}")
+        drift, kappa2, kappa4 = (self.shape * self.scale**m * _lower_gamma(m, eps) for m in (1, 2, 4))
+        return JumpLaw(
+            rate=self.rate, marks=partial(_gamma_marks, eps, self.scale), drift=drift,
+            cutoff=eps * self.scale, dropped_kappa2=kappa2, dropped_kappa4=kappa4,
+        )
 
 
 #: Family name -> spec class; a spec's parameters are its dataclass fields.

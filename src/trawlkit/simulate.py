@@ -1,17 +1,22 @@
-"""Exact grid simulation of trawl processes.
+"""Grid simulation of trawl processes.
 
-Three independent exact schemes are provided.  The slice scheme partitions
+Three independent schemes are provided.  The slice scheme partitions
 the union of all observed trawl sets into grid-indexed slices; slice (i, j)
 lies in A_{t_k} exactly for i <= k <= j, so sampling one independent
 infinitely divisible draw per slice and accumulating over index ranges
 reproduces the joint law of (X_{t_0}, ..., X_{t_n}) for any seed.  The point
-scheme, valid for Poisson seeds only, throws a Poisson number of unit points
-over the same region and counts, per grid time, the points whose cell lies
-below the trawl function.  The circulant scheme, valid for Gaussian seeds
-only, draws the path as a stationary Gaussian sequence with autocovariance
-kappa2 * A(h*delta) by circulant embedding: A is non-negative,
-non-increasing and convex, so the minimal embedding is non-negative definite
-(Craigmile 2003) and two real FFTs give an exact path (Wood & Chan 1994).
+scheme, valid for Poisson and Gamma seeds, throws a Poisson number of marked
+points over the same region and sums, per grid time, the marks of the
+points whose cell lies below the trawl function.  A Poisson seed's marks are
+all 1, and the scheme is exact.  A Gamma seed is split at a small jump size
+(Levy-Ito; Asmussen & Rosinski 2001): its jumps above it are the marks, and
+the mean of the ones below is added as a drift, so each X_k misses only
+their fluctuation, about 5e-13 of the seed's variance.  The circulant
+scheme, valid for Gaussian seeds only, draws the path as a stationary
+Gaussian sequence with autocovariance kappa2 * A(h*delta) by circulant
+embedding: A is non-negative, non-increasing and convex, so the minimal
+embedding is non-negative definite (Craigmile 2003) and two real FFTs give
+an exact path (Wood & Chan 1994).
 
 The slice and point schemes stream through a difference array, never
 materializing the O(n^2) slice matrix.  ``slice_area`` and ``residual_area``
@@ -28,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .models import GaussianSeed, LevySeedSpec, PoissonSeed, TrawlSpec
+from .models import GaussianSeed, LevySeedSpec, TrawlSpec
 
 __all__ = [
     "SIMULATORS",
@@ -45,8 +50,9 @@ __all__ = [
     "export_csv",
 ]
 
-#: Names accepted by :func:`simulate`; ``auto`` picks ``points`` for a
-#: Poisson seed, ``circulant`` for a Gaussian seed and ``slices`` otherwise.
+#: Names accepted by :func:`simulate`; ``auto`` picks ``circulant`` for a
+#: Gaussian seed and ``points`` for a Poisson or Gamma seed.  ``slices`` and
+#: ``slices-exact`` sample any seed and are reached only by name.
 SIMULATORS = ("auto", "slices", "slices-exact", "points", "circulant")
 
 #: Exact mode draws O(n^2/2) slices; refuse silently quadratic work above this.
@@ -54,6 +60,9 @@ EXACT_CAP = 4096
 
 #: Relative tail mass below which the slice sampler truncates its horizon.
 EPS_TRUNC = 1e-8
+
+# The point sampler's jump cutoff for Gamma seeds is models.JUMP_EPS, beside
+# the jump law that reads it.
 
 #: Circulant eigenvalues down to -CIRCULANT_TOL * (largest eigenvalue) are
 #: FFT rounding and clip to 0; a more negative one means the embedding is not
@@ -244,26 +253,38 @@ def simulate_slices(
 
 
 def simulate_points(trawl: TrawlSpec, seed: LevySeedSpec, scheme: GridScheme) -> SampledPath:
-    """Sample a path of a Poisson-seeded trawl process via its unit points.
+    """Sample a path of a trawl process with a Poisson or Gamma seed via its
+    marked points.
 
-    The union of the observed trawl sets splits into the time-zero set (area
-    Leb(A)) and n forward cells, each of area A(0) - A(delta).  A Poisson
-    number of points falls on the region; a point at (s, y) is counted in
-    X_{t_k} exactly for ceil(s/delta) <= k <= floor((s + a^{-1}(y))/delta).
-    Exact in distribution, and far cheaper than the slice scheme when the
-    expected count is moderate.  The provenance records the expected count
-    rate * (Leb(A) + n * (A(0) - A(delta))) as ``expected_points`` and the
-    realised Poisson count as ``points``.
+    The seed's jump law (``seed.jump_law()``) gives the rate of its points
+    and the law of their marks.  The union of the observed trawl sets splits
+    into the time-zero set (area Leb(A)) and n forward cells, each of area
+    A(0) - A(delta).  A Poisson number of points falls on the region; a point
+    at (s, y) adds its mark to X_{t_k} exactly for ceil(s/delta) <= k <=
+    floor((s + a^{-1}(y))/delta).  A Poisson seed's marks are all 1 and no
+    mark is drawn.  A Gamma seed's marks are its jumps above the cutoff
+    JUMP_EPS * scale, drawn from their own substream, and every X_k gains
+    the mean of the smaller jumps, drift * Leb(A).
+
+    Exact in distribution for a Poisson seed.  For a Gamma seed the only
+    error is that the left-out small jumps enter by their mean: each X_k
+    falls short of the seed's variance and fourth cumulant by exactly
+    ``dropped_variance`` and ``dropped_kappa4`` (about 5e-13 * shape * scale^2
+    * Leb(A) for the variance).  The provenance records the expected count
+    rate * (Leb(A) + n * (A(0) - A(delta))) as ``expected_points``, the
+    realised Poisson count as ``points`` and, for a Gamma seed, the jump-size
+    ``cutoff``, the ``drift`` added to every X_k and those two shortfalls.
     """
-    if not isinstance(seed, PoissonSeed):
-        raise ValueError("simulate_points requires a Poisson seed")
+    law = seed.jump_law()
+    if law is None:
+        raise ValueError("simulate_points requires a Poisson or Gamma seed")
     n, delta = scheme.n, scheme.delta
     rng = _substream(scheme.master_seed, 3)
 
     a0 = trawl.leb_A
     cell = a0 - float(trawl.tail_integral(delta))
     total_area = a0 + n * cell
-    expected_points = seed.rate * total_area
+    expected_points = law.rate * total_area
     count = rng.poisson(expected_points)
 
     diff = np.zeros(n + 2)
@@ -288,11 +309,19 @@ def simulate_points(trawl: TrawlSpec, seed: LevySeedSpec, scheme: GridScheme) ->
         reach = s + trawl.inverse_a(y)
         kmax = np.minimum(np.floor(reach / delta + 1e-12), n).astype(np.int64)
         keep = kmax >= kmin
-        np.add.at(diff, kmin[keep], 1.0)
-        np.subtract.at(diff, kmax[keep] + 1, 1.0)
+        mark = 1.0 if law.marks is None else law.marks(_substream(scheme.master_seed, 5), count)[keep]
+        np.add.at(diff, kmin[keep], mark)
+        np.subtract.at(diff, kmax[keep] + 1, mark)
 
     values = np.cumsum(diff[: n + 1])
-    return _path("points", trawl, seed, scheme, values, expected_points=expected_points, points=int(count))
+    diagnostics = {"expected_points": expected_points, "points": int(count)}
+    if law.marks is not None:
+        values += law.drift * a0
+        diagnostics.update(
+            cutoff=law.cutoff, drift=law.drift * a0,
+            dropped_variance=law.dropped_kappa2 * a0, dropped_kappa4=law.dropped_kappa4 * a0,
+        )
+    return _path("points", trawl, seed, scheme, values, **diagnostics)
 
 
 def simulate_circulant(trawl: TrawlSpec, seed: LevySeedSpec, scheme: GridScheme) -> SampledPath:
@@ -332,12 +361,7 @@ def simulate(
     """Sample a path with the simulator named by ``method`` (see SIMULATORS);
     ``slices-exact`` is the slice sampler with no truncation horizon."""
     if method == "auto":
-        if isinstance(seed, PoissonSeed):
-            method = "points"
-        elif isinstance(seed, GaussianSeed):
-            method = "circulant"
-        else:
-            method = "slices"
+        method = "circulant" if isinstance(seed, GaussianSeed) else "points"
     if method == "points":
         return simulate_points(trawl, seed, scheme)
     if method == "circulant":

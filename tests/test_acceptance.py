@@ -295,18 +295,19 @@ def test_10_bitwise_determinism(report):
     r1, r3 = run_experiment(cfg1), run_experiment(cfg3)
     mc_ok = np.array_equal(r1.stats[512], r3.stats[512])
 
-    path = simulate_slices(
-        PowerLawTrawl(2.5, 1.0), GammaSeed(2.0, 0.5), GridScheme(n=256, delta=0.1, master_seed=99)
-    )
-    prov = path.provenance
     from trawlkit import seed_from_dict, trawl_from_dict
 
-    replay = simulate_slices(
-        trawl_from_dict(prov["trawl"]),
-        seed_from_dict(prov["seed_spec"]),
-        GridScheme(n=prov["n"], delta=prov["delta"], master_seed=prov["master_seed"]),
-    )
-    path_ok = np.array_equal(path.values, replay.values)
+    # A Gamma path from each sampler that takes one, replayed from its provenance.
+    path_ok = True
+    for simulate in (simulate_slices, simulate_points):
+        path = simulate(PowerLawTrawl(2.5, 1.0), GammaSeed(2.0, 0.5), GridScheme(n=256, delta=0.1, master_seed=99))
+        prov = path.provenance
+        replay = simulate(
+            trawl_from_dict(prov["trawl"]),
+            seed_from_dict(prov["seed_spec"]),
+            GridScheme(n=prov["n"], delta=prov["delta"], master_seed=prov["master_seed"]),
+        )
+        path_ok &= np.array_equal(path.values, replay.values)
     ok = mc_ok and path_ok
     report(
         10,
@@ -334,6 +335,40 @@ def test_11_clt_with_gaussian_seed(report):
         11,
         ok,
         f"Gaussian seed: T5 variance ratio = {head['variance_ratio']:.3f} (target [0.8, 1.25]), "
+        f"KS = {head['ks_distance']:.4f} < {ks_crit:.4f}; T6 variance ratio = {tail['variance_ratio']:.3f} "
+        f"(target [0.8, 1.25]), KS = {tail['ks_distance']:.4f}, mean = {tail_mean_sd:.3f} SD",
+    )
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="finite-n variance inflation with a Gamma seed: at master 777 the T5 ratio is 1.663 "
+    "(KS 0.0866) and the T6 ratio 1.774; over 3000 replications the T5 ratio falls from 1.31 at "
+    "n = 2^14 to 1.05 at n = 2^18, and over 2000 and 1000 the T6 ratio from 1.66 at n = 2^15 to "
+    "1.30 at n = 2^17 (CHANGES.md)",
+)
+def test_12_clt_with_gamma_seed(report):
+    # A Gamma(1, 1) seed has kappa2 = 1 and kappa4 = 6, a third value of the
+    # k4 term of Sigma_a beside the Poisson seed's 1 and the Gaussian's 0.
+    # The auto sampler draws its paths as marked points.  The bounds are
+    # gates 4 and 5's, fixed before the first run; it misses them (see the
+    # xfail reason), and strict=True turns a pass into a failure, so the
+    # marker goes when the gate is met.
+    gamma = {"family": "gamma", "shape": 1.0, "scale": 1.0}
+    head = run_experiment(_exp_poisson_config(seed_spec=gamma, **HEAD_CLT)).summaries[2**14]
+    tail_run = run_experiment(_exp_poisson_config(seed_spec=gamma, **TAIL_CLT))
+    tail = tail_run.summaries[2**15]
+    tail_mean_sd = tail["mean"] / math.sqrt(tail_run.theory["limit_variance"])
+    ks_crit = 1.63 / math.sqrt(500)
+    ok = (
+        0.8 <= head["variance_ratio"] <= 1.25
+        and head["ks_distance"] < ks_crit
+        and 0.8 <= tail["variance_ratio"] <= 1.25
+    )
+    report(
+        12,
+        ok,
+        f"Gamma seed: T5 variance ratio = {head['variance_ratio']:.3f} (target [0.8, 1.25]), "
         f"KS = {head['ks_distance']:.4f} < {ks_crit:.4f}; T6 variance ratio = {tail['variance_ratio']:.3f} "
         f"(target [0.8, 1.25]), KS = {tail['ks_distance']:.4f}, mean = {tail_mean_sd:.3f} SD",
     )

@@ -95,7 +95,7 @@ def test_simulate_method_recorded_and_replayed(tmp_path, sim_spec_file):
 @pytest.mark.parametrize(
     "seed_spec,method,message",
     [
-        ({"family": "gaussian", "mean": 0.0, "var": 1.0}, "points", "requires a Poisson seed"),
+        ({"family": "gaussian", "mean": 0.0, "var": 1.0}, "points", "requires a Poisson or Gamma seed"),
         ({"family": "poisson", "rate": 1.0}, "circulant", "requires a Gaussian seed"),
     ],
 )
@@ -107,6 +107,35 @@ def test_simulate_seed_simulator_mismatch(tmp_path, capsys, seed_spec, method, m
     assert main(["simulate", "--spec", str(spec), "--method", method, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("theorem", ["T1", "T5", "T6"])
+@pytest.mark.parametrize(
+    "seed_spec",
+    [
+        {"family": "gaussian", "mean": 0.0, "var": 2.0},
+        {"family": "poisson", "rate": 2.0},
+        {"family": "gamma", "shape": 2.0, "scale": 0.5},
+    ],
+    ids=lambda d: d["family"],
+)
+def test_mc_rejects_a_seed_with_kappa2_other_than_one(tmp_path, capsys, seed_spec, theorem):
+    """Such a run once centred on a target a_hat does not estimate and
+    exited 0; it is a config error that names kappa2, and writes nothing."""
+    exp = tmp_path / "exp.json"
+    exp.write_text(json.dumps({**json.loads((EXPERIMENTS / "theorem5.json").read_text()),
+                               "theorem": theorem, "seed_spec": seed_spec}))
+    out = tmp_path / "result.json"
+    assert main(["mc", "--experiment", str(exp), "--out", str(out)]) == 2
+    assert "kappa2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_mc_c1_runs_with_a_seed_of_any_kappa2(tmp_path):
+    exp = tmp_path / "exp.json"
+    cfg = json.loads((EXPERIMENTS / "corollary1_null.json").read_text())
+    exp.write_text(json.dumps({**cfg, "seed_spec": {"family": "poisson", "rate": 2.0}, "replications": 4}))
+    assert main(["mc", "--experiment", str(exp), "--out", str(tmp_path / "result.json")]) == 0
 
 
 def test_simulate_gaussian_auto_is_circulant(tmp_path):

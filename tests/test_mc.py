@@ -135,6 +135,33 @@ def test_config_validation():
         _config(theorem="T5", varpi=2.9, c=2.0, n_grid=[64])
 
 
+#: Seeds whose kappa2 is not 1, and the theorems that need kappa2 = 1.
+KAPPA2_SEEDS = [
+    {"family": "gaussian", "mean": 0.0, "var": 2.0},
+    {"family": "poisson", "rate": 2.0},
+    {"family": "gamma", "shape": 2.0, "scale": 0.5},
+]
+KAPPA2_THEOREMS = [
+    {"theorem": "T1", "t": 0.5},
+    {"theorem": "T5", "t": 1.0},
+    {"theorem": "T6", "t": 0.0, "test_function": {"kind": "power", "exponent": 4.0}},
+]
+
+
+@pytest.mark.parametrize("theorem", KAPPA2_THEOREMS, ids=lambda d: d["theorem"])
+@pytest.mark.parametrize("seed_spec", KAPPA2_SEEDS, ids=lambda d: d["family"])
+def test_seed_with_kappa2_other_than_one_is_a_config_error(seed_spec, theorem):
+    """a_hat estimates kappa2 * a, so these would centre on the wrong target
+    and exit 0; the error names kappa2.  C1's ratio cancels kappa2."""
+    with pytest.raises(ValueError, match="kappa2 = 1, got kappa2 = (0.5|2.0)"):
+        run_experiment(_config(seed_spec=seed_spec, **theorem))
+
+
+def test_c1_takes_a_seed_with_any_kappa2():
+    res = run_experiment(_config(theorem="C1", seed_spec=KAPPA2_SEEDS[1], n_grid=[512]))
+    assert all(math.isfinite(stat) for _, _, stat in res.raw_rows())
+
+
 @pytest.mark.parametrize("path", sorted(EXPERIMENTS.glob("*.json")), ids=lambda p: p.stem)
 def test_shipped_experiments_build(path):
     """Every shipped file builds a config, which parses its trawl, seed law
@@ -170,7 +197,7 @@ def test_config_hash_stable_and_sensitive():
         {"theorem": "T4"},
         {"theorem": "C1", "tdep_T": 1.0},
     ],
-    ids=["T3", "T5", "T1-gamma-slices", "T1-gaussian-circulant", "T4", "C1"],
+    ids=["T3", "T5", "T1-gamma-points", "T1-gaussian-circulant", "T4", "C1"],
 )
 def test_run_deterministic_and_thread_invariant(overrides):
     """One pool serves the whole n-grid, and T5 centres after the gather.

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special, stats
 
 from trawlkit import (
     CompactTriangleTrawl,
@@ -20,7 +20,8 @@ from trawlkit import (
     trawl_from_dict,
 )
 
-from trawlkit.models import _SEED_FAMILIES, _TRAWL_FAMILIES
+from trawlkit import models
+from trawlkit.models import _SEED_FAMILIES, _TRAWL_FAMILIES, JUMP_EPS, JumpLaw, _exp1
 
 from conftest import ALL_TRAWLS, ALL_SEEDS
 
@@ -125,6 +126,58 @@ def test_seed_cumulants():
     assert gam.kappa1 == pytest.approx(1.0)
     assert gam.kappa2 == pytest.approx(0.5)
     assert gam.kappa4 == pytest.approx(0.75)
+
+
+# -- jump laws -----------------------------------------------------------
+
+
+def test_exp1_series_matches_scipy():
+    for x in np.geomspace(1e-8, 1e-2, 61):
+        assert _exp1(float(x)) == pytest.approx(special.exp1(x), rel=1e-14, abs=0)
+
+
+def test_jump_laws_by_family():
+    """A Poisson seed is unit jumps at its rate with nothing left out; a
+    Gaussian seed has no jump law."""
+    assert PoissonSeed(3.0).jump_law() == JumpLaw(3.0)
+    assert GaussianSeed(0.0, 1.0).jump_law() is None
+
+
+@pytest.mark.parametrize("eps", [JUMP_EPS, 1e-3, 0.5])
+def test_gamma_jump_law_constants(monkeypatch, eps):
+    """Rate shape * E1(eps); the left-out jumps' mean (the drift), variance
+    and fourth cumulant are shape * scale^m * gamma(m, eps) at m = 1, 2, 4."""
+    monkeypatch.setattr(models, "JUMP_EPS", eps)
+    seed = GammaSeed(2.0, 0.5)
+    law = seed.jump_law()
+    assert law.rate == seed.rate == 2.0 * _exp1(eps)
+    assert law.cutoff == eps * 0.5
+    lower = {m: special.gammainc(m, eps) * special.gamma(m) for m in (1, 2, 4)}
+    assert law.drift == pytest.approx(2.0 * 0.5 * -math.expm1(-eps), rel=1e-12)
+    assert law.drift == pytest.approx(2.0 * 0.5 * lower[1], rel=1e-12)
+    assert law.dropped_kappa2 == pytest.approx(2.0 * 0.5**2 * lower[2], rel=1e-12)
+    assert law.dropped_kappa4 == pytest.approx(2.0 * 0.5**4 * lower[4], rel=1e-12)
+
+
+def test_gamma_jump_law_needs_a_cutoff_below_one(monkeypatch):
+    for eps in (0.0, 1.0, math.nan):
+        monkeypatch.setattr(models, "JUMP_EPS", eps)
+        with pytest.raises(ValueError, match="JUMP_EPS"):
+            GammaSeed(1.0, 1.0).jump_law()
+
+
+def test_gamma_marks_mean_and_law():
+    """10^5 marks: all above the cutoff, mean scale * e^-eps / E1(eps)
+    within 3 SE, and KS distance from the CDF 1 - E1(x/scale)/E1(eps) below
+    1.63/sqrt(N)."""
+    seed, size = GammaSeed(2.0, 0.5), 10**5
+    law = seed.jump_law()
+    x = law.marks(np.random.default_rng(5), size)
+    assert x.shape == (size,) and np.all(x > law.cutoff)
+    mean = 0.5 * math.exp(-JUMP_EPS) / _exp1(JUMP_EPS)
+    assert abs(np.mean(x) - mean) < 3.0 * np.std(x, ddof=1) / math.sqrt(size)
+    ks = stats.kstest(x, lambda v: 1.0 - special.exp1(v / 0.5) / special.exp1(JUMP_EPS)).statistic
+    assert ks < 1.63 / math.sqrt(size)
 
 
 def _draws(seed_spec, area, size, rng):

@@ -26,6 +26,8 @@ from trawlkit import (
     slice_area,
     truncation_horizon,
 )
+from trawlkit import TestFunction as G  # aliased: pytest would try to collect a Test* class
+from trawlkit import estimate_trawl, models, psi_n
 from trawlkit.simulate import CIRCULANT_TOL, EPS_TRUNC, _substream, simulate
 
 from conftest import ALL_TRAWLS
@@ -176,7 +178,7 @@ def test_points_integer_valued(n, delta, rate):
 
 
 def test_points_requires_poisson():
-    with pytest.raises(ValueError, match="requires a Poisson seed"):
+    with pytest.raises(ValueError, match="requires a Poisson or Gamma seed"):
         simulate_points(
             ExponentialTrawl(1.0), GaussianSeed(0.0, 1.0), GridScheme(n=10, delta=0.1)
         )
@@ -246,6 +248,50 @@ def test_points_record_expected_and_realised_counts():
     assert isinstance(prov["points"], int)
 
 
+def test_gamma_points_record_the_jump_law():
+    """A Gamma seed's point count has mean shape * E1(eps) * (Leb(A) +
+    n * (A(0) - A(delta))), and the provenance gives the cutoff, the drift
+    added to every X_k and the left-out cumulants per observation."""
+    trawl, seed, scheme = PowerLawTrawl(2.5, 1.0), GammaSeed(2.0, 0.5), GridScheme(n=500, delta=0.2, master_seed=11)
+    prov = simulate_points(trawl, seed, scheme).provenance
+    law, leb, eps = seed.jump_law(), trawl.leb_A, models.JUMP_EPS
+    cell = leb - float(trawl.tail_integral(scheme.delta))
+    assert prov["expected_points"] == pytest.approx(law.rate * (leb + 500 * cell), rel=1e-15)
+    assert prov["points"] == _substream(11, 3).poisson(prov["expected_points"])
+    assert prov["cutoff"] == law.cutoff == eps * 0.5
+    assert prov["drift"] == law.drift * leb
+    assert prov["dropped_kappa4"] == law.dropped_kappa4 * leb
+    # shape * scale^2 * (1 - e^-eps (1 + eps)) * Leb(A), to the rounding of its cancellation
+    assert prov["dropped_variance"] == law.dropped_kappa2 * leb
+    assert prov["dropped_variance"] == pytest.approx(0.5 * (1.0 - math.exp(-eps) * (1.0 + eps)) * leb, rel=1e-3)
+
+
+def test_gamma_points_shortfall_is_bounded_at_a_coarse_cutoff(monkeypatch):
+    """At eps = 0.5 the left-out jumps matter: Var X falls short of
+    kappa2 * Leb(A) by the recorded dropped_variance (within 3 SE, so the
+    bound is also tight), the fourth cumulant falls short by no more than
+    dropped_kappa4 + 3 SE, and the drift keeps the mean at kappa1 * Leb(A).
+    A triangle trawl with support delta makes the X_k independent."""
+    monkeypatch.setattr(models, "JUMP_EPS", 0.5)
+    trawl, seed = CompactTriangleTrawl(1.0), GammaSeed(1.0, 1.0)
+    path = simulate_points(trawl, seed, GridScheme(n=10**6, delta=1.0, master_seed=8))
+    prov, leb = path.provenance, trawl.leb_A
+    assert prov["cutoff"] == 0.5 and prov["dropped_variance"] > 0.04
+    batches = path.values[1:].reshape(100, -1)  # 100 batches of 10^4 independent draws
+    centred = batches - np.mean(batches, axis=1, keepdims=True)
+    m2, m4 = np.mean(centred**2, axis=1), np.mean(centred**4, axis=1)
+    by_batch = {
+        "mean": np.mean(batches, axis=1) - seed.kappa1 * leb,
+        "variance": seed.kappa2 * leb - m2,
+        "kappa4": seed.kappa4 * leb - (m4 - 3.0 * m2**2),
+    }
+    est = {k: np.mean(v) for k, v in by_batch.items()}
+    se = {k: np.std(v, ddof=1) / math.sqrt(len(v)) for k, v in by_batch.items()}
+    assert abs(est["mean"]) < 3.0 * se["mean"], (est, se)
+    assert abs(est["variance"] - prov["dropped_variance"]) < 3.0 * se["variance"], (est, se, prov)
+    assert est["kappa4"] < prov["dropped_kappa4"] + 3.0 * se["kappa4"], (est, se, prov)
+
+
 # -- circulant embedding -------------------------------------------------
 
 
@@ -271,26 +317,38 @@ def test_circulant_embedding_row_and_eigenvalues(trawl, n, delta):
     assert path.provenance["min_eigenvalue_ratio"] == np.min(lam) / np.max(lam)
 
 
-@pytest.mark.parametrize(
-    "trawl",
-    [ExponentialTrawl(1.0), PowerLawTrawl(1.5, 1.0), CompactTriangleTrawl(1.5)],
-    ids=repr,
-)
-def test_circulant_matches_slices_exact_in_law(trawl):
+def _deviations_from_slices_exact(trawl, seed, method):
     """Gate 8's cross-simulator check against the untruncated slice sampler:
-    per-path mean, variance and lag-1 autocorrelation agree within 3 SE."""
-    seed, n, delta = GaussianSeed(0.5, 1.0), 256, 0.2
+    200 paths each at n = 256, delta = 0.2; the distances in combined SE
+    between the two samplers' means of the per-path mean, variance, lag-1
+    autocorrelation and psi_n(x^2, 1)."""
     per_path = {}
-    for method in ("circulant", "slices-exact"):
+    for name in (method, "slices-exact"):
         rows = []
         for rep in range(200):
-            x = simulate(trawl, seed, GridScheme(n=n, delta=delta, master_seed=1000 + rep), method).values
+            path = simulate(trawl, seed, GridScheme(n=256, delta=0.2, master_seed=1000 + rep), name)
+            x = path.values
             xc = x - np.mean(x)
-            rows.append((np.mean(x), np.var(x), np.dot(xc[:-1], xc[1:]) / np.dot(xc, xc)))
-        per_path[method] = np.array(rows)
-    a, b = per_path["circulant"], per_path["slices-exact"]
+            acf1 = np.dot(xc[:-1], xc[1:]) / np.dot(xc, xc)
+            rows.append((np.mean(x), np.var(x), acf1, psi_n(estimate_trawl(path), G(2.0), 1.0)))
+        per_path[name] = np.array(rows)
+    a, b = per_path[method], per_path["slices-exact"]
     se = np.sqrt(np.var(a, axis=0, ddof=1) / len(a) + np.var(b, axis=0, ddof=1) / len(b))
-    deviations = np.abs(np.mean(a, axis=0) - np.mean(b, axis=0)) / se
+    return np.abs(np.mean(a, axis=0) - np.mean(b, axis=0)) / se
+
+
+GATE8_LAW_TRAWLS = [ExponentialTrawl(1.0), PowerLawTrawl(1.5, 1.0), CompactTriangleTrawl(1.5)]
+
+
+@pytest.mark.parametrize("trawl", GATE8_LAW_TRAWLS, ids=repr)
+def test_circulant_matches_slices_exact_in_law(trawl):
+    deviations = _deviations_from_slices_exact(trawl, GaussianSeed(0.5, 1.0), "circulant")
+    assert np.all(deviations < 3.0), deviations
+
+
+@pytest.mark.parametrize("trawl", GATE8_LAW_TRAWLS, ids=repr)
+def test_gamma_points_match_slices_exact_in_law(trawl):
+    deviations = _deviations_from_slices_exact(trawl, GammaSeed(2.0, 0.5), "points")
     assert np.all(deviations < 3.0), deviations
 
 
@@ -338,7 +396,7 @@ def test_circulant_rejects_a_non_convex_tail_integral():
     [
         (PoissonSeed(1.0), simulate_points),
         (GaussianSeed(0.0, 1.0), simulate_circulant),
-        (GammaSeed(2.0, 0.5), simulate_slices),
+        (GammaSeed(2.0, 0.5), simulate_points),
     ],
     ids=["poisson", "gaussian", "gamma"],
 )
@@ -416,6 +474,7 @@ def test_circulant_provenance_reproduces_path(trawl):
         ("slices-exact", GammaSeed(2.0, 0.5), {"mode", "horizon", "tail_mass", "bias_bound"}),
         ("points", PoissonSeed(1.0), {"expected_points", "points"}),
         ("circulant", GaussianSeed(0.0, 1.0), {"min_eigenvalue_ratio"}),
+        ("points", GammaSeed(2.0, 0.5), {"expected_points", "points", "cutoff", "drift", "dropped_variance", "dropped_kappa4"}),
     ],
 )
 def test_provenance_schema(method, seed, diagnostics):
