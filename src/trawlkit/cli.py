@@ -122,7 +122,7 @@ def cmd_estimate(args) -> int:
         t_grid = [float(t) for t in args.t_grid.split(",")]
         rows = []
         for t in t_grid:
-            bar = lambda_bar_n(est, g, t, window) if num_head_terms(est, t) < window else float("nan")
+            bar = lambda_bar_n(est, g, t, window) if num_head_terms(est.delta, t) < window else float("nan")
             rows.append((t, psi_n(est, g, t), lambda_n(est, g, t), bar))
         _write_csv(args.functionals_out, ["t", "psi_n", "lambda_n", "lambda_bar_n"], rows)
         _sidecar(

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .estimators import estimate_trawl
+from .estimators import TestFunction, estimate_trawl
 from .simulate import SampledPath
 
 __all__ = ["TestReport", "tau_test"]
@@ -59,7 +59,7 @@ def tau_test(path: SampledPath, T: float, p: float = 4.0) -> TestReport:
     if T > (n - 1) * delta:
         raise ValueError("T exceeds the observed horizon (n-1)*delta")
     est = estimate_trawl(path)
-    powers = np.abs(est.a_hat) ** p
+    powers = TestFunction(p).g(est.a_hat)
     head_terms = int(math.ceil(T / delta - 1e-12))
     denominator = float(delta * np.sum(powers[:head_terms]))
     full = float(delta * np.sum(powers))

@@ -262,15 +262,17 @@ def _one_replication(cfg: ExperimentConfig, n: int, rep: int) -> float:
     path = simulate(cfg.trawl_model, cfg.seed_model, scheme, cfg.simulator)
     if estimate == "tau":
         return tau_test(path, T=cfg.tdep_T, p=cfg.tdep_p).scaled
-    est = estimate_trawl(path)
-    if estimate == "psi":
-        return psi_n(est, cfg.g, cfg.t)
     if estimate == "lambda":
-        return lambda_n(est, cfg.g, cfg.t)
+        return lambda_n(estimate_trawl(path), cfg.g, cfg.t)
+    # psi_n and lambda_bar_n read only the lags below t or below the window.
+    head = num_head_terms(path.delta, cfg.t)
+    if estimate == "psi":
+        return psi_n(estimate_trawl(path, lags=min(max(head, 1), n)), cfg.g, cfg.t)
     # The floor(e)-th derivative of |x|^e is O(|x|^p) at 0.
     p = cfg.g.exponent - math.floor(cfg.g.exponent)
     window = choose_window(n, cfg.varpi, cfg.theta, cfg.kappa, alpha=cfg.trawl_model.tail_exponent, p=p)
-    return lambda_bar_n(est, cfg.g, cfg.t, max(window, num_head_terms(est, cfg.t) + 1))
+    window = max(window, head + 1)
+    return lambda_bar_n(estimate_trawl(path, lags=min(window, n)), cfg.g, cfg.t, window)
 
 
 def run_experiment(cfg: ExperimentConfig) -> McResult:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 
 from trawlkit import TestFunction as G  # aliased: pytest would try to collect a Test* class
 from trawlkit import (
@@ -21,10 +22,12 @@ from trawlkit import (
     estimate_trawl,
     lambda_bar_n,
     lambda_n,
+    num_head_terms,
     psi_n,
     simulate_slices,
     window_exponent_bounds,
 )
+from trawlkit.estimators import _fast_length
 
 from oracles import naive_trawl_estimate
 
@@ -40,8 +43,8 @@ def test_hand_worked_example():
     assert est.x_bar == 0.5
 
 
-# Powers of two give an FFT length of exactly 2n, where lag n wraps around;
-# the other sizes pad further.
+# A 5-smooth n gives an FFT length of exactly 2n, where lag n wraps around;
+# 257 pads further, to 540.
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9, 64, 257])
 def test_fft_matches_naive_oracle(n):
     rng = np.random.default_rng(n)
@@ -51,6 +54,45 @@ def test_fft_matches_naive_oracle(n):
     est = estimate_trawl(path)
     np.testing.assert_allclose(est.a_hat, naive_trawl_estimate(x, path.delta), atol=1e-12)
     assert est.a_hat[-1] == pytest.approx(last, rel=1e-12, abs=1e-14)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9, 64, 257])
+def test_lag_bounded_estimate_matches_full_and_oracle(n):
+    """Lags 0..L-1 from the shorter transform of length >= n + L + 1 agree
+    with the oracle and with the full estimate, and so do the functionals
+    that read only those lags."""
+    rng = np.random.default_rng(100 + n)
+    path = SampledPath(0.3, rng.standard_normal(n + 1))
+    naive = naive_trawl_estimate(path.values, path.delta)
+    full = estimate_trawl(path)
+    g = G(2.0)
+    for lags in sorted({1, 2, n // 2, n - 1, n} - {0}):
+        est = estimate_trawl(path, lags=lags)
+        assert (est.n, est.lags, est.x_bar) == (n, lags, full.x_bar)
+        np.testing.assert_allclose(est.a_hat, naive[:lags], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(est.a_hat, full.a_hat[:lags], rtol=0, atol=1e-12)
+        t = lags * path.delta  # the head reads exactly L lags
+        assert psi_n(est, g, t) == pytest.approx(psi_n(full, g, t), rel=1e-12, abs=1e-12)
+        start = num_head_terms(path.delta, t / 2)
+        if start < lags:
+            assert lambda_bar_n(est, g, t / 2, lags) == pytest.approx(
+                lambda_bar_n(full, g, t / 2, lags), rel=1e-12, abs=1e-12
+            )
+
+
+def test_fast_length_is_the_next_5_smooth_length():
+    for k in list(range(1, 20_001)) + [2**19 - 3, 2**19 - 1, 2**19, 2**19 + 1, 2**19 + 129]:
+        assert _fast_length(k) == next_fast_len(k, real=True), k
+
+
+def test_estimate_validates_lags():
+    path = _random_path(10, 0)
+    for bad in (0, -1, 11):
+        with pytest.raises(ValueError, match="lags must lie in 1..n = 10"):
+            estimate_trawl(path, lags=bad)
+    with pytest.raises(TypeError):
+        estimate_trawl(path, lags=2.5)
+    assert estimate_trawl(path, lags=np.int64(3)).lags == 3
 
 
 def test_fft_keeps_digits_on_a_large_mean():
@@ -126,12 +168,26 @@ def test_estimate_does_not_alias_the_workspace():
 
 
 def test_estimate_independent_of_call_order():
-    """n = 4096 and n = 2100 share the transform length 8192, so they share
-    one workspace; a longer earlier path must leave nothing behind."""
-    paths = [_random_path(4096, 3), _random_path(2100, 4), _random_path(4096, 5)]
+    """n = 4096 and n = 4060 share the transform length 8192 (the next
+    5-smooth length after 8120 is 8192), so they share one workspace; a
+    longer earlier path must leave nothing behind."""
+    assert _fast_length(2 * 4060) == _fast_length(2 * 4096) == 8192
+    paths = [_random_path(4096, 3), _random_path(4060, 4), _random_path(4096, 5)]
     forward = [estimate_trawl(p).a_hat for p in paths]
     backward = [estimate_trawl(p).a_hat for p in reversed(paths)][::-1]
     for a, b in zip(forward, backward):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_lag_bounded_and_full_estimates_independent_of_order():
+    """A lag-bounded call (m = 2187 here) and a full call (m = 4096) switch
+    the workspace between transform lengths; either order gives the same
+    bits."""
+    path = _random_path(2048, 8)
+    assert _fast_length(2048 + 128 + 1) != _fast_length(2 * 2048)
+    short_first = [estimate_trawl(path, lags=128).a_hat, estimate_trawl(path).a_hat]
+    full_first = [estimate_trawl(path).a_hat, estimate_trawl(path, lags=128).a_hat][::-1]
+    for a, b in zip(short_first, full_first):
         assert a.tobytes() == b.tobytes()
 
 
@@ -217,10 +273,28 @@ def test_functionals_validate_horizon(short_path):
         lambda_bar_n(est, g, 1.0, int(1.0 / est.delta))  # window must exceed head
 
 
+def test_functionals_refuse_lags_beyond_the_estimate(short_path):
+    est = estimate_trawl(short_path, lags=5)
+    g = G(2.0)
+    assert psi_n(est, g, 5 * est.delta) == pytest.approx(est.delta * np.sum(est.a_hat**2))
+    with pytest.raises(ValueError, match="psi_n reads 6 lags but the estimate holds 5"):
+        psi_n(est, g, 6 * est.delta)
+    with pytest.raises(ValueError, match=f"lambda_n reads {est.n} lags but the estimate holds 5"):
+        lambda_n(est, g, 0.0)
+    with pytest.raises(ValueError, match="lambda_bar_n reads 6 lags but the estimate holds 5"):
+        lambda_bar_n(est, g, 0.0, 6)
+
+
 def test_trawl_estimate_validation():
-    with pytest.raises(ValueError):
-        TrawlEstimate(delta=0.1, n=3, a_hat=np.zeros(2), x_bar=0.0)
-    with pytest.raises(ValueError):
+    """1 to n lags are accepted; none, more than n and non-finite values are
+    not."""
+    est = TrawlEstimate(delta=0.1, n=3, a_hat=np.zeros(2), x_bar=0.0)
+    assert est.lags == 2
+    np.testing.assert_allclose(est.lag_times, [0.0, 0.1])
+    for values in (np.zeros(0), np.zeros(4)):
+        with pytest.raises(ValueError, match="a_hat must hold 1 to n = 3 lags"):
+            TrawlEstimate(delta=0.1, n=3, a_hat=values, x_bar=0.0)
+    with pytest.raises(ValueError, match="non-finite"):
         TrawlEstimate(delta=0.1, n=2, a_hat=np.array([np.inf, 0.0]), x_bar=0.0)
 
 
