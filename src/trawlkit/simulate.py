@@ -282,7 +282,8 @@ def simulate_points(trawl: TrawlSpec, seed: LevySeedSpec, scheme: GridScheme) ->
     rng = _substream(scheme.master_seed, 3)
 
     a0 = trawl.leb_A
-    cell = a0 - float(trawl.tail_integral(delta))
+    tail_delta = float(trawl.tail_integral(delta))
+    cell = a0 - tail_delta
     total_area = a0 + n * cell
     expected_points = law.rate * total_area
     count = rng.poisson(expected_points)
@@ -300,7 +301,7 @@ def simulate_points(trawl: TrawlSpec, seed: LevySeedSpec, scheme: GridScheme) ->
         k = np.full(count, -1, dtype=np.int64)
         k[forward] = np.minimum((u[forward] - a0) // cell, n - 1)
         mass = a0 - u
-        mass[forward] = trawl.tail_integral(delta) + rng.random(np.count_nonzero(forward)) * cell
+        mass[forward] = tail_delta + rng.random(np.count_nonzero(forward)) * cell
         v = trawl.tail_integral_inverse(mass)
         s = (k + 1) * delta - v
         kmin = k + 1

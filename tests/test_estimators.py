@@ -14,8 +14,11 @@ from scipy.fft import next_fast_len
 from trawlkit import TestFunction as G  # aliased: pytest would try to collect a Test* class
 from trawlkit import (
     ExponentialTrawl,
+    GammaSeed,
     GaussianSeed,
     GridScheme,
+    PoissonSeed,
+    PowerLawTrawl,
     SampledPath,
     TrawlEstimate,
     choose_window,
@@ -24,6 +27,7 @@ from trawlkit import (
     lambda_n,
     num_head_terms,
     psi_n,
+    simulate_points,
     simulate_slices,
     window_exponent_bounds,
 )
@@ -56,13 +60,44 @@ def test_fft_matches_naive_oracle(n):
     assert est.a_hat[-1] == pytest.approx(last, rel=1e-12, abs=1e-14)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9, 64, 257])
-def test_lag_bounded_estimate_matches_full_and_oracle(n):
-    """Lags 0..L-1 from the shorter transform of length >= n + L + 1 agree
-    with the oracle and with the full estimate, and so do the functionals
-    that read only those lags."""
-    rng = np.random.default_rng(100 + n)
-    path = SampledPath(0.3, rng.standard_normal(n + 1))
+def _point_path(trawl, seed, n=1024, delta=2**-6, master_seed=5):
+    return simulate_points(trawl, seed, GridScheme(n=n, delta=delta, master_seed=master_seed))
+
+
+def _steps_at(n, *steps):
+    """A path of n steps that moves, by 1, only at the given steps k."""
+    diff = np.zeros(n)
+    diff[list(steps)] = 1.0
+    return SampledPath(0.3, np.concatenate([[0.0], np.cumsum(diff)]))
+
+
+# Dense Gaussian paths and sparse point-sampled ones, whose estimates for few
+# lags skip the transform and sum over the steps at which the path moves;
+# each path meets both sides of that rule as L grows.
+_LAG_BOUNDED_PATHS = {
+    **{
+        str(n): lambda n=n: SampledPath(0.3, np.random.default_rng(100 + n).standard_normal(n + 1))
+        for n in [2, 3, 4, 5, 8, 9, 64, 257]
+    },
+    **{
+        f"points-{trawl!r}-{seed!r}": lambda trawl=trawl, seed=seed: _point_path(trawl, seed)
+        for trawl in [ExponentialTrawl(1.0), PowerLawTrawl(1.5, 1.0)]
+        for seed in [PoissonSeed(1.0), GammaSeed(1.0, 1.0)]
+    },
+    "constant": lambda: SampledPath(0.3, np.full(65, 2.0)),
+    "step-at-0": lambda: _steps_at(64, 0),
+    "step-at-n-1": lambda: _steps_at(64, 63),
+    "steps-at-both-ends": lambda: _steps_at(257, 0, 256),
+}
+
+
+@pytest.mark.parametrize("case", _LAG_BOUNDED_PATHS)
+def test_lag_bounded_estimate_matches_full_and_oracle(case):
+    """Lags 0..L-1, from the shorter transform of length >= n + L + 1 or
+    from the sum over the path's moves, agree with the oracle and with the
+    full estimate, and so do the functionals that read only those lags."""
+    path = _LAG_BOUNDED_PATHS[case]()
+    n = path.n
     naive = naive_trawl_estimate(path.values, path.delta)
     full = estimate_trawl(path)
     g = G(2.0)
@@ -71,6 +106,8 @@ def test_lag_bounded_estimate_matches_full_and_oracle(n):
         assert (est.n, est.lags, est.x_bar) == (n, lags, full.x_bar)
         np.testing.assert_allclose(est.a_hat, naive[:lags], rtol=0, atol=1e-12)
         np.testing.assert_allclose(est.a_hat, full.a_hat[:lags], rtol=0, atol=1e-12)
+        if case == "constant":
+            assert not np.any(est.a_hat)
         t = lags * path.delta  # the head reads exactly L lags
         assert psi_n(est, g, t) == pytest.approx(psi_n(full, g, t), rel=1e-12, abs=1e-12)
         start = num_head_terms(path.delta, t / 2)
@@ -148,6 +185,13 @@ def test_affine_equivariance(c, shift):
 def test_rejects_non_finite():
     with pytest.raises(ValueError):
         estimate_trawl(SampledPath(0.1, np.array([0.0, np.nan, 1.0])))
+    # A sparse path asked for few lags, which would take the sum over its
+    # moves, is refused by the same check before anything is computed.
+    for bad in (np.nan, np.inf, -np.inf):
+        values = _steps_at(256, 3, 100).values
+        values[50:52] = bad
+        with pytest.raises(ValueError, match="path contains non-finite values"):
+            estimate_trawl(SampledPath(0.1, values), lags=4)
 
 
 # -- the per-thread FFT workspace -----------------------------------------
@@ -207,16 +251,23 @@ def test_failed_estimate_leaves_no_trace():
 def test_threads_match_serial_estimates():
     """Each thread owns its workspace: four threads (more than the cores)
     estimating paths of different transform lengths at once, switching
-    often, reproduce the serial results."""
-    paths = [_random_path(n, 10 + k) for k, n in enumerate([64, 1000, 2100, 4096, 5000, 300, 4096, 17])]
-    serial = [estimate_trawl(p).a_hat.tobytes() for p in paths]
+    often, reproduce the serial results.  Among them are lag-bounded
+    estimates of sparse point-sampled paths, which sum over the moves
+    instead of transforming."""
+    sizes = [64, 1000, 2100, 4096, 5000, 300, 4096, 17]
+    jobs = [(_random_path(n, 10 + k), None) for k, n in enumerate(sizes)]
+    for k, trawl in enumerate([ExponentialTrawl(1.0), PowerLawTrawl(1.5, 1.0)]):
+        sparse = _point_path(trawl, PoissonSeed(1.0), n=4096, delta=2**-7, master_seed=20 + k)
+        jobs += [(sparse, 128), (sparse, 3)]
+    jobs.append((_random_path(2100, 30), 100))  # dense: transformed
+    serial = [estimate_trawl(p, lags=L).a_hat.tobytes() for p, L in jobs]
     barrier = threading.Barrier(4)
 
     def work(offset):
         barrier.wait(timeout=30)
-        order = paths[offset:] + paths[:offset]
-        results = [estimate_trawl(p).a_hat.tobytes() for p in order * 3]
-        return results[-len(paths) :]
+        order = jobs[offset:] + jobs[:offset]
+        results = [estimate_trawl(p, lags=L).a_hat.tobytes() for p, L in order * 3]
+        return results[-len(jobs) :]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
