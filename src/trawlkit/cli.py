@@ -13,9 +13,10 @@ summary JSON's sidecar covers it, since the same experiment writes both.
 Heap policy: on glibc, ``main`` first sets ``M_MMAP_THRESHOLD`` to 32 MiB
 and ``M_TRIM_THRESHOLD`` to 64 MiB, the values glibc's own dynamic policy
 reaches at its 64-bit ceiling, so that freed heap is kept for reuse.
-Otherwise every ``np.fft.rfft``/``irfft`` hands its O(m) scratch buffer back
-to the kernel when it frees it and faults it in again on the next call: 96
-minor faults per transform at m = 2^15, 2016 at m = 2^19, and 702 per T6
+Otherwise every ``np.fft.fft``/``ifft`` of the estimator, a transform of m
+floats packed as m/2 complex numbers, hands its O(m) scratch buffer back to
+the kernel when it frees it and faults it in again on the next call: 96
+minor faults per transform at m = 2^15, 2016 at m = 2^19, and 448 per T6
 replication at n = 2^15 (0.2 with the policy).  Both values are set because
 setting either one alone switches off glibc's adjustment of the other, and
 every transform still faults (at m = 2^15 and 2^16: 194 and 386 faults with

@@ -12,30 +12,67 @@ y_k = X_{k delta} - xbar (k = 0..n) the sum is an autocorrelation difference,
     sum_{k=0}^{n-1-l} y_k (y_{k+l+1} - y_{k+l}) = R(l+1) - R(l) + y_{n-l} y_n,
     R(h) = sum_{k=0}^{n-h} y_k y_{k+h},
 
-so every lag comes from one autocorrelation of y: one forward and one inverse
-real FFT.  Centring first matters: on an uncentred path R(h) carries a term
-of order n * xbar^2 whose rounding error survives the difference
-R(l+1) - R(l), so a path with mean 100 and unit variance would lose about
-five digits.
+so every lag comes from one circular autocorrelation of y zero-padded to a
+length m: one forward and one inverse FFT.  Centring first matters: on an
+uncentred path R(h) carries a term of order n * xbar^2 whose rounding error
+survives the difference R(l+1) - R(l), so a path with mean 100 and unit
+variance would lose about five digits.
+
+The transforms are complex and of half length M = m/2: the padded y is
+packed as z_j = y_{2j} + i y_{2j+1} (Sorensen, Jones, Heideman & Burrus
+1987); numpy's complex FFT of length M runs about 1.4 times faster than its
+real FFT of length m at m = 2^17 to 2^19.  With Z = FFT_M(z), the halves
+y_{2j} and y_{2j+1} have the transforms E_k = (Z_k + conj(Z_{M-k})) / 2 and
+O_k = (Z_k - conj(Z_{M-k})) / (2i), and with W = exp(-2 pi i / m) the real
+transform of y is Y_k = E_k + W^k O_k, Y_{k+M} = E_k - W^k O_k.  R is the
+inverse transform of P_k = |Y_k|^2; split into even and odd lags,
+
+    R(2j) + i R(2j+1) = (1/2) IFFT_M(F)_j,
+    F_k = (P_k + P_{k+M}) + i W^{-k} (P_k - P_{k+M}).
+
+With A = Z_k, B = Z_{M-k} and theta_k = 2 pi k / m = pi k / M,
+
+    P_k + P_{k+M} = 2 (|E_k|^2 + |O_k|^2) = |A|^2 + |B|^2 =: G,
+    P_k - P_{k+M} = 4 Re(conj(E_k) W^k O_k)
+                  = 2 Im(A B) cos(theta_k) - (|A|^2 - |B|^2) sin(theta_k) =: S,
+
+so F_k = (G - S sin(theta_k)) + i S cos(theta_k).  At M - k, A and B swap
+and theta becomes pi - theta_k, so S changes sign and F_{M-k} =
+(G + S sin(theta_k)) + i S cos(theta_k).  With conj(Phi) = |A|^2 - |B|^2 -
+2i Im(A B) and v_k = cos(theta_k) exp(i theta_k) / 2, the halves H = F / 2
+are, as expanding the products shows,
+
+    H_k = |A|^2 - v_k conj(Phi),    H_{M-k} = |B|^2 + conj(v_k conj(Phi)),
+
+and H_0 = |Z_0|^2 + 2i Re(Z_0) Im(Z_0), H_{M/2} = |Z_{M/2}|^2, so that
+R(2j) + i R(2j+1) = IFFT_M(H)_j.  One complex product with a table of v
+per pair (k, M - k), k = 1..M/2 - 1, turns Z into H in place.  Against
+the real pair of length m, a whole estimate takes 0.70 of the time at
+n = 2^18 (all lags), 0.84 at 2^16 and 0.92 at 2^15, but 0.99 at m = 8640
+and 1.08 at m = 4320, where that step, a dozen numpy calls, costs about what
+the shorter transforms save (medians of paired runs on a 2-vCPU Intel Xeon).
 
 A statistic may need only the first L lags: the head functional
 ``int_0^t g(a(s)) ds`` reads floor(t / delta) of them and the windowed tail
 sum its window.  Lags 0..L-1 need R(0..L), which a circular correlation of
 length m gives free of wrap-around once m >= n + L + 1, so the transform
 shrinks from about 2n towards n; all n lags need m >= 2n.  m is the
-smallest 5-smooth length that suffices: numpy's real FFT has fast passes for
-the factors 2, 3 and 5 only, and a length with a large prime factor falls
-back to Bluestein's algorithm, several times slower.  The transforms use a
-per-thread workspace of 24 * m bytes.  The Monte Carlo harness asks for
-floor(t / delta) lags (at least one) for psi_n (T1, T5) and for the window
-for lambda_bar_n (T4); lambda_n (T3, T6) and the T-dependence ratio (C1)
-read all n.
+smallest 5-smooth multiple of 4 that suffices, 4 * (the smallest 5-smooth
+integer >= k / 4): a multiple of 4 makes M even, so that k = M/2 pairs with
+itself, and numpy's FFT has fast passes for the factors 2, 3 and 5 only; a
+length with a large prime factor falls back to Bluestein's algorithm,
+several times slower.  The transforms use a per-thread workspace of
+16 * m bytes, the padded path and its packed spectrum, and one read-only
+table of the m/4 - 1 complex v_k per length.
+The Monte Carlo harness asks for floor(t / delta) lags (at least one) for
+psi_n (T1, T5) and for the window for lambda_bar_n (T4); lambda_n (T3, T6)
+and the T-dependence ratio (C1) read all n.
 
 Sampled at a small delta, a path of an integer-valued trawl process is flat
 almost everywhere: a T5 path of the ``clt`` benchmark (n = 2^14, delta =
 2^-7, Poisson seed) moves at about 260 of its 16 384 steps.  So a call that
 asks for L < n lags first counts the steps S at which the path moves, one
-pass over x, and when |S| * L < c * m * log2(m), with m the transform
+pass over x, and when |S| * (L + L0) < c * m * log2(m), with m the transform
 length above, it evaluates the defining sum over those steps alone,
 
     a_hat(l * delta) = (1 / (n * delta)) * sum_{k in S, k >= l}
@@ -44,16 +81,19 @@ length above, it evaluates the defining sum over those steps alone,
 A step with X_{(k+1) delta} = X_{k delta} adds exactly 0 to the defining
 sum, so this is that sum with its zero terms left out: it agrees with the
 O(n^2) oracle to rounding, and it differences no autocorrelations.  The rows
-y_{k-L+1..k} of the steps in S are gathered in blocks of at most 3 * m
+y_{k-L+1..k} of the steps in S are gathered in blocks of at most 2 * m
 floats, the size of the workspace the transform would use.  Calls for all n
 lags never count the steps, and a dense path, such as any Gaussian one,
-fails the rule, so both keep the transform and its bits.  c = 1.5 was
-measured on a 2-vCPU Intel Xeon with numpy 2.4, timing both ways at
-n in {2^12, 2^13, 2^14, 2^16}, L in {16, 64, 256, 1024} and
-|S| * L / (m * log2(m)) from 0.1 to 10: the sum stops winning between 0.54
-(at n = 2^12, L = 16) and 2.4 (at n = 2^14, L = 1024), and c in [1.4, 1.6]
-gives the least mean excess over the faster of the two, 3% (1.5% at
-L >= 64).
+fails the rule, so both keep the transform.  A step of the sum costs L
+multiply-adds and the gathering of its row, which costs about as much as
+L0 more; the transform costs about m * log2(m).  c = 1.5 and L0 = 24 were
+measured on a 2-vCPU Intel Xeon with numpy 2.4, timing both ways at n in
+{2^12, 2^13, 2^14, 2^16}, L in {16, 64, 256, 1024} and |S| * L /
+(m * log2(m)) from 0.1 to 10: that ratio at which the sum stops winning
+grows with L, from 0.52-0.69 at L = 16 to 1.14-2.02 at L = 1024, as
+c * L / (L + L0) does (0.60 and 1.47).  Over the 263 timed cells this rule
+costs 0.5% more than the faster way on average and 20% at worst; the rule
+|S| * L < 1.5 * m * log2(m) without L0 cost 2.6% and 64%.
 
 For a trawl process Cov(X_0, X_h) = kappa2 * A(h), so a_hat estimates
 kappa2 * a: the trawl function itself only for a seed with kappa2 = 1.
@@ -162,18 +202,37 @@ def _fast_length(k: int) -> int:
     return best
 
 
+def _transform_length(k: int) -> int:
+    """The smallest 5-smooth multiple of 4 that is >= k: 4 * _fast_length(ceil(k / 4))."""
+    return 4 * _fast_length(-(-k // 4))
+
+
+@functools.lru_cache(maxsize=8)
+def _twiddles(m: int) -> np.ndarray:
+    """v_k = cos(theta_k) exp(i theta_k) / 2, theta_k = 2 pi k / m, for
+    k = 1..m/4 - 1: complex, read only."""
+    theta = np.arange(1, m // 4) * (2.0 * math.pi / m)
+    half_cos = 0.5 * np.cos(theta)
+    table = np.empty(len(theta), dtype=complex)
+    np.multiply(half_cos, np.cos(theta), out=table.real)
+    np.multiply(half_cos, np.sin(theta), out=table.imag)
+    table.flags.writeable = False
+    return table
+
+
 class _Workspace(threading.local):
     """The FFT buffers of the last transform length m seen by this thread:
-    the zero-padded centred path (m float64), its half spectrum (m/2 + 1
-    complex128) and the autocorrelation (m float64), 24 * m bytes in all.
-    Reusing them spares every call the page faults of fresh buffers."""
+    the zero-padded centred path (m float64), which the inverse transform
+    overwrites with the correlation, and its packed spectrum (m/2
+    complex128), 16 * m bytes in all.  Reusing them spares every call the
+    page faults of fresh buffers."""
 
     m = 0
 
     def buffers(self, m: int):
         if m != self.m:
             self.m, self.arrays = 0, None  # free the old buffers first
-            self.arrays = (np.empty(m), np.empty(m // 2 + 1, dtype=complex), np.empty(m))
+            self.arrays = (np.empty(m), np.empty(m // 2, dtype=complex))
             self.m = m
         return self.arrays
 
@@ -181,10 +240,59 @@ class _Workspace(threading.local):
 _workspace = _Workspace()
 
 
-#: c in the rule |S| * L < c * m * log2(m) under which a lag-bounded call
-#: sums over the path's moves instead of transforming; measured, see the
+#: c and L0 in the rule |S| * (L + L0) < c * m * log2(m) under which a
+#: lag-bounded call sums over the path's moves instead of transforming; L0
+#: is the cost of gathering one row of the sum in lags.  Measured, see the
 #: module docstring.
 _JUMP_SUM_COST = 1.5
+_JUMP_SUM_ROW = 24
+
+
+#: pairs (k, M - k) per block of ``_packed_power``: a block's slices of Z,
+#: of the table and of the scratch, 0.75 MiB, stay in a core's L2 cache
+#: between the block's twelve array operations.  At m = 2^19 this takes the
+#: step from about 2.2 to 1.6 ms on a 2-vCPU Intel Xeon; up to m = 2^15
+#: there is one block.
+_PACK_BLOCK = 8192
+
+
+def _packed_power(spec, scratch, m: int) -> None:
+    """Overwrite the packed spectrum Z_k (k = 0..M-1, M = m/2) of a real
+    sequence y with the H whose inverse transform is the circular
+    autocorrelation of y, packed as y is: R(2j) + i R(2j+1).  With A = Z_k,
+    B = Z_{M-k}, conj(Phi) = |A|^2 - |B|^2 - 2i Im(A B) and v_k from
+    ``_twiddles`` (see the module docstring), for k = 1..M/2 - 1
+
+        H_k = |A|^2 - v_k conj(Phi),    H_{M-k} = |B|^2 + conj(v_k conj(Phi)),
+
+    and H_0 = |Z_0|^2 + 2i Re(Z_0) Im(Z_0), H_{M/2} = |Z_{M/2}|^2.  The
+    pairs are taken ``_PACK_BLOCK`` at a time; ``scratch`` (m floats) holds
+    a block's A B and squared moduli."""
+    big_m, half = m // 2, m // 4
+    twiddles = _twiddles(m)
+    z = spec.view(float)
+    r0, i0, rh, ih = float(z[0]), float(z[1]), float(z[2 * half]), float(z[2 * half + 1])
+    for start in range(1, half, _PACK_BLOCK):
+        stop = min(start + _PACK_BLOCK, half)
+        size = stop - start
+        a = spec[start:stop]
+        b = spec[big_m - stop + 1 : big_m - start + 1]  # Z_{M-k} for k = stop - 1 down to start
+        phi = np.multiply(a, b[::-1], out=scratch[: 2 * size].view(complex))
+        norm_a, norm_b = scratch[2 * size : 3 * size], scratch[3 * size : 4 * size]
+        for zs, norm in ((a, norm_a), (b, norm_b)):
+            zs_float = zs.view(float)
+            np.square(zs_float, out=zs_float)
+            np.add(zs_float[0::2], zs_float[1::2], out=norm)
+        norm_b = norm_b[::-1]
+        np.subtract(norm_a, norm_b, out=phi.real)
+        phi.imag *= -2.0  # phi is conj(Phi) now
+        phi *= twiddles[start - 1 : stop - 1]
+        np.subtract(norm_a, phi.real, out=a.real)
+        np.negative(phi.imag, out=a.imag)
+        np.add(norm_b, phi.real, out=b.real[::-1])
+        b.imag[::-1] = a.imag
+    z[0], z[1] = r0 * r0 + i0 * i0, 2.0 * r0 * i0
+    z[2 * half], z[2 * half + 1] = rh * rh + ih * ih, 0.0
 
 
 def _jump_sum(x, x_bar, moved, num_lags: int, block: int) -> np.ndarray:
@@ -215,9 +323,11 @@ def estimate_trawl(path: SampledPath, lags: Optional[int] = None) -> TrawlEstima
     function.
 
     The path is centred, y = x - xbar, and the autocorrelation R(0..L) of y
-    comes from one real FFT and its inverse; then a_hat(l * delta) =
-    (R(l) - R(l+1) - y_{n-l} y_n) / (n * delta).  The transform length m is
-    the smallest 5-smooth integer (2^i 3^j 5^k) that keeps R(0..L) exact:
+    comes from one complex FFT of half length M = m/2 and its inverse, with y
+    packed into complex numbers (see the module docstring); then
+    a_hat(l * delta) = (R(l) - R(l+1) - y_{n-l} y_n) / (n * delta).  The
+    transform length m is the smallest 5-smooth multiple of 4 that keeps
+    R(0..L) exact:
 
     * for L < n, m >= n + L + 1, so the circular correlation's wrapped lags
       -(m - h) stay below -n, where R vanishes, for every h <= L;
@@ -226,19 +336,22 @@ def estimate_trawl(path: SampledPath, lags: Optional[int] = None) -> TrawlEstima
       so R(n) = y_0 y_n is set directly.  At a power-of-two n this m is
       exactly 2n, the next power of two.
 
-    The transforms run in a per-thread workspace of 24 * m bytes (12 MiB for
-    all lags at n = 2^18) that is kept for the next call of the same m and
-    replaced when m changes; every call rewrites the whole padded input, so
-    nothing of an earlier call leaks into the result.  Only the returned
-    ``a_hat`` is freshly allocated.
+    The transforms run in a per-thread workspace of 16 * m bytes (8 MiB for
+    all lags at n = 2^18): the padded path, which also holds the scratch of
+    the step from Z to F and then receives the inverse transform, and the
+    packed spectrum, which holds F in place.  It is kept for the next call
+    of the same m and replaced when m changes; every call rewrites the whole
+    padded input, so nothing of an earlier call leaks into the result.  Only
+    the returned ``a_hat`` is freshly allocated.
 
     A call with L < n first counts the steps S at which the path moves.  If
-    |S| * L < 1.5 * m * log2(m) it skips the transform and the workspace and
-    sums (X_{k delta} - X_{(k+1) delta}) * y_{k-l} over the k in S, gathering
-    y in blocks of at most 3 * m floats: the defining sum without its zero
-    terms (see the module docstring for the rule's constant).  A call for all
-    n lags never counts.  The O(n^2) oracle that evaluates the defining sum
-    lag by lag lives in the tests (``tests/oracles.py``).
+    |S| * (L + L0) < c * m * log2(m), with c = ``_JUMP_SUM_COST`` and
+    L0 = ``_JUMP_SUM_ROW`` (see the module docstring), it skips the transform
+    and the workspace and sums (X_{k delta} - X_{(k+1) delta}) * y_{k-l} over
+    the k in S, gathering y in blocks of at most 2 * m floats: the defining
+    sum without its zero terms.  A call for all n lags never counts.  The
+    O(n^2) oracle that evaluates the defining sum lag by lag lives in the
+    tests (``tests/oracles.py``).
     """
     x = path.values
     n = path.n
@@ -246,33 +359,33 @@ def estimate_trawl(path: SampledPath, lags: Optional[int] = None) -> TrawlEstima
     num_lags = n if lags is None else operator.index(lags)
     if not 1 <= num_lags <= n:
         raise ValueError(f"lags must lie in 1..n = {n}, got {num_lags}")
-    if not np.all(np.isfinite(x)):
+    with np.errstate(invalid="ignore"):  # +inf and -inf in x: refused below
+        x_bar = float(np.mean(x[:n]))
+    # A non-finite value in x[:n] makes the mean non-finite, and so may an
+    # overflow; only then is the whole path checked.
+    if not (math.isfinite(x_bar) and math.isfinite(x[n])) and not np.all(np.isfinite(x)):
         raise ValueError("path contains non-finite values")
-    x_bar = float(np.mean(x[:n]))
     if num_lags == n:
-        m = _fast_length(2 * n)
+        m = _transform_length(2 * n)
     else:
-        m = _fast_length(n + num_lags + 1)
+        m = _transform_length(n + num_lags + 1)
         moved = x[1:] != x[:-1]
-        if np.count_nonzero(moved) * num_lags < _JUMP_SUM_COST * m * math.log2(m):
-            a_hat = np.divide(_jump_sum(x, x_bar, moved, num_lags, 3 * m), n * delta)
+        if np.count_nonzero(moved) * (num_lags + _JUMP_SUM_ROW) < _JUMP_SUM_COST * m * math.log2(m):
+            a_hat = np.divide(_jump_sum(x, x_bar, moved, num_lags, 2 * m), n * delta)
             return TrawlEstimate(delta=delta, n=n, a_hat=a_hat, x_bar=x_bar)
-    pad, spec, corr = _workspace.buffers(m)
+    pad, spec = _workspace.buffers(m)
     y = np.subtract(x, x_bar, out=pad[: n + 1])
+    # The inverse below overwrites y, so take y_{n-l} y_n and y_0 y_n first.
+    a_hat = np.multiply(y[n : n - num_lags : -1], y[n])
+    top = y[0] * y[n]
     pad[n + 1 :] = 0.0
-    np.fft.rfft(pad, out=spec)
-    # |f|^2 in place: square re and im, add im into re, zero im.
-    power = spec.view(float)
-    np.multiply(power, power, out=power)
-    np.add(power[0::2], power[1::2], out=power[0::2])
-    power[1::2] = 0.0
-    np.fft.irfft(spec, m, out=corr)
-    r = corr[: num_lags + 1]
+    np.fft.fft(pad.view(complex), out=spec)
+    _packed_power(spec, pad, m)
+    r = np.fft.ifft(spec, out=pad.view(complex)).view(float)[: num_lags + 1]
     if num_lags == n:
-        r[n] = y[0] * y[n]
-    a_hat = np.subtract(r[:-1], r[1:])
-    tmp = np.multiply(y[n : n - num_lags : -1], y[n], out=power[:num_lags])
-    np.subtract(a_hat, tmp, out=a_hat)
+        r[n] = top
+    diff = np.subtract(r[:-1], r[1:], out=spec.view(float)[:num_lags])
+    np.subtract(diff, a_hat, out=a_hat)
     np.divide(a_hat, n * delta, out=a_hat)
     return TrawlEstimate(delta=delta, n=n, a_hat=a_hat, x_bar=x_bar)
 

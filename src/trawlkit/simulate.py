@@ -252,6 +252,37 @@ def simulate_slices(
     )
 
 
+def _sum_marks(n: int, starts, ends, mark) -> np.ndarray:
+    """X_k = the sum of the marks of the points with starts <= k < ends, for
+    k = 0..n: each cell's marks accumulate in the order of the arrays (all
+    entries, then all exits), and the cells' jumps are summed from k = 0 up.
+
+    A path with fewer than n / 32 points accumulates only the cells where a
+    point enters or leaves and repeats each running sum over its run.  Adding
+    the zero jumps of the other cells changes no bit, so both ways give the
+    same path; sorting the 2 * points cell numbers costs less than a running
+    sum over all n cells (about 3 ns each) only when the points are that few
+    (measured at n = 2^12 to 2^18 on a 2-vCPU Intel Xeon: at n = 2^18 with
+    n / 64 points 0.36 instead of 0.87 ms, with n / 4 points 3.9 instead of
+    1.2 ms).
+    """
+    if 32 * len(starts) >= n:
+        jumps = np.zeros(n + 2)
+        np.add.at(jumps, starts, mark)
+        np.subtract.at(jumps, ends, mark)
+        return np.cumsum(jumps[: n + 1])
+    cells = np.concatenate([starts, ends])
+    cells.sort()
+    cells = cells[np.concatenate(([True], cells[1:] != cells[:-1]))]
+    where = np.empty(n + 2, dtype=np.intp)  # read only at the cells
+    where[cells] = np.arange(1, len(cells) + 1)
+    jumps = np.zeros(len(cells) + 1)  # jumps[0] = 0 is X before the first cell
+    np.add.at(jumps, where[starts], mark)
+    np.subtract.at(jumps, where[ends], mark)
+    # cell n + 1, if present, ends the last run and repeats 0 times
+    return np.repeat(np.cumsum(jumps), np.diff(cells, prepend=0, append=n + 1))
+
+
 def simulate_points(trawl: TrawlSpec, seed: LevySeedSpec, scheme: GridScheme) -> SampledPath:
     """Sample a path of a trawl process with a Poisson or Gamma seed via its
     marked points.
@@ -288,7 +319,6 @@ def simulate_points(trawl: TrawlSpec, seed: LevySeedSpec, scheme: GridScheme) ->
     expected_points = law.rate * total_area
     count = rng.poisson(expected_points)
 
-    diff = np.zeros(n + 2)
     if count > 0:
         u = rng.random(count) * total_area
         # A time-zero point lies in cell k = -1, a forward point in cell
@@ -311,10 +341,9 @@ def simulate_points(trawl: TrawlSpec, seed: LevySeedSpec, scheme: GridScheme) ->
         kmax = np.minimum(np.floor(reach / delta + 1e-12), n).astype(np.int64)
         keep = kmax >= kmin
         mark = 1.0 if law.marks is None else law.marks(_substream(scheme.master_seed, 5), count)[keep]
-        np.add.at(diff, kmin[keep], mark)
-        np.subtract.at(diff, kmax[keep] + 1, mark)
-
-    values = np.cumsum(diff[: n + 1])
+        values = _sum_marks(n, kmin[keep], kmax[keep] + 1, mark)
+    else:
+        values = np.zeros(n + 1)
     diagnostics = {"expected_points": expected_points, "points": int(count)}
     if law.marks is not None:
         values += law.drift * a0

@@ -31,7 +31,8 @@ from trawlkit import (
     simulate_slices,
     window_exponent_bounds,
 )
-from trawlkit.estimators import _fast_length
+from trawlkit import estimators
+from trawlkit.estimators import _fast_length, _transform_length
 
 from oracles import naive_trawl_estimate
 
@@ -47,8 +48,8 @@ def test_hand_worked_example():
     assert est.x_bar == 0.5
 
 
-# A 5-smooth n gives an FFT length of exactly 2n, where lag n wraps around;
-# 257 pads further, to 540.
+# An even 5-smooth n gives an FFT length of exactly 2n, where lag n wraps
+# around; an odd n pads further (3, 5, 9 to 8, 12, 20) and 257 to 540.
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9, 64, 257])
 def test_fft_matches_naive_oracle(n):
     rng = np.random.default_rng(n)
@@ -115,6 +116,46 @@ def test_lag_bounded_estimate_matches_full_and_oracle(case):
             assert lambda_bar_n(est, g, t / 2, lags) == pytest.approx(
                 lambda_bar_n(full, g, t / 2, lags), rel=1e-12, abs=1e-12
             )
+
+
+def _walk(n, seed, level=0.0):
+    return SampledPath(0.3, level + np.cumsum(np.random.default_rng(seed).standard_normal(n + 1)))
+
+
+# n = 2, 5 and 1350 take m = 4, 12 and 2700 for all lags, where m/4 is odd;
+# n = 7 and 1001 are odd, so m > 2n.
+_PACKED_PATHS = {
+    **{str(n): lambda n=n: _random_path(n, 200 + n, delta=0.3) for n in [2, 3, 5, 7, 64, 1000, 1001, 1350, 4060, 4096]},
+    **{f"walk-100-{n}": lambda n=n: _walk(n, 300 + n, level=100.0) for n in [64, 1000]},
+    "constant": lambda: SampledPath(0.3, np.full(1001, -4.5)),
+}
+
+
+@pytest.mark.parametrize("case", _PACKED_PATHS)
+def test_packed_transform_matches_naive_oracle(case, monkeypatch):
+    """The half-length complex transform pair, forced for every lag count
+    (no call takes the sum over the moves), agrees with the O(n^2) oracle
+    for all lags and for lag-bounded calls, on odd n, on lengths whose m/4
+    is odd, on a random walk around 100 and on a constant path."""
+    monkeypatch.setattr(estimators, "_JUMP_SUM_COST", 0.0)
+    path = _PACKED_PATHS[case]()
+    n = path.n
+    naive = naive_trawl_estimate(path.values, path.delta)
+    for lags in sorted({1, 2, 3, n // 2, n - 1, n} & set(range(1, n + 1))):
+        est = estimate_trawl(path, lags=lags)
+        np.testing.assert_allclose(est.a_hat, naive[:lags], rtol=0, atol=1e-12)
+        if case == "constant":
+            assert not np.any(est.a_hat)
+    assert [_transform_length(2 * k) // 4 % 2 for k in (2, 5, 1350)] == [1, 1, 1]
+
+
+def test_transform_length_is_the_next_5_smooth_multiple_of_4():
+    lengths = [m for m in range(4, 5101, 4) if next_fast_len(m, real=True) == m]
+    for k in range(1, 5001):
+        assert _transform_length(k) == next(m for m in lengths if m >= k), k
+    assert [_transform_length(k) for k in (2, 6, 10, 14, 2177, 8120, 2**19)] == [
+        4, 8, 12, 16, 2304, 8192, 2**19
+    ]
 
 
 def test_fast_length_is_the_next_5_smooth_length():
@@ -192,6 +233,17 @@ def test_rejects_non_finite():
         values[50:52] = bad
         with pytest.raises(ValueError, match="path contains non-finite values"):
             estimate_trawl(SampledPath(0.1, values), lags=4)
+        # x_n is not in the mean that screens the path first
+        values = _steps_at(256, 3, 100).values
+        values[-1] = bad
+        for lags in (4, None):
+            with pytest.raises(ValueError, match="path contains non-finite values"):
+                estimate_trawl(SampledPath(0.1, values), lags=lags)
+    # +inf and -inf together make the mean NaN without a warning escaping
+    values = _steps_at(256, 3, 100).values
+    values[[7, 9]] = np.inf, -np.inf
+    with pytest.raises(ValueError, match="path contains non-finite values"):
+        estimate_trawl(SampledPath(0.1, values))
 
 
 # -- the per-thread FFT workspace -----------------------------------------
@@ -211,11 +263,22 @@ def test_estimate_does_not_alias_the_workspace():
     assert not np.shares_memory(first.a_hat, second.a_hat)
 
 
+def test_workspace_holds_16_m_bytes():
+    """The padded path and its packed spectrum, m floats and m/2 complex,
+    beside a shared read-only table of m/4 - 1 complex twiddles."""
+    estimate_trawl(_random_path(1000, 3))
+    m = _transform_length(2 * 1000)
+    assert estimators._workspace.m == m == 2000
+    assert sum(a.nbytes for a in estimators._workspace.arrays) == 16 * m
+    twiddles = estimators._twiddles(m)
+    assert len(twiddles) == m // 4 - 1 and not twiddles.flags.writeable
+
+
 def test_estimate_independent_of_call_order():
     """n = 4096 and n = 4060 share the transform length 8192 (the next
-    5-smooth length after 8120 is 8192), so they share one workspace; a
-    longer earlier path must leave nothing behind."""
-    assert _fast_length(2 * 4060) == _fast_length(2 * 4096) == 8192
+    5-smooth multiple of 4 after 8120 is 8192), so they share one
+    workspace; a longer earlier path must leave nothing behind."""
+    assert _transform_length(2 * 4060) == _transform_length(2 * 4096) == 8192
     paths = [_random_path(4096, 3), _random_path(4060, 4), _random_path(4096, 5)]
     forward = [estimate_trawl(p).a_hat for p in paths]
     backward = [estimate_trawl(p).a_hat for p in reversed(paths)][::-1]
@@ -224,11 +287,11 @@ def test_estimate_independent_of_call_order():
 
 
 def test_lag_bounded_and_full_estimates_independent_of_order():
-    """A lag-bounded call (m = 2187 here) and a full call (m = 4096) switch
+    """A lag-bounded call (m = 2304 here) and a full call (m = 4096) switch
     the workspace between transform lengths; either order gives the same
     bits."""
     path = _random_path(2048, 8)
-    assert _fast_length(2048 + 128 + 1) != _fast_length(2 * 2048)
+    assert _transform_length(2048 + 128 + 1) == 2304 != _transform_length(2 * 2048)
     short_first = [estimate_trawl(path, lags=128).a_hat, estimate_trawl(path).a_hat]
     full_first = [estimate_trawl(path).a_hat, estimate_trawl(path, lags=128).a_hat][::-1]
     for a, b in zip(short_first, full_first):

@@ -1,5 +1,6 @@
 """Exact simulation schemes: partition geometry, laws, determinism, I/O."""
 
+import hashlib
 import json
 import math
 
@@ -28,7 +29,7 @@ from trawlkit import (
 )
 from trawlkit import TestFunction as G  # aliased: pytest would try to collect a Test* class
 from trawlkit import estimate_trawl, models, psi_n
-from trawlkit.simulate import CIRCULANT_TOL, EPS_TRUNC, _substream, simulate
+from trawlkit.simulate import CIRCULANT_TOL, EPS_TRUNC, _substream, _sum_marks, simulate
 
 from conftest import ALL_TRAWLS
 
@@ -438,6 +439,42 @@ def test_points_deterministic_from_master_seed():
     b = simulate_points(ExponentialTrawl(1.0), PoissonSeed(1.0), scheme)
     np.testing.assert_array_equal(a.values, b.values)
     assert a.provenance["master_seed"] == 21
+
+
+@pytest.mark.parametrize(
+    "seed_spec, n, delta, digest",
+    [
+        # few points for n: only the cells where a point enters or leaves are summed
+        (PoissonSeed(1.0), 4096, 2**-7, "3d37e4a5ffec9ce77faab98385ebef4fe5021b4647aee338551637a3f8abea10"),
+        (GammaSeed(1.0, 1.0), 2**15, 2**-9, "7ed9cf6038eabe3a16a760c357bb85e011f4e1f55f4127f9ddad4fcd8cd9688f"),
+        # many points for n: the running sum over every cell
+        (PoissonSeed(1.0), 256, 0.5, "adab7ba7df846665b601503ec73ef191702d0851026c26f458e39ae9d1b6c8e9"),
+        (GammaSeed(1.0, 1.0), 4096, 2**-7, "0f3926f08ce0f9ac7aee5aa52fd699d572ef750bb87318d41dc2deebf90241f9"),
+    ],
+)
+def test_points_paths_are_pinned(seed_spec, n, delta, digest):
+    """Point paths have the bits of a running sum over all n cells whichever
+    way the marks are summed.  The Gamma marks come from numpy's exp and
+    log, so a numpy that rounds those differently changes the Gamma
+    digests."""
+    path = simulate_points(PowerLawTrawl(1.5, 1.0), seed_spec, GridScheme(n=n, delta=delta, master_seed=11))
+    assert hashlib.sha256(path.values.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n, points", [(100_000, 300), (1000, 300)])
+def test_sum_marks_matches_a_dense_running_sum(n, points):
+    """Few points for n (the cells only) and many (every cell), crowded
+    into a few cells so that the order in which marks meet matters: both
+    give the bits of a running sum over a dense difference array."""
+    rng = np.random.default_rng(points)
+    starts = rng.integers(0, 40, points)
+    ends = np.minimum(starts + rng.integers(0, 30, points), n) + 1
+    marks = rng.gamma(0.5, 1.0, points)
+    dense = np.zeros(n + 2)
+    np.add.at(dense, starts, marks)
+    np.subtract.at(dense, ends, marks)
+    expected = np.cumsum(dense[: n + 1])
+    assert _sum_marks(n, starts, ends, marks).tobytes() == expected.tobytes()
 
 
 def test_provenance_reproduces_path(trawl, seed_spec):
