@@ -209,13 +209,24 @@ def _transform_length(k: int) -> int:
 
 @functools.lru_cache(maxsize=8)
 def _twiddles(m: int) -> np.ndarray:
-    """v_k = cos(theta_k) exp(i theta_k) / 2, theta_k = 2 pi k / m, for
-    k = 1..m/4 - 1: complex, read only."""
-    theta = np.arange(1, m // 4) * (2.0 * math.pi / m)
-    half_cos = 0.5 * np.cos(theta)
-    table = np.empty(len(theta), dtype=complex)
-    np.multiply(half_cos, np.cos(theta), out=table.real)
-    np.multiply(half_cos, np.sin(theta), out=table.imag)
+    """v_k = cos(theta_k) exp(i theta_k) / 2 = (1 + exp(2i theta_k)) / 4,
+    theta_k = 2 pi k / m, for k = 1..m/4 - 1: complex, read only.
+
+    Each exp(2i theta_k) is the product exp(2i theta_{q s}) exp(2i theta_r),
+    k = q s + r with s about sqrt(m/4), of two of about 2 s exponentials, so
+    the table costs one pass of complex products and no temporary of its
+    size.  A cosine and a sine per entry, with their temporaries, took 0.1
+    to 0.2 ms at m = 4320 and 8640 in a fresh process (2-vCPU Intel Xeon)
+    and raised the peak memory by 0.25 MiB at m = 2^16.  The entries lie
+    within about 2e-16 of the direct formula."""
+    count = m // 4 - 1
+    step = math.isqrt(count) + 1
+    unit = 4j * math.pi / m
+    coarse = np.exp(unit * np.arange(0, count + step, step))
+    coarse *= 0.25
+    fine = np.exp(unit * np.arange(step))
+    table = np.multiply.outer(coarse, fine).reshape(-1)[1 : count + 1]
+    table.real += 0.25
     table.flags.writeable = False
     return table
 

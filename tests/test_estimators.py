@@ -274,6 +274,16 @@ def test_workspace_holds_16_m_bytes():
     assert len(twiddles) == m // 4 - 1 and not twiddles.flags.writeable
 
 
+@pytest.mark.parametrize("m", [4, 8, 12, 20, 420, 4320, 2**16])
+def test_twiddles_match_the_direct_formula(m):
+    """v_k = cos(theta_k) exp(i theta_k) / 2, theta_k = 2 pi k / m, built
+    from products of two short tables of exponentials; m/4 is 1, 2, 3, 5,
+    105, 1080 and 2^14 here."""
+    theta = np.arange(1, m // 4) * (2 * np.pi / m)
+    direct = np.cos(theta) * np.exp(1j * theta) / 2
+    np.testing.assert_allclose(estimators._twiddles(m), direct, rtol=0, atol=1e-15)
+
+
 def test_estimate_independent_of_call_order():
     """n = 4096 and n = 4060 share the transform length 8192 (the next
     5-smooth multiple of 4 after 8120 is 8192), so they share one
