@@ -13,14 +13,15 @@ summary JSON's sidecar covers it, since the same experiment writes both.
 Heap policy: on glibc, ``main`` first sets ``M_MMAP_THRESHOLD`` to 32 MiB
 and ``M_TRIM_THRESHOLD`` to 64 MiB, the values glibc's own dynamic policy
 reaches at its 64-bit ceiling, so that freed heap is kept for reuse.
-Otherwise every ``np.fft.fft``/``ifft`` of the estimator, a transform of m
-floats packed as m/2 complex numbers, hands its O(m) scratch buffer back to
-the kernel when it frees it and faults it in again on the next call: 96
-minor faults per transform at m = 2^15, 2016 at m = 2^19, and 448 per T6
-replication at n = 2^15 (0.2 with the policy).  Both values are set because
+Otherwise every ``estimate_trawl`` that transforms hands its buffers back to
+the kernel when it frees them and faults them in again on the next call: the
+padded path and its packed spectrum (16 * m bytes) and the O(m) scratch of
+each ``np.fft.fft``/``ifft``.  An all-lag estimate takes 192 minor faults at
+m = 2^15, 800 at m = 2^16 and 6050 at m = 2^19, and a T6 replication at
+n = 2^15 takes 735 (0.1 with the policy).  Both values are set because
 setting either one alone switches off glibc's adjustment of the other, and
-every transform still faults (at m = 2^15 and 2^16: 194 and 386 faults with
-the trim threshold alone, 96 and 352 with the mmap threshold alone).  Only
+every estimate still faults (at m = 2^15 and 2^16: 130 and 837 faults with
+the trim threshold alone, 192 and 544 with the mmap threshold alone).  Only
 the command line sets the policy: it is process-wide, and a library caller
 of ``run_experiment`` keeps its own.  The policy changes no arithmetic and
 no random stream.
@@ -47,7 +48,7 @@ from .estimators import (
     psi_n,
 )
 from .inference import tau_test
-from .limit_theory import AvarKernel
+from .limit_theory import AvarKernel, _check_times
 from .mc import ExperimentConfig, _whole, run_experiment, test_function_from_dict
 from .models import _as_dict, _check_number, seed_from_dict, trawl_from_dict
 from .simulate import SIMULATORS, GridScheme, _write_csv, export_csv, ingest_csv, simulate
@@ -175,6 +176,7 @@ def cmd_kernels(args) -> int:
         raise ValueError(f"--points must be at least 1, got {args.points}")
     trawl = trawl_from_dict(_load_json(args.trawl) if args.trawl.endswith(".json") else json.loads(args.trawl))
     kern = AvarKernel(trawl, k4=args.k4)
+    _check_times(args.lo, args.hi)  # before linspace, which warns on an infinite end
     grid = np.linspace(args.lo, args.hi, args.points)
     if args.what == "sigma_a_sq":
         header, rows = ["t", "value"], zip(grid, kern.sigma_a_matrix(grid, grid))

@@ -61,9 +61,9 @@ smallest 5-smooth multiple of 4 that suffices, 4 * (the smallest 5-smooth
 integer >= k / 4): a multiple of 4 makes M even, so that k = M/2 pairs with
 itself, and numpy's FFT has fast passes for the factors 2, 3 and 5 only; a
 length with a large prime factor falls back to Bluestein's algorithm,
-several times slower.  The transforms use a per-thread workspace of
-16 * m bytes, the padded path and its packed spectrum, and one read-only
-table of the m/4 - 1 complex v_k per length.
+several times slower.  Each transform allocates 16 * m bytes, the padded
+path and its packed spectrum, and reads one cached read-only table of the
+m/4 - 1 complex v_k per length.
 The Monte Carlo harness asks for floor(t / delta) lags (at least one) for
 psi_n (T1, T5) and for the window for lambda_bar_n (T4); lambda_n (T3, T6)
 and the T-dependence ratio (C1) read all n.
@@ -82,7 +82,7 @@ A step with X_{(k+1) delta} = X_{k delta} adds exactly 0 to the defining
 sum, so this is that sum with its zero terms left out: it agrees with the
 O(n^2) oracle to rounding, and it differences no autocorrelations.  The rows
 y_{k-L+1..k} of the steps in S are gathered in blocks of at most 2 * m
-floats, the size of the workspace the transform would use.  Calls for all n
+floats, the 16 * m bytes the transform would allocate.  Calls for all n
 lags never count the steps, and a dense path, such as any Gaussian one,
 fails the rule, so both keep the transform.  A step of the sum costs L
 multiply-adds and the gathering of its row, which costs about as much as
@@ -109,7 +109,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -231,26 +230,6 @@ def _twiddles(m: int) -> np.ndarray:
     return table
 
 
-class _Workspace(threading.local):
-    """The FFT buffers of the last transform length m seen by this thread:
-    the zero-padded centred path (m float64), which the inverse transform
-    overwrites with the correlation, and its packed spectrum (m/2
-    complex128), 16 * m bytes in all.  Reusing them spares every call the
-    page faults of fresh buffers."""
-
-    m = 0
-
-    def buffers(self, m: int):
-        if m != self.m:
-            self.m, self.arrays = 0, None  # free the old buffers first
-            self.arrays = (np.empty(m), np.empty(m // 2, dtype=complex))
-            self.m = m
-        return self.arrays
-
-
-_workspace = _Workspace()
-
-
 #: c and L0 in the rule |S| * (L + L0) < c * m * log2(m) under which a
 #: lag-bounded call sums over the path's moves instead of transforming; L0
 #: is the cost of gathering one row of the sum in lags.  Measured, see the
@@ -267,7 +246,7 @@ _JUMP_SUM_ROW = 24
 _PACK_BLOCK = 8192
 
 
-def _packed_power(spec, scratch, m: int) -> None:
+def _packed_power(spec, m: int) -> None:
     """Overwrite the packed spectrum Z_k (k = 0..M-1, M = m/2) of a real
     sequence y with the H whose inverse transform is the circular
     autocorrelation of y, packed as y is: R(2j) + i R(2j+1).  With A = Z_k,
@@ -277,10 +256,11 @@ def _packed_power(spec, scratch, m: int) -> None:
         H_k = |A|^2 - v_k conj(Phi),    H_{M-k} = |B|^2 + conj(v_k conj(Phi)),
 
     and H_0 = |Z_0|^2 + 2i Re(Z_0) Im(Z_0), H_{M/2} = |Z_{M/2}|^2.  The
-    pairs are taken ``_PACK_BLOCK`` at a time; ``scratch`` (m floats) holds
-    a block's A B and squared moduli."""
+    pairs are taken ``_PACK_BLOCK`` at a time; a scratch of 4 floats per
+    pair of a block holds its A B and squared moduli."""
     big_m, half = m // 2, m // 4
     twiddles = _twiddles(m)
+    scratch = np.empty(4 * min(_PACK_BLOCK, half))
     z = spec.view(float)
     r0, i0, rh, ih = float(z[0]), float(z[1]), float(z[2 * half]), float(z[2 * half + 1])
     for start in range(1, half, _PACK_BLOCK):
@@ -347,20 +327,21 @@ def estimate_trawl(path: SampledPath, lags: Optional[int] = None) -> TrawlEstima
       so R(n) = y_0 y_n is set directly.  At a power-of-two n this m is
       exactly 2n, the next power of two.
 
-    The transforms run in a per-thread workspace of 16 * m bytes (8 MiB for
-    all lags at n = 2^18): the padded path, which also holds the scratch of
-    the step from Z to F and then receives the inverse transform, and the
-    packed spectrum, which holds F in place.  It is kept for the next call
-    of the same m and replaced when m changes; every call rewrites the whole
-    padded input, so nothing of an earlier call leaks into the result.  Only
-    the returned ``a_hat`` is freshly allocated.
+    Each call allocates the padded path (m floats) and its packed spectrum
+    (m/2 complex), 16 * m bytes (8 MiB for all lags at n = 2^18).  The step
+    from Z to H and the inverse transform run in place on the spectrum, so
+    the padded path still holds y when y_0 y_n and y_{n-l} y_n are read.
+    Besides these the call takes a block scratch of 4 * min(_PACK_BLOCK, m/4)
+    floats, the result and one temporary of L floats; freed, they go back to
+    the allocator, whose policy decides whether the next call faults them in
+    again (see ``cli``).
 
     A call with L < n first counts the steps S at which the path moves.  If
     |S| * (L + L0) < c * m * log2(m), with c = ``_JUMP_SUM_COST`` and
     L0 = ``_JUMP_SUM_ROW`` (see the module docstring), it skips the transform
-    and the workspace and sums (X_{k delta} - X_{(k+1) delta}) * y_{k-l} over
-    the k in S, gathering y in blocks of at most 2 * m floats: the defining
-    sum without its zero terms.  A call for all n lags never counts.  The
+    and sums (X_{k delta} - X_{(k+1) delta}) * y_{k-l} over the k in S,
+    gathering y in blocks of at most 2 * m floats: the defining sum without
+    its zero terms.  A call for all n lags never counts.  The
     O(n^2) oracle that evaluates the defining sum lag by lag lives in the
     tests (``tests/oracles.py``).
     """
@@ -376,27 +357,22 @@ def estimate_trawl(path: SampledPath, lags: Optional[int] = None) -> TrawlEstima
     # overflow; only then is the whole path checked.
     if not (math.isfinite(x_bar) and math.isfinite(x[n])) and not np.all(np.isfinite(x)):
         raise ValueError("path contains non-finite values")
-    if num_lags == n:
-        m = _transform_length(2 * n)
-    else:
-        m = _transform_length(n + num_lags + 1)
+    m = _transform_length(n + min(num_lags, n - 1) + 1)
+    if num_lags < n:
         moved = x[1:] != x[:-1]
         if np.count_nonzero(moved) * (num_lags + _JUMP_SUM_ROW) < _JUMP_SUM_COST * m * math.log2(m):
             a_hat = np.divide(_jump_sum(x, x_bar, moved, num_lags, 2 * m), n * delta)
             return TrawlEstimate(delta=delta, n=n, a_hat=a_hat, x_bar=x_bar)
-    pad, spec = _workspace.buffers(m)
+    pad = np.empty(m)
     y = np.subtract(x, x_bar, out=pad[: n + 1])
-    # The inverse below overwrites y, so take y_{n-l} y_n and y_0 y_n first.
-    a_hat = np.multiply(y[n : n - num_lags : -1], y[n])
-    top = y[0] * y[n]
     pad[n + 1 :] = 0.0
-    np.fft.fft(pad.view(complex), out=spec)
-    _packed_power(spec, pad, m)
-    r = np.fft.ifft(spec, out=pad.view(complex)).view(float)[: num_lags + 1]
+    spec = np.fft.fft(pad.view(complex))
+    _packed_power(spec, m)
+    r = np.fft.ifft(spec, out=spec).view(float)[: num_lags + 1]
     if num_lags == n:
-        r[n] = top
-    diff = np.subtract(r[:-1], r[1:], out=spec.view(float)[:num_lags])
-    np.subtract(diff, a_hat, out=a_hat)
+        r[n] = y[0] * y[n]
+    a_hat = np.subtract(r[:-1], r[1:])
+    np.subtract(a_hat, np.multiply(y[n : n - num_lags : -1], y[n]), out=a_hat)
     np.divide(a_hat, n * delta, out=a_hat)
     return TrawlEstimate(delta=delta, n=n, a_hat=a_hat, x_bar=x_bar)
 

@@ -265,8 +265,9 @@ def _segment(f, lo, hi, kinks, m):
 
 def _check_times(*values):
     for v in values:
-        if not np.all(np.asarray(v) >= 0):  # also rejects NaN
-            raise ValueError("time arguments must be non-negative")
+        v = np.asarray(v)
+        if not np.all((v >= 0) & (v < math.inf)):  # also rejects NaN
+            raise ValueError("time arguments must be non-negative and finite")
 
 
 @functools.lru_cache(maxsize=None)

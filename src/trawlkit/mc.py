@@ -18,10 +18,10 @@ or the worker count.
 
 With ``threads > 1`` the replications run on a thread pool inside the
 calling process.  Their heavy kernels (pocketfft, numpy's loops over large
-arrays, ``Generator`` draws) release the interpreter lock, and the
-estimator's FFT workspace is per thread, so threads overlap the work that
-dominates.  A very short replication spends a larger share of its time in
-Python under the lock and scales less.
+arrays, ``Generator`` draws) release the interpreter lock, and the estimator
+keeps no state between calls, so threads overlap the work that dominates.
+A very short replication spends a larger share of its time in Python under
+the lock and scales less.
 """
 
 from __future__ import annotations
@@ -144,8 +144,11 @@ class ExperimentConfig:
                 _check_number(name, getattr(self, name))
         if not 1 < self.varpi < 3:
             raise ValueError("varpi must lie in (1, 3)")
-        if not 0 < self.c < math.inf:
-            raise ValueError("c must be positive and finite")
+        if not 0 <= self.t < math.inf:
+            raise ValueError("t must be non-negative and finite")
+        for name in ("c", "theta", "tdep_T", "tdep_p"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if not isinstance(self.n_grid, (list, tuple)) or not self.n_grid:
             raise ValueError(f"n_grid must be a non-empty list of integers, got {self.n_grid!r}")
         object.__setattr__(self, "n_grid", tuple(_whole("n_grid", n) for n in self.n_grid))
@@ -169,6 +172,14 @@ class ExperimentConfig:
                 f"{self.theorem} needs a seed with kappa2 = 1, got kappa2 = {kappa2!r}: a_hat estimates "
                 f"kappa2 * a, and the targets and limit variances are those of a (C1's ratio cancels kappa2)"
             )
+        if _THEOREMS[self.theorem][0] == "lambda_bar":
+            self.window_for(self.n_grid[0])  # an explicit kappa outside its bounds fails here
+
+    def window_for(self, n: int) -> int:
+        """The window of lambda_bar_n at n.  The floor(e)-th derivative of
+        |x|^e is O(|x|^p) at 0, p = e - floor(e)."""
+        p = self.g.exponent - math.floor(self.g.exponent)
+        return choose_window(n, self.varpi, self.theta, self.kappa, alpha=self.trawl_model.tail_exponent, p=p)
 
     def delta_for(self, n: int) -> float:
         return self.c * n ** (-1.0 / self.varpi)
@@ -268,10 +279,7 @@ def _one_replication(cfg: ExperimentConfig, n: int, rep: int) -> float:
     head = num_head_terms(path.delta, cfg.t)
     if estimate == "psi":
         return psi_n(estimate_trawl(path, lags=min(max(head, 1), n)), cfg.g, cfg.t)
-    # The floor(e)-th derivative of |x|^e is O(|x|^p) at 0.
-    p = cfg.g.exponent - math.floor(cfg.g.exponent)
-    window = choose_window(n, cfg.varpi, cfg.theta, cfg.kappa, alpha=cfg.trawl_model.tail_exponent, p=p)
-    window = max(window, head + 1)
+    window = max(cfg.window_for(n), head + 1)
     return lambda_bar_n(estimate_trawl(path, lags=min(window, n)), cfg.g, cfg.t, window)
 
 

@@ -321,14 +321,33 @@ def test_kernels_rejects_fewer_than_one_point(tmp_path, capsys, points):
 
 
 @pytest.mark.parametrize(
-    "flag,message", [("--k4", "k4 must be non-negative and finite"), ("--lo", "time arguments must be non-negative")]
+    "flag,value,message",
+    [
+        ("--k4", "nan", "k4 must be non-negative and finite"),
+        ("--lo", "nan", "time arguments must be non-negative"),
+        ("--lo", "inf", "time arguments must be non-negative and finite"),
+        ("--hi", "inf", "time arguments must be non-negative and finite"),
+    ],
 )
-def test_kernels_rejects_nan_arguments(tmp_path, capsys, flag, message):
-    """Each once ended in a QuadratureError, a runtime error (exit 3)."""
+def test_kernels_rejects_non_finite_arguments(tmp_path, capsys, flag, value, message):
+    """Each NaN once ended in a QuadratureError, a runtime error (exit 3);
+    at an infinite end numpy's linspace warned before the exit."""
     out = tmp_path / "grid.csv"
     trawl = json.dumps({"family": "exponential", "rate": 1.0})
-    assert main(["kernels", "--trawl", trawl, flag, "nan", "--out", str(out)]) == 2
+    assert main(["kernels", "--trawl", trawl, flag, value, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_mc_rejects_an_infinite_t(tmp_path, capsys):
+    """A T5 experiment with t = Infinity once built, warned from the limit
+    covariance and exited 3 on NaN node-count checks."""
+    exp = tmp_path / "exp.json"
+    cfg = {**json.loads((EXPERIMENTS / "theorem3.json").read_text()), "theorem": "T5", "t": math.inf}
+    exp.write_text(json.dumps(cfg))
+    out = tmp_path / "result.json"
+    assert main(["mc", "--experiment", str(exp), "--out", str(out)]) == 2
+    assert "t must be non-negative and finite" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -246,7 +247,7 @@ def test_rejects_non_finite():
         estimate_trawl(SampledPath(0.1, values))
 
 
-# -- the per-thread FFT workspace -----------------------------------------
+# -- no state survives a call ---------------------------------------------
 
 
 def _random_path(n, seed, delta=0.1):
@@ -263,15 +264,25 @@ def test_estimate_does_not_alias_the_workspace():
     assert not np.shares_memory(first.a_hat, second.a_hat)
 
 
-def test_workspace_holds_16_m_bytes():
-    """The padded path and its packed spectrum, m floats and m/2 complex,
-    beside a shared read-only table of m/4 - 1 complex twiddles."""
-    estimate_trawl(_random_path(1000, 3))
-    m = _transform_length(2 * 1000)
-    assert estimators._workspace.m == m == 2000
-    assert sum(a.nbytes for a in estimators._workspace.arrays) == 16 * m
-    twiddles = estimators._twiddles(m)
-    assert len(twiddles) == m // 4 - 1 and not twiddles.flags.writeable
+def test_estimate_allocates_16_m_bytes_per_call():
+    """An all-lag estimate allocates the padded path and its packed
+    spectrum, m floats and m/2 complex, besides the result, its one
+    temporary and the block scratch of the step from Z to H.  The warm-up
+    call builds the cached twiddle table first, so it is not counted; the
+    lower bound fails if buffers are kept from one call to the next, the
+    upper one if the inverse transform copies instead of running in place."""
+    n = 2**15
+    path = _random_path(n, 3)
+    m = _transform_length(2 * n)
+    scratch = 32 * min(estimators._PACK_BLOCK, m // 4)
+    estimate_trawl(path)
+    tracemalloc.start()
+    try:
+        estimate_trawl(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 16 * m + 16 * n <= peak <= 16 * m + 16 * n + scratch
 
 
 @pytest.mark.parametrize("m", [4, 8, 12, 20, 420, 4320, 2**16])
@@ -281,13 +292,15 @@ def test_twiddles_match_the_direct_formula(m):
     105, 1080 and 2^14 here."""
     theta = np.arange(1, m // 4) * (2 * np.pi / m)
     direct = np.cos(theta) * np.exp(1j * theta) / 2
-    np.testing.assert_allclose(estimators._twiddles(m), direct, rtol=0, atol=1e-15)
+    twiddles = estimators._twiddles(m)
+    assert len(twiddles) == m // 4 - 1 and not twiddles.flags.writeable
+    np.testing.assert_allclose(twiddles, direct, rtol=0, atol=1e-15)
 
 
 def test_estimate_independent_of_call_order():
     """n = 4096 and n = 4060 share the transform length 8192 (the next
-    5-smooth multiple of 4 after 8120 is 8192), so they share one
-    workspace; a longer earlier path must leave nothing behind."""
+    5-smooth multiple of 4 after 8120 is 8192), so a buffer kept between
+    calls would be shared; a longer earlier path must leave nothing behind."""
     assert _transform_length(2 * 4060) == _transform_length(2 * 4096) == 8192
     paths = [_random_path(4096, 3), _random_path(4060, 4), _random_path(4096, 5)]
     forward = [estimate_trawl(p).a_hat for p in paths]
@@ -298,8 +311,7 @@ def test_estimate_independent_of_call_order():
 
 def test_lag_bounded_and_full_estimates_independent_of_order():
     """A lag-bounded call (m = 2304 here) and a full call (m = 4096) switch
-    the workspace between transform lengths; either order gives the same
-    bits."""
+    between transform lengths; either order gives the same bits."""
     path = _random_path(2048, 8)
     assert _transform_length(2048 + 128 + 1) == 2304 != _transform_length(2 * 2048)
     short_first = [estimate_trawl(path, lags=128).a_hat, estimate_trawl(path).a_hat]
@@ -310,7 +322,7 @@ def test_lag_bounded_and_full_estimates_independent_of_order():
 
 def test_failed_estimate_leaves_no_trace():
     """Neither a path rejected up front (NaN) nor one whose estimate
-    overflows after the workspace is filled changes the next result."""
+    overflows after its buffers are filled changes the next result."""
     path = _random_path(300, 6)
     expected = estimate_trawl(path).a_hat
     nan_path = SampledPath(0.1, np.where(np.arange(301) == 7, np.nan, 1.0))
@@ -322,11 +334,10 @@ def test_failed_estimate_leaves_no_trace():
 
 
 def test_threads_match_serial_estimates():
-    """Each thread owns its workspace: four threads (more than the cores)
-    estimating paths of different transform lengths at once, switching
-    often, reproduce the serial results.  Among them are lag-bounded
-    estimates of sparse point-sampled paths, which sum over the moves
-    instead of transforming."""
+    """Four threads (more than the cores) estimating paths of different
+    transform lengths at once, switching often, reproduce the serial
+    results.  Among them are lag-bounded estimates of sparse point-sampled
+    paths, which sum over the moves instead of transforming."""
     sizes = [64, 1000, 2100, 4096, 5000, 300, 4096, 17]
     jobs = [(_random_path(n, 10 + k), None) for k, n in enumerate(sizes)]
     for k, trawl in enumerate([ExponentialTrawl(1.0), PowerLawTrawl(1.5, 1.0)]):

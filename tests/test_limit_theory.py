@@ -195,6 +195,12 @@ def test_kernels_reject_negative_times():
         kern.sigma_a_matrix(np.array([0.5, math.nan]), 0.0)
     with pytest.raises(ValueError, match="time arguments"):
         kern.limit_cov_psi(G(2.0), math.nan, 1.0)
+    # sigma_a_matrix(inf, 1) once ended in a QuadratureError, and the limit
+    # covariance at t = inf in NaN node-count checks
+    with pytest.raises(ValueError, match="time arguments must be non-negative and finite"):
+        kern.sigma_a_matrix(math.inf, 1.0)
+    with pytest.raises(ValueError, match="time arguments must be non-negative and finite"):
+        kern.limit_cov_psi(G(2.0), math.inf, math.inf)
     for k4 in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="k4"):
             AvarKernel(EXP, k4=k4)

@@ -135,6 +135,36 @@ def test_config_validation():
         _config(theorem="T5", varpi=2.9, c=2.0, n_grid=[64])
 
 
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("t", math.inf, "t must be non-negative and finite"),
+        ("t", -0.5, "t must be non-negative and finite"),
+        ("tdep_T", math.inf, "tdep_T must be positive and finite"),
+        ("tdep_T", 0.0, "tdep_T must be positive and finite"),
+        ("tdep_p", -1.0, "tdep_p must be positive and finite"),
+        ("tdep_p", math.nan, "tdep_p must be positive and finite"),
+        ("theta", 0.0, "theta must be positive and finite"),
+        ("theta", math.inf, "theta must be positive and finite"),
+    ],
+)
+def test_unusable_times_and_exponents_fail_when_built(field, value, message):
+    """Each once built and then failed in the first replication, or, for
+    t = inf, ran to NaN limit variances and a runtime error."""
+    with pytest.raises(ValueError, match=message):
+        _config(theorem="T5", **{field: value})
+
+
+def test_t4_kappa_outside_its_bounds_fails_when_built():
+    """T4 once simulated a path before choose_window refused kappa; on an
+    exponential trawl with varpi = 2 and g(x) = x^2 the bounds are
+    (1/2, 3/4)."""
+    assert _config(theorem="T4", kappa=0.6).window_for(256) == round(256**0.6)
+    for kappa in (0.4, 0.75, 0.9):
+        with pytest.raises(ValueError, match=f"kappa={kappa} outside admissible interval"):
+            _config(theorem="T4", kappa=kappa)
+
+
 #: Seeds whose kappa2 is not 1, and the theorems that need kappa2 = 1.
 KAPPA2_SEEDS = [
     {"family": "gaussian", "mean": 0.0, "var": 2.0},
