@@ -185,7 +185,8 @@ def cmd_kernels(args) -> int:
         values = kern.sigma_a_matrix(s, r) if pair is None else kern.appendix_f(*pair, s, r)
         header, rows = ["s", "r", "value"], zip(s, r, values)
     _write_csv(args.out, header, rows)
-    _sidecar(args.out, {"command": "kernels", "trawl": trawl.to_dict(), "k4": args.k4, "what": args.what})
+    _sidecar(args.out, {"command": "kernels", "trawl": trawl.to_dict(), "k4": args.k4, "what": args.what,
+                        "lo": args.lo, "hi": args.hi, "points": args.points})
     return 0
 
 

@@ -64,9 +64,9 @@ length with a large prime factor falls back to Bluestein's algorithm,
 several times slower.  Each transform allocates 16 * m bytes, the padded
 path and its packed spectrum, and reads one cached read-only table of the
 m/4 - 1 complex v_k per length.
-The Monte Carlo harness asks for floor(t / delta) lags (at least one) for
-psi_n (T1, T5) and for the window for lambda_bar_n (T4); lambda_n (T3, T6)
-and the T-dependence ratio (C1) read all n.
+The Monte Carlo harness asks for the lags that ``functional_lags`` gives
+psi_n (T1, T5, at least one) and lambda_bar_n (T4); lambda_n (T3, T6) and
+the T-dependence ratio (C1) read all n.
 
 Sampled at a small delta, a path of an integer-valued trawl process is flat
 almost everywhere: a T5 path of the ``clt`` benchmark (n = 2^14, delta =
@@ -125,6 +125,7 @@ __all__ = [
     "lambda_n",
     "lambda_bar_n",
     "num_head_terms",
+    "functional_lags",
     "window_exponent_bounds",
     "choose_window",
 ]
@@ -395,29 +396,49 @@ def _sum_g(est: TrawlEstimate, g: TestFunction, start: int, stop: int, name: str
     return float(est.delta * np.sum(g.g(est.a_hat[start:stop])))
 
 
+def functional_lags(functional: str, n: int, delta: float, t: float, window: Optional[int] = None):
+    """(start, stop): the lags l = start..stop-1 that ``functional`` sums on a
+    path of n steps, each functional's rule for the t it can serve.
+
+    ``psi`` sums the floor(t/delta) lags below t, at most n; ``lambda`` the
+    lags from floor(t/delta) to n - 1, so floor(t/delta) <= n - 1; and
+    ``lambda_bar`` those up to ``window - 1``, so floor(t/delta) < window <= n.
+    The functionals read their lags here, and the Monte Carlo harness checks
+    its configs here, before it draws a path.
+    """
+    start = num_head_terms(delta, t)
+    if functional == "psi":
+        if start > n:
+            raise ValueError(f"t exceeds the observed horizon: psi_n sums floor(t/delta) = {start} lags, "
+                             f"more than n = {n}")
+        return 0, start
+    if functional == "lambda":
+        if start > n - 1:
+            raise ValueError(f"t exceeds the observed horizon (n-1)*delta: lambda_n starts at lag "
+                             f"floor(t/delta) = {start}, past the last lag n - 1 = {n - 1}")
+        return start, n
+    if functional == "lambda_bar":
+        if not start < window <= n:
+            raise ValueError(f"need floor(t/delta) < window <= n; got floor(t/delta) = {start}, "
+                             f"window = {window}, n = {n}")
+        return start, window
+    raise ValueError(f"unknown functional {functional!r}; choose from ('psi', 'lambda', 'lambda_bar')")
+
+
 def psi_n(est: TrawlEstimate, g: TestFunction, t: float) -> float:
     """Head-functional estimate: delta * sum_{l=0}^{floor(t/delta)-1} g(a_hat)."""
-    terms = num_head_terms(est.delta, t)
-    if terms > est.n:
-        raise ValueError("t exceeds the observed horizon (n-1)*delta")
-    return _sum_g(est, g, 0, terms, "psi_n")
+    return _sum_g(est, g, *functional_lags("psi", est.n, est.delta, t), "psi_n")
 
 
 def lambda_n(est: TrawlEstimate, g: TestFunction, t: float) -> float:
     """Tail-functional estimate: delta * sum_{l=floor(t/delta)}^{n-1} g(a_hat);
     it reads every lag, so ``est`` must hold all n."""
-    start = num_head_terms(est.delta, t)
-    if start > est.n - 1:
-        raise ValueError("t exceeds the observed horizon (n-1)*delta")
-    return _sum_g(est, g, start, est.n, "lambda_n")
+    return _sum_g(est, g, *functional_lags("lambda", est.n, est.delta, t), "lambda_n")
 
 
 def lambda_bar_n(est: TrawlEstimate, g: TestFunction, t: float, window: int) -> float:
     """Windowed tail-functional estimate, summed up to lag ``window - 1``."""
-    start = num_head_terms(est.delta, t)
-    if not start < window <= est.n:
-        raise ValueError("need floor(t/delta) < window <= n")
-    return _sum_g(est, g, start, window, "lambda_bar_n")
+    return _sum_g(est, g, *functional_lags("lambda_bar", est.n, est.delta, t, window), "lambda_bar_n")
 
 
 def window_exponent_bounds(varpi: float, alpha: float, p: float) -> tuple[float, float]:

@@ -24,7 +24,7 @@ import numpy as np
 from .estimators import TestFunction, estimate_trawl
 from .simulate import SampledPath
 
-__all__ = ["TestReport", "tau_test"]
+__all__ = ["TestReport", "tau_test", "check_tau_horizon"]
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,14 @@ class TestReport:
         return json.dumps(asdict(self), **kwargs)
 
 
+def check_tau_horizon(n: int, delta: float, T: float) -> None:
+    """Refuse a T beyond the observed horizon (n-1)*delta of a path of n
+    steps: ``tau_test``'s rule, which the Monte Carlo harness checks its
+    configs with before it draws a path."""
+    if T > (n - 1) * delta:
+        raise ValueError(f"T exceeds the observed horizon (n-1)*delta = {(n - 1) * delta!r} at n = {n}")
+
+
 def tau_test(path: SampledPath, T: float, p: float = 4.0) -> TestReport:
     """Compute the T-dependence ratio statistic on an observed path.
 
@@ -56,8 +64,7 @@ def tau_test(path: SampledPath, T: float, p: float = 4.0) -> TestReport:
     if not 0 < p < math.inf:
         raise ValueError("p must be positive and finite")
     n, delta = path.n, path.delta
-    if T > (n - 1) * delta:
-        raise ValueError("T exceeds the observed horizon (n-1)*delta")
+    check_tau_horizon(n, delta, T)
     est = estimate_trawl(path)
     powers = TestFunction(p).g(est.a_hat)
     head_terms = int(math.ceil(T / delta - 1e-12))

@@ -10,7 +10,9 @@ convergence slopes) are computed per grid point.
 The table ``_THEOREMS`` gives each tag one row, (estimate, summary), and
 the harness branches on the row's two values, never on the tag.  An
 ``ExperimentConfig`` parses its trawl, seed law and test function when it is
-built, so a malformed experiment fails before any replication runs.
+built, and checks its simulator and its times at every n of the grid by the
+rules the sampler and the statistic apply themselves, so a malformed
+experiment fails before any replication runs.
 
 Everything is deterministic given the master seed: per-replication seeds are
 derived by keyed spawning, so results do not depend on the execution order
@@ -40,15 +42,16 @@ from .estimators import (
     TestFunction,
     choose_window,
     estimate_trawl,
+    functional_lags,
     lambda_bar_n,
     lambda_n,
     num_head_terms,
     psi_n,
 )
-from .inference import tau_test
+from .inference import check_tau_horizon, tau_test
 from .limit_theory import AvarKernel
 from .models import _as_dict, _check_number, seed_from_dict, trawl_from_dict
-from .simulate import GridScheme, _write_csv, simulate
+from .simulate import GridScheme, _write_csv, check_simulator, simulate
 
 __all__ = [
     "ExperimentConfig",
@@ -116,7 +119,10 @@ class ExperimentConfig:
     ``to_dict``, ``config_hash`` and equality see only the fields as given.
     Every theorem but C1 needs a seed with kappa2 = 1: a_hat estimates
     kappa2 * a, while the targets and the limit variances are functionals
-    of a itself.
+    of a itself.  The simulator must be able to draw the seed at every n
+    (``check_simulator``), and at every n the theorem's statistic must be
+    able to read its time: ``functional_lags`` for t, ``check_tau_horizon``
+    for C1's tdep_T.
     """
 
     trawl: dict
@@ -152,6 +158,8 @@ class ExperimentConfig:
         if not isinstance(self.n_grid, (list, tuple)) or not self.n_grid:
             raise ValueError(f"n_grid must be a non-empty list of integers, got {self.n_grid!r}")
         object.__setattr__(self, "n_grid", tuple(_whole("n_grid", n) for n in self.n_grid))
+        if min(self.n_grid) < 2:
+            raise ValueError(f"n_grid entries must be at least 2, got {self.n_grid!r}")
         for name in ("replications", "threads", "master_seed"):
             object.__setattr__(self, name, _whole(name, getattr(self, name)))
         if self.replications < 1:
@@ -172,8 +180,19 @@ class ExperimentConfig:
                 f"{self.theorem} needs a seed with kappa2 = 1, got kappa2 = {kappa2!r}: a_hat estimates "
                 f"kappa2 * a, and the targets and limit variances are those of a (C1's ratio cancels kappa2)"
             )
-        if _THEOREMS[self.theorem][0] == "lambda_bar":
-            self.window_for(self.n_grid[0])  # an explicit kappa outside its bounds fails here
+        check_simulator(self.simulator, self.seed_model, max(self.n_grid))
+        estimate = _THEOREMS[self.theorem][0]
+        name = "tdep_T" if estimate == "tau" else "t"
+        for n in self.n_grid:
+            # an explicit kappa outside its bounds fails in window_for
+            window = self.window_for(n) if estimate == "lambda_bar" else None
+            try:
+                if estimate == "tau":
+                    check_tau_horizon(n, self.delta_for(n), self.tdep_T)
+                else:
+                    functional_lags(estimate, n, self.delta_for(n), self.t, window)
+            except ValueError as exc:
+                raise ValueError(f"{name} = {getattr(self, name)!r} does not fit n = {n}: {exc}") from None
 
     def window_for(self, n: int) -> int:
         """The window of lambda_bar_n at n.  The floor(e)-th derivative of
@@ -275,12 +294,12 @@ def _one_replication(cfg: ExperimentConfig, n: int, rep: int) -> float:
         return tau_test(path, T=cfg.tdep_T, p=cfg.tdep_p).scaled
     if estimate == "lambda":
         return lambda_n(estimate_trawl(path), cfg.g, cfg.t)
-    # psi_n and lambda_bar_n read only the lags below t or below the window.
-    head = num_head_terms(path.delta, cfg.t)
+    # psi_n and lambda_bar_n read only the lags below t or below the window,
+    # at most n (the config checked both).
     if estimate == "psi":
-        return psi_n(estimate_trawl(path, lags=min(max(head, 1), n)), cfg.g, cfg.t)
-    window = max(cfg.window_for(n), head + 1)
-    return lambda_bar_n(estimate_trawl(path, lags=min(window, n)), cfg.g, cfg.t, window)
+        return psi_n(estimate_trawl(path, lags=max(num_head_terms(path.delta, cfg.t), 1)), cfg.g, cfg.t)
+    window = cfg.window_for(n)
+    return lambda_bar_n(estimate_trawl(path, lags=window), cfg.g, cfg.t, window)
 
 
 def run_experiment(cfg: ExperimentConfig) -> McResult:

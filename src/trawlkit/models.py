@@ -63,15 +63,6 @@ def _as_dict(what, cfg) -> dict:
     return dict(cfg)
 
 
-def _check_area(area):
-    # A float takes one comparison: the slice sampler draws once per diagonal.
-    if isinstance(area, float):
-        if not area >= 0:
-            raise ValueError(f"area must be non-negative, got {area!r}")
-        return area
-    return _check_nonneg("area", area)
-
-
 class TrawlSpec:
     """Base class for parametric trawl functions.
 
@@ -354,7 +345,7 @@ class GaussianSeed(LevySeedSpec):
         return self.mean if m == 1 else self.var if m == 2 else 0.0
 
     def sample(self, area, rng, size=None):
-        area = _check_area(area)
+        area = _check_nonneg("area", area)
         z = rng.standard_normal(np.shape(area) if size is None else size)
         return self.mean * area + np.sqrt(self.var * area) * z
 
@@ -373,7 +364,7 @@ class PoissonSeed(LevySeedSpec):
         return self.rate
 
     def sample(self, area, rng, size=None):
-        area = _check_area(area)
+        area = _check_nonneg("area", area)
         return np.asarray(rng.poisson(self.rate * area, size), dtype=float)
 
     def jump_law(self) -> JumpLaw:
@@ -401,7 +392,7 @@ class GammaSeed(LevySeedSpec):
         return self.shape * math.factorial(m - 1) * self.scale**m
 
     def sample(self, area, rng, size=None):
-        area = _check_area(area)
+        area = _check_nonneg("area", area)
         return rng.gamma(self.shape * area, self.scale, size)
 
     @property

@@ -18,6 +18,9 @@ embedding: A is non-negative, non-increasing and convex, so the minimal
 embedding is non-negative definite (Craigmile 2003) and two real FFTs give
 an exact path (Wood & Chan 1994).
 
+``check_simulator`` states which sampler can draw which seed, for the
+dispatcher, the samplers and ``ExperimentConfig`` alike.
+
 The slice and point schemes stream through a difference array, never
 materializing the O(n^2) slice matrix.  ``slice_area`` and ``residual_area``
 are the slice scheme's geometry: the sampler draws its slices with exactly
@@ -42,6 +45,7 @@ __all__ = [
     "slice_area",
     "residual_area",
     "truncation_horizon",
+    "check_simulator",
     "simulate_slices",
     "simulate_points",
     "simulate_circulant",
@@ -50,10 +54,10 @@ __all__ = [
     "export_csv",
 ]
 
-#: Names accepted by :func:`simulate`; ``auto`` picks ``circulant`` for a
-#: Gaussian seed and ``points`` for a Poisson or Gamma seed.  ``slices`` and
-#: ``slices-exact`` sample any seed and are reached only by name.
-SIMULATORS = ("auto", "slices", "slices-exact", "points", "circulant")
+#: Names accepted by :func:`simulate`, each an exact sampler; ``auto`` picks
+#: ``circulant`` for a Gaussian seed and ``points`` for a Poisson or Gamma
+#: seed.  ``slices-exact`` samples any seed and is reached only by name.
+SIMULATORS = ("auto", "slices-exact", "points", "circulant")
 
 #: Exact mode draws O(n^2/2) slices; refuse silently quadratic work above this.
 EXACT_CAP = 4096
@@ -183,6 +187,29 @@ def _path(name, trawl, seed, scheme, values, **diagnostics) -> SampledPath:
     return SampledPath(scheme.delta, values, provenance)
 
 
+def check_simulator(method: str, seed: LevySeedSpec, n: int) -> str:
+    """The sampler that ``simulate(..., method)`` runs for ``seed`` on n
+    steps, with ``auto`` resolved by the seed family.
+
+    Raises ``ValueError``, naming the simulator, for a name outside
+    SIMULATORS, a seed the sampler cannot draw (``points`` needs a seed
+    family that defines a jump law, ``circulant`` a Gaussian seed) and
+    ``slices-exact`` above n = EXACT_CAP.  The rules read only types and n
+    and build no jump law, because the samplers check every path.
+    """
+    if method == "auto":
+        return "circulant" if isinstance(seed, GaussianSeed) else "points"
+    if method not in SIMULATORS:
+        raise ValueError(f"unknown simulator {method!r}; choose from {SIMULATORS}")
+    if method == "points" and type(seed).jump_law is LevySeedSpec.jump_law:
+        raise ValueError(f"simulator 'points' requires a Poisson or Gamma seed, got {seed!r}")
+    if method == "circulant" and not isinstance(seed, GaussianSeed):
+        raise ValueError(f"simulator 'circulant' requires a Gaussian seed, got {seed!r}")
+    if method == "slices-exact" and n > EXACT_CAP:
+        raise ValueError(f"simulator 'slices-exact' draws O(n^2) slices; n={n} exceeds cap {EXACT_CAP}")
+    return method
+
+
 def simulate_slices(
     trawl: TrawlSpec,
     seed: LevySeedSpec,
@@ -191,11 +218,15 @@ def simulate_slices(
 ) -> SampledPath:
     """Sample a path by drawing one seed variate per grid slice.
 
-    Works for any seed family.  By default slices with j - i > J, for J =
-    min(truncation_horizon(trawl, delta), n), fold into the row residual,
-    giving a per-point mean bias of at most kappa1 * tail_integral(J*delta)
-    and the analogous variance error; ``exact=True`` keeps every slice (up to
-    n = EXACT_CAP).
+    Works for any seed family.  ``exact=True`` keeps every slice (up to
+    n = EXACT_CAP): the exact sampler named ``slices-exact``.  By default
+    slices with j - i > J, for J = min(truncation_horizon(trawl, delta), n),
+    fold into the row residual, giving a per-point mean bias of at most
+    kappa1 * tail_integral(J*delta) and the analogous variance error.  No
+    simulator name selects this truncated mode; its paths record ``slices``
+    and replay through this function.  It stays only for the benchmark's
+    check of J against ``truncation_horizon``, and goes when that check
+    moves to the sampler that ``auto`` picks.
 
     Slices at a fixed offset m = j - i share one counter-based substream, so
     paths are reproducible bit-for-bit from ``scheme.master_seed`` alone.
@@ -204,8 +235,8 @@ def simulate_slices(
     ``bias_bound``.
     """
     n, delta = scheme.n, scheme.delta
-    if exact and n > EXACT_CAP:
-        raise ValueError(f"exact mode draws O(n^2) slices; n={n} exceeds cap {EXACT_CAP}")
+    if exact:
+        check_simulator("slices-exact", seed, n)
     horizon = n if exact else min(truncation_horizon(trawl, delta), n)
 
     # diff[k] accumulates contributions starting at index k and diff[k'+1]
@@ -245,10 +276,9 @@ def simulate_slices(
     diff[1 : n + 1] += res_vals
     diff[i[cut] + horizon + 2] -= res_vals[cut]
 
-    mode = "exact" if exact else "truncated"
     return _path(
-        "slices", trawl, seed, scheme, np.cumsum(diff[: n + 1]),
-        mode=mode, horizon=horizon, tail_mass=tail_mass, bias_bound=abs(seed.kappa1) * tail_mass,
+        "slices-exact" if exact else "slices", trawl, seed, scheme, np.cumsum(diff[: n + 1]),
+        horizon=horizon, tail_mass=tail_mass, bias_bound=abs(seed.kappa1) * tail_mass,
     )
 
 
@@ -310,9 +340,8 @@ def simulate_points(trawl: TrawlSpec, seed: LevySeedSpec, scheme: GridScheme) ->
     realised Poisson count as ``points`` and, for a Gamma seed, the jump-size
     ``cutoff``, the ``drift`` added to every X_k and those two shortfalls.
     """
+    check_simulator("points", seed, scheme.n)
     law = seed.jump_law()
-    if law is None:
-        raise ValueError("simulate_points requires a Poisson or Gamma seed")
     n, delta = scheme.n, scheme.delta
     rng = _substream(scheme.master_seed, 3)
 
@@ -369,8 +398,7 @@ def simulate_circulant(trawl: TrawlSpec, seed: LevySeedSpec, scheme: GridScheme)
     of irfft(sqrt(lam) * rfft(w)) have exactly that covariance: O(n log n)
     work and exact in distribution for every trawl, long memory included.
     """
-    if not isinstance(seed, GaussianSeed):
-        raise ValueError("simulate_circulant requires a Gaussian seed")
+    check_simulator("circulant", seed, scheme.n)
     n, delta = scheme.n, scheme.delta
     c = seed.kappa2 * trawl.tail_integral(delta * np.arange(n + 1))
     lam = np.fft.rfft(np.concatenate([c, c[-2:0:-1]])).real
@@ -393,16 +421,13 @@ def simulate(
     method: str = "auto",
 ) -> SampledPath:
     """Sample a path with the simulator named by ``method`` (see SIMULATORS);
-    ``slices-exact`` is the slice sampler with no truncation horizon."""
-    if method == "auto":
-        method = "circulant" if isinstance(seed, GaussianSeed) else "points"
+    ``simulate(..., path.provenance["simulator"])`` replays the path."""
+    method = check_simulator(method, seed, scheme.n)
     if method == "points":
         return simulate_points(trawl, seed, scheme)
     if method == "circulant":
         return simulate_circulant(trawl, seed, scheme)
-    if method in ("slices", "slices-exact"):
-        return simulate_slices(trawl, seed, scheme, exact=method == "slices-exact")
-    raise ValueError(f"unknown simulator {method!r}; choose from {SIMULATORS}")
+    return simulate_slices(trawl, seed, scheme, exact=True)
 
 
 def ingest_csv(path, delta: Optional[float] = None) -> SampledPath:

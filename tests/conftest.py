@@ -58,6 +58,7 @@ def short_path():
         ExponentialTrawl(1.0),
         GaussianSeed(0.0, 1.0),
         GridScheme(n=256, delta=0.1, master_seed=42),
+        exact=True,
     )
 
 

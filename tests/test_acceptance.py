@@ -25,12 +25,10 @@ from trawlkit import (
     estimate_trawl,
     ks_distance,
     run_experiment,
-    simulate_points,
-    simulate_slices,
     true_lambda,
     true_psi,
 )
-from trawlkit.simulate import SampledPath, residual_area, slice_area
+from trawlkit.simulate import SampledPath, residual_area, simulate, slice_area
 
 from oracles import AdaptiveKernel, naive_trawl_estimate
 
@@ -217,10 +215,10 @@ def test_08_simulator_exactness(report):
 
     # (b) cross-simulator agreement within 3 Monte Carlo standard errors
     trawl, seed = ExponentialTrawl(1.0), PoissonSeed(1.0)
-    per_path = {"slices": [], "points": []}
-    for name, simulate in (("slices", simulate_slices), ("points", simulate_points)):
+    per_path = {"slices-exact": [], "points": []}
+    for name in per_path:
         for rep in range(200):
-            path = simulate(trawl, seed, GridScheme(n=512, delta=0.2, master_seed=1000 + rep))
+            path = simulate(trawl, seed, GridScheme(n=512, delta=0.2, master_seed=1000 + rep), name)
             x = path.values
             xc = x - np.mean(x)
             acf1 = float(np.dot(xc[:-1], xc[1:]) / np.dot(xc, xc))
@@ -228,7 +226,7 @@ def test_08_simulator_exactness(report):
     agree_ok = True
     deviations = []
     for idx in range(3):
-        a = np.array([row[idx] for row in per_path["slices"]])
+        a = np.array([row[idx] for row in per_path["slices-exact"]])
         b = np.array([row[idx] for row in per_path["points"]])
         se = math.sqrt(np.var(a, ddof=1) / len(a) + np.var(b, ddof=1) / len(b))
         dev = abs(np.mean(a) - np.mean(b)) / se
@@ -239,8 +237,8 @@ def test_08_simulator_exactness(report):
     gamma = GammaSeed(2.0, 0.5)
     samples = []
     for rep in range(500):
-        path = simulate_slices(
-            ExponentialTrawl(1.0), gamma, GridScheme(n=100, delta=0.5, master_seed=5000 + rep)
+        path = simulate(
+            ExponentialTrawl(1.0), gamma, GridScheme(n=100, delta=0.5, master_seed=5000 + rep), "slices-exact"
         )
         samples.append(path.values[::10])  # lag 5.0 apart: correlation < 0.01
     var = float(np.var(np.concatenate(samples)))
@@ -297,15 +295,17 @@ def test_10_bitwise_determinism(report):
 
     from trawlkit import seed_from_dict, trawl_from_dict
 
-    # A Gamma path from each sampler that takes one, replayed from its provenance.
+    # A Gamma path from each sampler that takes one, replayed from its
+    # provenance, the sampler's recorded name included.
     path_ok = True
-    for simulate in (simulate_slices, simulate_points):
-        path = simulate(PowerLawTrawl(2.5, 1.0), GammaSeed(2.0, 0.5), GridScheme(n=256, delta=0.1, master_seed=99))
+    for method in ("slices-exact", "points"):
+        path = simulate(PowerLawTrawl(2.5, 1.0), GammaSeed(2.0, 0.5), GridScheme(n=256, delta=0.1, master_seed=99), method)
         prov = path.provenance
         replay = simulate(
             trawl_from_dict(prov["trawl"]),
             seed_from_dict(prov["seed_spec"]),
             GridScheme(n=prov["n"], delta=prov["delta"], master_seed=prov["master_seed"]),
+            prov["simulator"],
         )
         path_ok &= np.array_equal(path.values, replay.values)
     ok = mc_ok and path_ok

@@ -62,14 +62,16 @@ def test_simulate_flag_overrides(tmp_path, sim_spec_file):
     assert len(out.read_text().splitlines()) == 18
 
 
-def test_simulate_bad_config(tmp_path, capsys):
+def test_simulate_bad_config(tmp_path, capsys, sim_spec_file):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({**SIM_SPEC, "trawl": {"family": "nope"}}))
     assert main(["simulate", "--spec", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
     assert main(["simulate", "--spec", str(tmp_path / "missing.json"), "--out", "x.csv"]) == 2
     assert main(["simulate", "--spec", str(bad), "--method", "bogus", "--out", str(tmp_path / "x.csv")]) == 2
-    bad.write_text(json.dumps({**SIM_SPEC, "simulator": "bogus"}))
-    assert main(["simulate", "--spec", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
+    for name in ("bogus", "slices"):  # no name selects the truncated slice sampler
+        bad.write_text(json.dumps({**SIM_SPEC, "simulator": name}))
+        assert main(["simulate", "--spec", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
+        assert main(["simulate", "--spec", str(sim_spec_file), "--method", name, "--out", str(tmp_path / "x.csv")]) == 2
     bad.write_text(json.dumps({**SIM_SPEC, "horizon": 5}))
     assert main(["simulate", "--spec", str(bad), "--method", "slices-exact", "--out", str(tmp_path / "x.csv")]) == 2
     # Unknown keys are rejected by name instead of silently ignored.
@@ -487,7 +489,7 @@ def _replay_argv(sidecar, out):
         argv = [sidecar["command"], "--out", str(out)]
     for key, value in fields.items():
         if value is not None:
-            argv += ["--" + key.replace("_", "-"), str(value)]
+            argv += ["--" + key.replace("_", "-"), json.dumps(value) if isinstance(value, dict) else str(value)]
     return argv
 
 
@@ -515,6 +517,21 @@ def test_sidecar_replays_the_run(tmp_path, sim_spec_file, command, argv):
     assert main(argv) == 0
     sidecar = json.loads(Path(str(first) + ".provenance.json").read_text())
     assert sidecar["command"] == command and sidecar["delta"] == 0.05
+    assert main(_replay_argv(sidecar, again)) == 0
+    assert again.read_bytes() == first.read_bytes()
+    assert json.loads(Path(str(again) + ".provenance.json").read_text()) == sidecar
+
+
+@pytest.mark.parametrize("what", ["sigma_a", "sigma_a_sq", "f:1,2"])
+def test_kernels_sidecar_replays_the_run(tmp_path, what):
+    """The kernels sidecar records the grid (--lo, --hi, --points) besides the
+    trawl, k4 and what: rerunning from its fields rewrites the same bytes."""
+    first, again = tmp_path / "first.csv", tmp_path / "again.csv"
+    trawl = json.dumps({"family": "exponential", "rate": 1.0})
+    argv = ["kernels", "--trawl", trawl, "--k4", "1.0", "--what", what, "--lo", "0.5", "--hi", "3", "--points", "4"]
+    assert main(argv + ["--out", str(first)]) == 0
+    sidecar = json.loads(Path(str(first) + ".provenance.json").read_text())
+    assert (sidecar["lo"], sidecar["hi"], sidecar["points"]) == (0.5, 3.0, 4)
     assert main(_replay_argv(sidecar, again)) == 0
     assert again.read_bytes() == first.read_bytes()
     assert json.loads(Path(str(again) + ".provenance.json").read_text()) == sidecar

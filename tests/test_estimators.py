@@ -29,11 +29,11 @@ from trawlkit import (
     num_head_terms,
     psi_n,
     simulate_points,
-    simulate_slices,
     window_exponent_bounds,
 )
 from trawlkit import estimators
 from trawlkit.estimators import _fast_length, _transform_length
+from trawlkit.simulate import simulate
 
 from oracles import naive_trawl_estimate
 
@@ -195,7 +195,7 @@ def test_fft_keeps_digits_on_a_large_mean():
 def test_estimator_consistency():
     """On a long path, a_hat should approach the true trawl function."""
     trawl = ExponentialTrawl(1.0)
-    path = simulate_slices(
+    path = simulate(
         trawl, GaussianSeed(0.0, 1.0), GridScheme(n=60_000, delta=0.05, master_seed=17)
     )
     est = estimate_trawl(path)

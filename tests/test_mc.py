@@ -118,8 +118,9 @@ def test_config_validation():
         _config(varpi=3.5)
     with pytest.raises(ValueError):
         _config(replications=0)
-    with pytest.raises(ValueError):
-        _config(n_grid=[])
+    for n_grid in ([], [1, 256]):
+        with pytest.raises(ValueError, match="n_grid"):
+            _config(n_grid=n_grid)
     for threads in (0, -3):
         with pytest.raises(ValueError, match="threads"):
             _config(threads=threads)
@@ -129,7 +130,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({"trawl": {}, "bogus_field": 1})
     with pytest.raises(ValueError, match="unknown simulator"):
-        run_experiment(_config(simulator="bogus"))  # rejected by the dispatcher
+        _config(simulator="bogus")  # rejected when the config is built
     # CLT regime guard: n * delta^3 must vanish
     with pytest.raises(ValueError):
         _config(theorem="T5", varpi=2.9, c=2.0, n_grid=[64])
@@ -163,6 +164,57 @@ def test_t4_kappa_outside_its_bounds_fails_when_built():
     for kappa in (0.4, 0.75, 0.9):
         with pytest.raises(ValueError, match=f"kappa={kappa} outside admissible interval"):
             _config(theorem="T4", kappa=kappa)
+
+
+GAUSSIAN = {"family": "gaussian", "mean": 0.0, "var": 1.0}
+
+#: Configs that a replication could not serve, each refused when it is
+#: built, and the message that names the field (and n).  At n = 4096,
+#: varpi = 2 and c = 1, delta = 1/64 and the horizon (n - 1) delta is about
+#: 64; at n = 256 the T4 window is 32 and t = 3 holds 48 head lags.
+LATE_FAILURES = {
+    "unknown": ({"simulator": "bogus"}, "simulator"),
+    "old-slices-name": ({"simulator": "slices"}, "simulator"),
+    "circulant-poisson": ({"simulator": "circulant"}, "simulator"),
+    "points-gaussian": ({"simulator": "points", "seed_spec": GAUSSIAN}, "simulator"),
+    "slices-exact-above-cap": ({"simulator": "slices-exact", "n_grid": [256, 8192]}, "simulator"),
+    "C1-T": ({"theorem": "C1", "tdep_T": 100.0, "n_grid": [4096]}, "tdep_T = 100.0 does not fit n = 4096"),
+    "T1-t": ({"theorem": "T1", "t": 100.0, "n_grid": [4096]}, "t = 100.0 does not fit n = 4096"),
+    "T3-t": ({"theorem": "T3", "t": 100.0, "n_grid": [4096]}, "t = 100.0 does not fit n = 4096"),
+    "T5-t": ({"theorem": "T5", "t": 100.0, "n_grid": [4096]}, "t = 100.0 does not fit n = 4096"),
+    "T4-window": ({"theorem": "T4", "t": 3.0, "n_grid": [256]}, "t = 3.0 does not fit n = 256: .*window = 32"),
+}
+
+
+@pytest.mark.parametrize("overrides,message", LATE_FAILURES.values(), ids=LATE_FAILURES)
+def test_late_failures_fail_when_built(tmp_path, monkeypatch, overrides, message):
+    """Each config fails when it is built, with an error that names the
+    field (and n), and exits 2 through ``trawlkit mc``; no path is drawn."""
+    from trawlkit import mc
+    from trawlkit.cli import main
+
+    drawn = []
+    monkeypatch.setattr(mc, "simulate", lambda *args: drawn.append(args))
+    with pytest.raises(ValueError, match=message):
+        run_experiment(_config(**overrides))
+    exp = tmp_path / "exp.json"
+    exp.write_text(json.dumps({**_config().to_dict(), **overrides}))
+    assert main(["mc", "--experiment", str(exp), "--out", str(tmp_path / "o.json")]) == 2
+    assert drawn == [] and not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("theorem,field,last_lag", [("T1", "t", 256), ("T3", "t", 255), ("T4", "t", 31), ("C1", "tdep_T", 255)])
+def test_largest_admissible_time_runs(theorem, field, last_lag):
+    """At n = 256 and delta = 1/16 the largest time each statistic can read,
+    last_lag * delta, still runs; one step more fails when built.  psi_n
+    sums floor(t/delta) <= n lags, lambda_n starts at lag floor(t/delta)
+    <= n - 1, lambda_bar_n needs floor(t/delta) below its window of 32, and
+    tau needs T <= (n - 1) delta."""
+    base = {"theorem": theorem, "n_grid": [256], "replications": 2}
+    res = run_experiment(_config(**base, **{field: last_lag / 16}))
+    assert all(math.isfinite(stat) for _, _, stat in res.raw_rows())
+    with pytest.raises(ValueError, match=f"{field} = {(last_lag + 1) / 16!r} does not fit n = 256"):
+        _config(**base, **{field: (last_lag + 1) / 16})
 
 
 #: Seeds whose kappa2 is not 1, and the theorems that need kappa2 = 1.
@@ -231,7 +283,7 @@ def test_config_hash_stable_and_sensitive():
 )
 def test_run_deterministic_and_thread_invariant(overrides):
     """One pool serves the whole n-grid, and T5 centres after the gather.
-    Every sampler (points, slices, circulant) and statistic gives the serial
+    Every sampler (points, circulant) and statistic gives the serial
     bits on 2 and 3 threads, with the interpreter switching threads as often
     as it can."""
     res1 = run_experiment(_config(n_grid=[128, 256], **overrides))
@@ -266,11 +318,11 @@ def test_thread_pool_leaves_no_thread_running():
 
 
 def test_simulator_choices_agree_in_law():
-    slices = run_experiment(_config(simulator="slices", replications=30))
+    slices = run_experiment(_config(simulator="slices-exact", replications=30))
     points = run_experiment(_config(simulator="points", replications=30))
     assert slices.summaries[256]["mean"] == pytest.approx(points.summaries[256]["mean"], abs=0.3)
     with pytest.raises(ValueError):
-        run_experiment(_config(simulator="bogus"))
+        _config(simulator="bogus")
 
 
 def test_theorem3_summary_structure():
@@ -324,9 +376,12 @@ def test_t5_statistic_centered():
 
 def test_t4_window_clears_a_head_count_just_below_an_integer():
     # delta = 0.4 * 16^(-1/2) = 0.1 and 0.3 / 0.1 = 2.9999999999999996, while
-    # lambda_bar_n counts floor(t / delta + 1e-12) = 3 head lags.
-    cfg = _config(theorem="T4", n_grid=[16], c=0.4, t=0.3, theta=0.1, replications=4)
-    assert cfg.t / cfg.delta_for(16) < 3
+    # lambda_bar_n counts floor(t / delta + 1e-12) = 3 head lags.  The build
+    # counts them by the same rule: window 3 fails there, and window 4 runs.
+    with pytest.raises(ValueError, match="t = 0.3 does not fit n = 16: .*window = 3"):
+        _config(theorem="T4", n_grid=[16], c=0.4, t=0.3, theta=0.6, replications=4)
+    cfg = _config(theorem="T4", n_grid=[16], c=0.4, t=0.3, theta=0.7, replications=4)
+    assert cfg.t / cfg.delta_for(16) < 3 and cfg.window_for(16) == 4
     res = run_experiment(cfg)
     assert all(math.isfinite(stat) for _, _, stat in res.raw_rows())
 

@@ -121,16 +121,16 @@ def _marginal_check(values, trawl, seed, tol_sd):
     [ExponentialTrawl(1.0), PowerLawTrawl(2.5, 1.0), CompactTriangleTrawl(1.5)],
     ids=repr,
 )
-def test_slices_marginal_moments(trawl, seed_spec):
+def test_marginal_moments(trawl, seed_spec):
     scheme = GridScheme(n=12000, delta=0.1, master_seed=7)
-    path = simulate_slices(trawl, seed_spec, scheme)
+    path = simulate(trawl, seed_spec, scheme)
     _marginal_check(path.values, trawl, seed_spec, tol_sd=0.3)
 
 
-def test_slices_autocorrelation():
+def test_autocorrelation():
     trawl = ExponentialTrawl(1.0)
     scheme = GridScheme(n=60_000, delta=0.1, master_seed=3)
-    path = simulate_slices(trawl, GaussianSeed(0.0, 1.0), scheme)
+    path = simulate(trawl, GaussianSeed(0.0, 1.0), scheme)
     x = path.values - np.mean(path.values)
     for lag in [1, 5, 10]:
         acf = float(np.dot(x[:-lag], x[lag:]) / np.dot(x, x))
@@ -140,10 +140,10 @@ def test_slices_autocorrelation():
 def test_points_matches_slices_in_law():
     trawl, seed = ExponentialTrawl(1.0), PoissonSeed(1.0)
     means, variances = [], []
-    for simulate in (simulate_slices, simulate_points):
+    for method in ("slices-exact", "points"):
         vals = np.concatenate(
             [
-                simulate(trawl, seed, GridScheme(n=500, delta=0.2, master_seed=k)).values
+                simulate(trawl, seed, GridScheme(n=500, delta=0.2, master_seed=k), method).values
                 for k in range(40)
             ]
         )
@@ -414,13 +414,15 @@ def test_simulate_slices_exact_is_the_exact_horizon():
     trawl, seed = PowerLawTrawl(2.5, 1.0), GaussianSeed(0.0, 1.0)
     path = simulate(trawl, seed, GridScheme(n=100, delta=0.1, master_seed=4), "slices-exact")
     expect = simulate_slices(trawl, seed, GridScheme(n=100, delta=0.1, master_seed=4), exact=True)
-    assert path.provenance["mode"] == "exact" and path.provenance["horizon"] == 100
+    assert path.provenance["simulator"] == "slices-exact" and path.provenance["horizon"] == 100
     np.testing.assert_array_equal(path.values, expect.values)
 
 
 def test_simulate_rejects_unknown_method():
-    with pytest.raises(ValueError, match="unknown simulator"):
-        simulate(ExponentialTrawl(1.0), PoissonSeed(1.0), GridScheme(n=10, delta=0.1), "exact")
+    """No name selects the truncated slice sampler: ``slices`` is unknown."""
+    for method in ("exact", "slices"):
+        with pytest.raises(ValueError, match="unknown simulator .*'slices-exact'"):
+            simulate(ExponentialTrawl(1.0), PoissonSeed(1.0), GridScheme(n=10, delta=0.1), method)
 
 
 # -- determinism ---------------------------------------------------------
@@ -428,10 +430,10 @@ def test_simulate_rejects_unknown_method():
 
 def test_slices_deterministic_from_master_seed(trawl, seed_spec):
     scheme = GridScheme(n=128, delta=0.1, master_seed=11)
-    a = simulate_slices(trawl, seed_spec, scheme)
-    b = simulate_slices(trawl, seed_spec, scheme)
+    a = simulate_slices(trawl, seed_spec, scheme, exact=True)
+    b = simulate_slices(trawl, seed_spec, scheme, exact=True)
     np.testing.assert_array_equal(a.values, b.values)
-    c = simulate_slices(trawl, seed_spec, GridScheme(n=128, delta=0.1, master_seed=12))
+    c = simulate_slices(trawl, seed_spec, GridScheme(n=128, delta=0.1, master_seed=12), exact=True)
     assert not np.array_equal(a.values, c.values)
 
 
@@ -517,48 +519,57 @@ def test_sum_marks_matches_a_dense_running_sum(n, points):
     assert _sum_marks(n, starts, ends, marks).tobytes() == expected.tobytes()
 
 
-def test_provenance_reproduces_path(trawl, seed_spec):
+def _replay(prov):
+    """The path that ``simulate`` draws from a provenance's fields alone."""
     from trawlkit import seed_from_dict, trawl_from_dict
 
-    path = simulate_slices(trawl, seed_spec, GridScheme(n=64, delta=0.2, master_seed=5))
-    prov = path.provenance
-    again = simulate_slices(
-        trawl_from_dict(prov["trawl"]),
-        seed_from_dict(prov["seed_spec"]),
-        GridScheme(n=prov["n"], delta=prov["delta"], master_seed=prov["master_seed"]),
-    )
-    np.testing.assert_array_equal(path.values, again.values)
-
-
-def test_circulant_provenance_reproduces_path(trawl):
-    from trawlkit import seed_from_dict, trawl_from_dict
-
-    path = simulate_circulant(trawl, GaussianSeed(0.3, 2.0), GridScheme(n=64, delta=0.2, master_seed=5))
-    prov = path.provenance
-    again = simulate(
+    return simulate(
         trawl_from_dict(prov["trawl"]),
         seed_from_dict(prov["seed_spec"]),
         GridScheme(n=prov["n"], delta=prov["delta"], master_seed=prov["master_seed"]),
         prov["simulator"],
     )
-    np.testing.assert_array_equal(path.values, again.values)
+
+
+def test_provenance_reproduces_path(trawl, seed_spec):
+    path = simulate(trawl, seed_spec, GridScheme(n=64, delta=0.2, master_seed=5), "slices-exact")
+    np.testing.assert_array_equal(path.values, _replay(path.provenance).values)
+
+
+def test_slices_exact_replays_through_its_recorded_name():
+    """The exponential trawl's horizon J = 185 cuts the rows of a truncated
+    path here, so only the recorded name ``slices-exact`` replays the path."""
+    trawl, seed = ExponentialTrawl(1.0), GaussianSeed(0.0, 1.0)
+    path = simulate(trawl, seed, GridScheme(n=300, delta=0.1, master_seed=9), "slices-exact")
+    assert truncation_horizon(trawl, 0.1) < 300
+    assert path.provenance["simulator"] == "slices-exact"
+    assert path.values.tobytes() == _replay(path.provenance).values.tobytes()
+
+
+def test_circulant_provenance_reproduces_path(trawl):
+    path = simulate_circulant(trawl, GaussianSeed(0.3, 2.0), GridScheme(n=64, delta=0.2, master_seed=5))
+    np.testing.assert_array_equal(path.values, _replay(path.provenance).values)
 
 
 @pytest.mark.parametrize(
     "method,seed,diagnostics",
     [
-        ("slices", GammaSeed(2.0, 0.5), {"mode", "horizon", "tail_mass", "bias_bound"}),
-        ("slices-exact", GammaSeed(2.0, 0.5), {"mode", "horizon", "tail_mass", "bias_bound"}),
+        ("slices", GammaSeed(2.0, 0.5), {"horizon", "tail_mass", "bias_bound"}),
+        ("slices-exact", GammaSeed(2.0, 0.5), {"horizon", "tail_mass", "bias_bound"}),
         ("points", PoissonSeed(1.0), {"expected_points", "points"}),
         ("circulant", GaussianSeed(0.0, 1.0), {"min_eigenvalue_ratio"}),
         ("points", GammaSeed(2.0, 0.5), {"expected_points", "points", "cutoff", "drift", "dropped_variance", "dropped_kappa4"}),
     ],
 )
 def test_provenance_schema(method, seed, diagnostics):
-    """Every sampler records the same replay keys plus its own diagnostics,
-    all JSON-serialisable."""
+    """Every sampler records its name, the same replay keys and its own
+    diagnostics, all JSON-serialisable.  ``slices`` is the truncated slice
+    sampler, which only ``simulate_slices`` itself runs; the benchmark reads
+    its ``horizon``."""
     trawl, scheme = PowerLawTrawl(2.5, 1.0), GridScheme(n=64, delta=0.2, master_seed=5)
-    prov = simulate(trawl, seed, scheme, method).provenance
+    path = simulate_slices(trawl, seed, scheme) if method == "slices" else simulate(trawl, seed, scheme, method)
+    prov = path.provenance
+    assert prov["simulator"] == method
     assert set(prov) == {"simulator", "n", "delta", "master_seed", "trawl", "seed_spec"} | diagnostics
     assert json.loads(json.dumps(prov)) == prov
     if "tail_mass" in prov:
@@ -568,13 +579,13 @@ def test_provenance_schema(method, seed, diagnostics):
         assert prov["min_eigenvalue_ratio"] == np.min(lam) / np.max(lam) > 0
 
 
-@pytest.mark.parametrize("sampler", [simulate_slices, simulate_points], ids=lambda f: f.__name__)
-def test_provenance_records_master_seed(sampler):
+@pytest.mark.parametrize("method", ["slices-exact", "points"])
+def test_provenance_records_master_seed(method):
     """Each sampler draws only from its master seed and records that seed."""
     trawl, seed = ExponentialTrawl(1.0), PoissonSeed(1.0)
-    path = sampler(trawl, seed, GridScheme(n=64, delta=0.2, master_seed=5))
+    path = simulate(trawl, seed, GridScheme(n=64, delta=0.2, master_seed=5), method)
     assert path.provenance["master_seed"] == 5 and "rng" not in path.provenance
-    other = sampler(trawl, seed, GridScheme(n=64, delta=0.2, master_seed=6))
+    other = simulate(trawl, seed, GridScheme(n=64, delta=0.2, master_seed=6), method)
     assert other.provenance["master_seed"] == 6
     assert not np.array_equal(path.values, other.values)
 
@@ -615,7 +626,7 @@ def test_sampled_path_validation():
 
 def test_csv_round_trip(tmp_path):
     path = simulate_slices(
-        ExponentialTrawl(1.0), GaussianSeed(0.0, 1.0), GridScheme(n=50, delta=0.1, master_seed=2)
+        ExponentialTrawl(1.0), GaussianSeed(0.0, 1.0), GridScheme(n=50, delta=0.1, master_seed=2), exact=True
     )
     out = tmp_path / "path.csv"
     export_csv(path, out)
@@ -678,7 +689,7 @@ def test_ingest_rejects_garbage(tmp_path):
 @given(n=st.integers(4, 40), master=st.integers(0, 2**31))
 def test_path_length_invariant(n, master):
     path = simulate_slices(
-        ExponentialTrawl(1.0), GaussianSeed(0.0, 1.0), GridScheme(n=n, delta=0.1, master_seed=master)
+        ExponentialTrawl(1.0), GaussianSeed(0.0, 1.0), GridScheme(n=n, delta=0.1, master_seed=master), exact=True
     )
     assert len(path.values) == n + 1
     assert path.n == n
