@@ -228,11 +228,11 @@ def simulate_slices(
     check of J against ``truncation_horizon``, and goes when that check
     moves to the sampler that ``auto`` picks.
 
-    Slices at a fixed offset m = j - i share one counter-based substream, so
-    paths are reproducible bit-for-bit from ``scheme.master_seed`` alone.
-    The provenance records J as ``horizon``, tail_integral(J*delta) as
-    ``tail_mass`` and the mean-bias bound |kappa1| * tail_mass as
-    ``bias_bound``.
+    Every slice is drawn from one counter-based substream, in the order row
+    0, the diagonals m = 0, 1, ... in turn, then the row residuals, so paths
+    replay bit-for-bit from ``scheme.master_seed`` alone.  The provenance
+    records J as ``horizon``, tail_integral(J*delta) as ``tail_mass`` and
+    the mean-bias bound |kappa1| * tail_mass as ``bias_bound``.
     """
     n, delta = scheme.n, scheme.delta
     if exact:
@@ -244,10 +244,10 @@ def simulate_slices(
     diff = np.zeros(n + 2)
 
     # Row 0 (the infinite past): slices j = 0..J-1, residual
-    # tail_integral(J*delta) active for every k.  The two scalar areas here,
-    # this residual and the cut-row area B(J + 1) below, stay 0-d: numpy's
-    # scalar pow can differ from its array pow in the last bit, and the 0-d
-    # forms keep paths bitwise equal to those drawn by earlier releases.
+    # tail_integral(J*delta) active for every k.  This residual is drawn with
+    # exactly the tail_mass that the provenance records: it and the cut-row
+    # area B(J + 1) below stay 0-d, since numpy's scalar pow can differ from
+    # its array pow in the last bit.
     tail_mass = float(trawl.tail_integral(horizon * delta))
     g = _substream(scheme.master_seed, 0)
     row0 = seed.sample(slice_area(trawl, delta, 0, np.arange(horizon)), g)
@@ -260,7 +260,7 @@ def simulate_slices(
     diagonals = slice_area(trawl, delta, 1, np.arange(1, min(horizon, n - 2) + 2))
     for m, area in enumerate(diagonals.tolist()):
         count = n - m - 1
-        vals = seed.sample(area, _substream(scheme.master_seed, 1, m), count) if area > 0 else np.zeros(count)
+        vals = seed.sample(area, g, count) if area > 0 else np.zeros(count)
         diff[1 : count + 1] += vals  # start at k = i
         diff[m + 2 : m + 2 + count] -= vals  # end after k = i + m
 
@@ -272,7 +272,7 @@ def simulate_slices(
     i = np.arange(1, n + 1)
     cut = n - i > horizon  # never in exact mode, where J = n
     res_areas = np.where(cut, _interval_mass(trawl, delta, float(horizon + 1)), residual_area(trawl, delta, n, i))
-    res_vals = seed.sample(res_areas, _substream(scheme.master_seed, 2))
+    res_vals = seed.sample(res_areas, g)
     diff[1 : n + 1] += res_vals
     diff[i[cut] + horizon + 2] -= res_vals[cut]
 
