@@ -401,12 +401,17 @@ def functional_lags(functional: str, n: int, delta: float, t: float, window: Opt
     path of n steps, each functional's rule for the t it can serve.
 
     ``psi`` sums the floor(t/delta) lags below t, at most n; ``lambda`` the
-    lags from floor(t/delta) to n - 1, so floor(t/delta) <= n - 1; and
-    ``lambda_bar`` those up to ``window - 1``, so floor(t/delta) < window <= n.
-    The functionals read their lags here, and the Monte Carlo harness checks
-    its configs here, before it draws a path.
+    lags from floor(t/delta) to n - 1, so floor(t/delta) <= n - 1;
+    ``lambda_bar`` those up to ``window - 1``, so floor(t/delta) < window <= n;
+    and ``tau``'s head the ceil(t/delta) lags below t = T, for T <= (n-1)*delta.
+    The functionals and ``tau_test`` read their lags here, and the Monte Carlo
+    harness checks its configs here, before it draws a path.
     """
     start = num_head_terms(delta, t)
+    if functional == "tau":
+        if t > (n - 1) * delta:
+            raise ValueError(f"T exceeds the observed horizon (n-1)*delta = {(n - 1) * delta!r} at n = {n}")
+        return 0, int(math.ceil(t / delta - 1e-12))
     if functional == "psi":
         if start > n:
             raise ValueError(f"t exceeds the observed horizon: psi_n sums floor(t/delta) = {start} lags, "
@@ -422,7 +427,7 @@ def functional_lags(functional: str, n: int, delta: float, t: float, window: Opt
             raise ValueError(f"need floor(t/delta) < window <= n; got floor(t/delta) = {start}, "
                              f"window = {window}, n = {n}")
         return start, window
-    raise ValueError(f"unknown functional {functional!r}; choose from ('psi', 'lambda', 'lambda_bar')")
+    raise ValueError(f"unknown functional {functional!r}; choose from ('psi', 'lambda', 'lambda_bar', 'tau')")
 
 
 def psi_n(est: TrawlEstimate, g: TestFunction, t: float) -> float:

@@ -29,7 +29,7 @@ import numpy as np
 from .estimators import TestFunction
 from .models import TrawlSpec
 
-__all__ = ["QuadratureError", "AvarKernel"]
+__all__ = ["QuadratureError", "AvarKernel", "check_tail_clt"]
 
 #: Gauss nodes per panel (coarse, fine): of Phi, and per axis of a covariance.
 _INNER_NODES = (24, 32)
@@ -119,11 +119,7 @@ class AvarKernel:
         exponent p > 3 unless the trawl is compact.
         """
         _check_times(t, s)
-        if g.exponent <= 3.0 and not self.trawl.support_end < math.inf:
-            raise ValueError(
-                "tail CLT needs a test function of power order > 3 (quadratic g has a "
-                "non-central limit instead); got exponent {:g}".format(g.exponent)
-            )
+        check_tail_clt(self.trawl, g)
         end = self.trawl.support_end
         if end < math.inf:
             return self._limit_cov(g, (min(t, end), end, min(s, end), end))
@@ -236,6 +232,17 @@ class AvarKernel:
             for l2 in range(l1 + 1, 5):
                 total += self.appendix_f(l1, l2, s, r) + self.appendix_f(l1, l2, r, s)
         return abs(total - self.sigma_a_matrix(s, r))
+
+
+def check_tail_clt(trawl: TrawlSpec, g: TestFunction) -> None:
+    """Refuse a tail CLT whose dg(a(u)) factor does not decay: an exponent
+    p <= 3 on a trawl that is not compact.  It reads only p and the trawl's
+    support, so configs are checked by it without any quadrature."""
+    if g.exponent <= 3.0 and not trawl.support_end < math.inf:
+        raise ValueError(
+            "tail CLT needs a test function of power order > 3 (quadratic g has a "
+            "non-central limit instead); got exponent {:g}".format(g.exponent)
+        )
 
 
 def _elementwise(rule, s, r, what):

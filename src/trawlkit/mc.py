@@ -48,8 +48,8 @@ from .estimators import (
     num_head_terms,
     psi_n,
 )
-from .inference import check_tau_horizon, tau_test
-from .limit_theory import AvarKernel
+from .inference import tau_test
+from .limit_theory import AvarKernel, check_tail_clt
 from .models import _as_dict, _check_number, seed_from_dict, trawl_from_dict
 from .simulate import GridScheme, _write_csv, check_simulator, simulate
 
@@ -91,8 +91,7 @@ def test_function_from_dict(cfg) -> TestFunction:
 
 def true_psi(trawl, g: TestFunction, t: float) -> float:
     """Ground-truth head functional ``int_0^t g(a(s)) ds`` of g(x) = |x|^p."""
-    p = g.exponent
-    return float(trawl.power_tail_integral(0.0, p) - trawl.power_tail_integral(t, p))
+    return float(trawl.head_integral(t, g.exponent))
 
 
 def true_lambda(trawl, g: TestFunction, t: float) -> float:
@@ -121,8 +120,9 @@ class ExperimentConfig:
     kappa2 * a, while the targets and the limit variances are functionals
     of a itself.  The simulator must be able to draw the seed at every n
     (``check_simulator``), and at every n the theorem's statistic must be
-    able to read its time: ``functional_lags`` for t, ``check_tau_horizon``
-    for C1's tdep_T.
+    able to read its time, t or C1's tdep_T (``functional_lags``).  A tail
+    target must be finite, and a tail CLT's limit must exist
+    (``check_tail_clt``); both rules are closed forms.
     """
 
     trawl: dict
@@ -181,16 +181,20 @@ class ExperimentConfig:
                 f"kappa2 * a, and the targets and limit variances are those of a (C1's ratio cancels kappa2)"
             )
         check_simulator(self.simulator, self.seed_model, max(self.n_grid))
-        estimate = _THEOREMS[self.theorem][0]
+        estimate, summary_kind = _THEOREMS[self.theorem]
+        if estimate in ("lambda", "lambda_bar"):  # the tail target, infinite at p * alpha <= 1
+            try:
+                self.trawl_model.power_tail_integral(self.t, self.g.exponent)
+                if summary_kind == "clt":
+                    check_tail_clt(self.trawl_model, self.g)
+            except ValueError as exc:
+                raise ValueError(f"test_function = {self.test_function!r} does not fit {self.theorem}: {exc}") from None
         name = "tdep_T" if estimate == "tau" else "t"
         for n in self.n_grid:
             # an explicit kappa outside its bounds fails in window_for
             window = self.window_for(n) if estimate == "lambda_bar" else None
             try:
-                if estimate == "tau":
-                    check_tau_horizon(n, self.delta_for(n), self.tdep_T)
-                else:
-                    functional_lags(estimate, n, self.delta_for(n), self.t, window)
+                functional_lags(estimate, n, self.delta_for(n), getattr(self, name), window)
             except ValueError as exc:
                 raise ValueError(f"{name} = {getattr(self, name)!r} does not fit n = {n}: {exc}") from None
 

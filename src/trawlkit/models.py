@@ -47,6 +47,12 @@ def _check_nonneg(name, value):
     return arr
 
 
+def _check_power(p):
+    if not 0 < p < math.inf:
+        raise ValueError("p must be positive and finite")
+    return p
+
+
 def _check_number(name, value):
     """``value`` itself if it is a real number; a string, list or None is a
     config error that names ``name``."""
@@ -89,10 +95,13 @@ class TrawlSpec:
 
     def power_tail_integral(self, t, p):
         """``int_t^inf a(s)^p ds`` for t >= 0 and p > 0."""
-        t = _check_nonneg("t", t)
-        if not 0 < p < math.inf:
-            raise ValueError("p must be positive and finite")
-        return self._power_tail(t, p)
+        return self._power_tail(_check_nonneg("t", t), _check_power(p))
+
+    def head_integral(self, t, p):
+        """``int_0^t a(s)^p ds`` for t >= 0 and p > 0, as the difference of
+        two power tail integrals; a family whose tails can be infinite while
+        the head is finite gives it in closed form."""
+        return self.power_tail_integral(0.0, p) - self.power_tail_integral(t, p)
 
     def inverse_a(self, y):
         """``sup{s : a(s) >= y}`` for 0 < y <= a(0) = 1."""
@@ -167,6 +176,14 @@ class PowerLawTrawl(TrawlSpec):
         if q <= 1:
             raise ValueError("need p * alpha > 1 for a finite integral")
         return self.scale / (q - 1) * (1.0 + t / self.scale) ** (1.0 - q)
+
+    def head_integral(self, t, p):
+        """``scale/(1 - q) ((1 + t/scale)^(1-q) - 1)`` with q = p * alpha, and
+        ``scale log1p(t/scale)`` at q = 1: finite for every q, also where
+        both power tails are infinite (q <= 1)."""
+        q = _check_power(p) * self.alpha
+        x = np.log1p(_check_nonneg("t", t) / self.scale)
+        return self.scale * (x if q == 1 else np.expm1((1.0 - q) * x) / (1.0 - q))
 
     def _inverse_a(self, y):
         return self.scale * (y ** (-1.0 / self.alpha) - 1.0)

@@ -167,6 +167,9 @@ def test_t4_kappa_outside_its_bounds_fails_when_built():
 
 
 GAUSSIAN = {"family": "gaussian", "mean": 0.0, "var": 1.0}
+#: With g = |x|^0.6, q = p * alpha = 0.9: the head functional is finite, every tail infinite.
+POWER_LAW_15 = {"family": "powerlaw", "alpha": 1.5, "scale": 1.0}
+ROOT_06 = {"kind": "power", "exponent": 0.6}
 
 #: Configs that a replication could not serve, each refused when it is
 #: built, and the message that names the field (and n).  At n = 4096,
@@ -183,6 +186,14 @@ LATE_FAILURES = {
     "T3-t": ({"theorem": "T3", "t": 100.0, "n_grid": [4096]}, "t = 100.0 does not fit n = 4096"),
     "T5-t": ({"theorem": "T5", "t": 100.0, "n_grid": [4096]}, "t = 100.0 does not fit n = 4096"),
     "T4-window": ({"theorem": "T4", "t": 3.0, "n_grid": [256]}, "t = 3.0 does not fit n = 256: .*window = 32"),
+    # int_t^inf |a|^p is infinite at q = p * alpha <= 1, and T6's limit needs p > 3 off a compact trawl
+    "T3-infinite-target": ({"theorem": "T3", "trawl": POWER_LAW_15, "test_function": ROOT_06},
+                            r"test_function = .* does not fit T3: need p \* alpha > 1"),
+    "T4-infinite-target": ({"theorem": "T4", "trawl": POWER_LAW_15, "test_function": ROOT_06},
+                            r"test_function = .* does not fit T4: need p \* alpha > 1"),
+    "T6-infinite-target": ({"theorem": "T6", "trawl": POWER_LAW_15, "test_function": ROOT_06},
+                            r"test_function = .* does not fit T6: need p \* alpha > 1"),
+    "T6-exponent": ({"theorem": "T6"}, "test_function = .* does not fit T6: tail CLT needs .* order > 3"),
 }
 
 
@@ -196,11 +207,21 @@ def test_late_failures_fail_when_built(tmp_path, monkeypatch, overrides, message
     drawn = []
     monkeypatch.setattr(mc, "simulate", lambda *args: drawn.append(args))
     with pytest.raises(ValueError, match=message):
-        run_experiment(_config(**overrides))
+        _config(**overrides)
     exp = tmp_path / "exp.json"
     exp.write_text(json.dumps({**_config().to_dict(), **overrides}))
     assert main(["mc", "--experiment", str(exp), "--out", str(tmp_path / "o.json")]) == 2
     assert drawn == [] and not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("theorem", ["T1", "T5"])
+def test_head_functional_runs_where_the_tails_are_infinite(theorem):
+    """At q = 0.9 both power tails are infinite, yet psi = int_0^1 a^0.6 =
+    (2^0.1 - 1)/0.1 is finite, and T1 and T5 run to finite summaries."""
+    res = run_experiment(_config(theorem=theorem, t=1.0, trawl=POWER_LAW_15, test_function=ROOT_06, replications=20))
+    assert res.theory["psi"] == pytest.approx((2**0.1 - 1) / 0.1, rel=1e-14)
+    assert all(math.isfinite(v) for v in res.summaries[256].values())
+    assert all(math.isfinite(v) for v in res.theory.values())
 
 
 @pytest.mark.parametrize("theorem,field,last_lag", [("T1", "t", 256), ("T3", "t", 255), ("T4", "t", 31), ("C1", "tdep_T", 255)])

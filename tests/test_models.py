@@ -48,6 +48,42 @@ def test_power_tail_integral_matches_quadrature(trawl, t, p):
     assert float(trawl.power_tail_integral(t, p)) == pytest.approx(expect, abs=1e-9)
 
 
+@pytest.mark.parametrize("p", [0.5, 2.0])
+@pytest.mark.parametrize("t", [0.0, 0.8, 3.0])
+def test_head_integral_is_the_difference_of_tails(trawl, t, p):
+    """Every family but the power law takes the head from its two power
+    tails, bit for bit; the power law's closed form agrees with them where
+    they are finite, at q = p * alpha > 1."""
+    head = trawl.head_integral(t, p)
+    if p * trawl.tail_exponent <= 1:  # the tails are infinite; see the closed-form test
+        return
+    difference = trawl.power_tail_integral(0.0, p) - trawl.power_tail_integral(t, p)
+    if isinstance(trawl, PowerLawTrawl):
+        assert float(head) == pytest.approx(float(difference), rel=1e-13, abs=1e-15)
+    else:
+        assert head.tobytes() == difference.tobytes()
+
+
+@pytest.mark.parametrize(
+    "alpha, scale, p",
+    [(1.5, 1.0, 0.6), (1.5, 0.7, 0.6), (2.0, 1.0, 0.5), (2.0, 0.7, 0.5), (2.5, 0.7, 2.0)],
+    ids=["q=0.9", "q=0.9-scaled", "q=1", "q=1-scaled", "q=5"],
+)
+@pytest.mark.parametrize("t", [0.0, 1.0, 2.3])
+def test_power_law_head_integral_closed_form(alpha, scale, p, t):
+    """int_0^t (1 + s/c)^-q ds = c/(1 - q) ((1 + t/c)^(1-q) - 1), and
+    c ln(1 + t/c) at q = 1, also at q <= 1 where both tails are infinite;
+    at c = 1 and t = 1 it is (2^0.1 - 1)/0.1 for q = 0.9 and ln 2 for q = 1."""
+    trawl, q, c = PowerLawTrawl(alpha, scale), alpha * p, scale
+    expect = c * math.log1p(t / c) if q == 1 else c / (1 - q) * ((1 + t / c) ** (1 - q) - 1)
+    assert float(trawl.head_integral(t, p)) == pytest.approx(expect, rel=1e-14, abs=1e-300)
+    quad, _ = integrate.quad(lambda s: float(trawl.a(s)) ** p, 0.0, t)
+    assert float(trawl.head_integral(t, p)) == pytest.approx(quad, abs=1e-12)
+    if (scale, t) == (1.0, 1.0) and q <= 1:
+        assert float(trawl.head_integral(t, p)) == pytest.approx(math.log(2) if q == 1 else (2**0.1 - 1) / 0.1,
+                                                                 rel=1e-14)
+
+
 def test_leb_A_is_integral_of_a(trawl):
     hi = trawl.support_end if trawl.support_end < math.inf else np.inf
     expect, _ = integrate.quad(lambda s: float(trawl.a(s)), 0.0, hi)

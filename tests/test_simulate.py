@@ -446,6 +446,34 @@ def test_slices_deterministic_from_master_seed(trawl, seed_spec):
     assert not np.array_equal(a.values, c.values)
 
 
+@pytest.mark.parametrize(
+    "sample, generators",
+    [
+        (lambda scheme: simulate_slices(ExponentialTrawl(1.0), GammaSeed(2.0, 0.5), scheme, exact=True), 1),
+        (lambda scheme: simulate_slices(ExponentialTrawl(1.0), GammaSeed(2.0, 0.5), scheme), 1),
+        (lambda scheme: simulate_points(ExponentialTrawl(1.0), PoissonSeed(1.0), scheme), 1),
+        (lambda scheme: simulate_points(ExponentialTrawl(1.0), GammaSeed(2.0, 0.5), scheme), 2),
+        (lambda scheme: simulate_circulant(ExponentialTrawl(1.0), GaussianSeed(0.0, 1.0), scheme), 1),
+    ],
+    ids=["slices-exact", "slices-truncated", "points-poisson", "points-gamma", "circulant"],
+)
+def test_each_path_builds_its_generators_once(monkeypatch, sample, generators):
+    """The stream layout: a slice path, exact or truncated, draws from one
+    generator; a point path from one, plus one for a Gamma seed's marks; a
+    circulant path from one.  The truncated path here is cut at J < n."""
+    calls = []
+
+    def counting(master_seed, *key):
+        calls.append(key)
+        return _substream(master_seed, *key)
+
+    monkeypatch.setattr(simulate_module, "_substream", counting)
+    scheme = GridScheme(n=300, delta=0.1, master_seed=5)
+    assert truncation_horizon(ExponentialTrawl(1.0), scheme.delta) < scheme.n
+    sample(scheme)
+    assert len(calls) == generators, calls
+
+
 def test_points_deterministic_from_master_seed():
     scheme = GridScheme(n=128, delta=0.1, master_seed=21)
     a = simulate_points(ExponentialTrawl(1.0), PoissonSeed(1.0), scheme)
