@@ -13,18 +13,20 @@ summary JSON's sidecar covers it, since the same experiment writes both.
 Heap policy: on glibc, ``main`` first sets ``M_MMAP_THRESHOLD`` to 32 MiB
 and ``M_TRIM_THRESHOLD`` to 64 MiB, the values glibc's own dynamic policy
 reaches at its 64-bit ceiling, so that freed heap is kept for reuse.
-Otherwise every ``estimate_trawl`` that transforms hands its buffers back to
-the kernel when it frees them and faults them in again on the next call: the
-padded path and its packed spectrum (16 * m bytes) and the O(m) scratch of
-each ``np.fft.fft``/``ifft``.  An all-lag estimate takes 192 minor faults at
-m = 2^15, 800 at m = 2^16 and 6050 at m = 2^19, and a T6 replication at
-n = 2^15 takes 735 (0.1 with the policy).  Both values are set because
-setting either one alone switches off glibc's adjustment of the other, and
-every estimate still faults (at m = 2^15 and 2^16: 130 and 837 faults with
-the trim threshold alone, 192 and 544 with the mmap threshold alone).  Only
-the command line sets the policy: it is process-wide, and a library caller
-of ``run_experiment`` keeps its own.  The policy changes no arithmetic and
-no random stream.
+Otherwise every estimate that transforms hands its buffers back to the
+kernel when it frees them and faults them in again on the next call: the
+padded paths (8 * m bytes each) and the O(m) working copy of each
+``np.fft.fft``/``ifft``.  An all-lag estimate of one path takes 192 minor
+faults at m = 2^15, 672 at m = 2^16 and 5537 at m = 2^19; a stacked pair,
+as the Monte Carlo harness runs at m <= 2^17, takes 448 at m = 2^15, 960
+at 2^16 and 1984 at 2^17; and a T6 replication at n = 2^15 takes about 740
+(0.1 with the policy).  Both values are set because setting either one
+alone switches off glibc's adjustment of the other, and every estimate
+still faults: at m = 2^15 and 2^16, with the trim threshold alone one path
+takes 130 and 708 faults and a pair 645 and 1736; with the mmap threshold
+alone, 192 and 544, and 448 and 1312.  Only the command line sets the
+policy: it is process-wide, and a library caller of ``run_experiment``
+keeps its own.  The policy changes no arithmetic and no random stream.
 """
 
 from __future__ import annotations

@@ -46,11 +46,12 @@ are, as expanding the products shows,
 
 and H_0 = |Z_0|^2 + 2i Re(Z_0) Im(Z_0), H_{M/2} = |Z_{M/2}|^2, so that
 R(2j) + i R(2j+1) = IFFT_M(H)_j.  One complex product with a table of v
-per pair (k, M - k), k = 1..M/2 - 1, turns Z into H in place.  Against
-the real pair of length m, a whole estimate takes 0.70 of the time at
-n = 2^18 (all lags), 0.84 at 2^16 and 0.92 at 2^15, but 0.99 at m = 8640
-and 1.08 at m = 4320, where that step, a dozen numpy calls, costs about what
-the shorter transforms save (medians of paired runs on a 2-vCPU Intel Xeon).
+per pair (k, M - k), k = 1..M/2 - 1, turns Z into H in place.  That step
+is a dozen numpy calls, whose fixed cost is about what the shorter
+transforms save at m of a few thousand; the saving grows with m, so the
+packed transform pays where transforms are long, at the all-lag estimates
+that dominate a Monte Carlo run, and every length uses it (the timings
+are in CHANGES.md).
 
 A statistic may need only the first L lags: the head functional
 ``int_0^t g(a(s)) ds`` reads floor(t / delta) of them and the windowed tail
@@ -61,12 +62,31 @@ smallest 5-smooth multiple of 4 that suffices, 4 * (the smallest 5-smooth
 integer >= k / 4): a multiple of 4 makes M even, so that k = M/2 pairs with
 itself, and numpy's FFT has fast passes for the factors 2, 3 and 5 only; a
 length with a large prime factor falls back to Bluestein's algorithm,
-several times slower.  Each transform allocates 16 * m bytes, the padded
-path and its packed spectrum, and reads one cached read-only table of the
-m/4 - 1 complex v_k per length.
+several times slower.  Each transform allocates the padded path, 8 * m
+bytes, and runs both FFTs and the step from Z to H in place on it; y_0,
+y_{n-l} and y_n are read from x again afterwards.  It reads one cached
+read-only table of the m/4 - 1 complex v_k per length.
 The Monte Carlo harness asks for the lags that ``functional_lags`` gives
 psi_n (T1, T5, at least one) and lambda_bar_n (T4); lambda_n (T3, T6) and
 the T-dependence ratio (C1) read all n.
+
+Paths with the same n and delta can share their transforms: their padded
+rows are stacked and go through one forward FFT and one inverse along the
+rows (``_estimate_all_lags``).  numpy's pocketfft, built for the x86-64-v2
+baseline, transforms the rows of a stack two at a time, one in each lane
+of a 128-bit vector register, but runs a one-row transform as scalar code;
+each row gets the arithmetic of a one-row transform, so its bits do not
+change.  So two rows take less time than two one-row calls, and four or
+eight save nothing more per row.  A stack costs memory: pocketfft works on
+an interleaved copy of the rows, so a pair holds about 40 * m bytes (its
+two padded rows and a working copy of about three rows) where one path
+holds 16 * m.  Hence the pairing rule: the Monte Carlo harness estimates
+two all-lag replications per call while m <= ``_PAIR_MAX_LENGTH`` = 2^17,
+that is n <= 2^16, where a pair holds at most 5 MiB.  Beyond it the time a
+pair saves shrinks as the transforms outgrow the caches, while its memory
+keeps growing: at m = 2^19 (n = 2^18) a pair would hold 12 MiB more per
+worker than two single calls, for a few per cent of estimate time.
+Lag-bounded estimates run one path per call.
 
 Sampled at a small delta, a path of an integer-valued trawl process is flat
 almost everywhere: a T5 path of the ``clt`` benchmark (n = 2^14, delta =
@@ -308,6 +328,59 @@ def _jump_sum(x, x_bar, moved, num_lags: int, block: int) -> np.ndarray:
     return total[::-1]  # column j of the windows is lag L - 1 - j
 
 
+def _path_mean(path: SampledPath) -> float:
+    """xbar, the mean of X_0..X_{(n-1) delta}; refuses a path with a
+    non-finite value."""
+    x, n = path.values, path.n
+    with np.errstate(invalid="ignore"):  # +inf and -inf in x: refused below
+        x_bar = float(np.mean(x[:n]))
+    # A non-finite value in x[:n] makes the mean non-finite, and so may an
+    # overflow; only then is the whole path checked.
+    if not (math.isfinite(x_bar) and math.isfinite(x[n])) and not np.all(np.isfinite(x)):
+        raise ValueError("path contains non-finite values")
+    return x_bar
+
+
+def _transform_estimates(paths, x_bars, num_lags: int, m: int) -> list:
+    """The estimates at lags 0..L-1 of paths that share n and delta, from
+    one stacked transform of length m: each row is padded, all rows go
+    through one forward FFT and one inverse, both in place, and each row's
+    autocorrelation R(0..L) is differenced.  A row's bits do not depend on
+    the other rows: pocketfft runs the same arithmetic on every row, and
+    runs two rows at a time in the two lanes of a vector register."""
+    n, delta, rows = paths[0].n, paths[0].delta, range(len(paths))
+    pad = np.empty((len(paths), m))
+    for i in rows:
+        np.subtract(paths[i].values, x_bars[i], out=pad[i, : n + 1])
+    pad[:, n + 1 :] = 0.0
+    spec = pad.view(complex)
+    np.fft.fft(spec, axis=1, out=spec)
+    for i in rows:
+        _packed_power(spec[i], m)
+    np.fft.ifft(spec, axis=1, out=spec)
+    return [
+        TrawlEstimate(delta=delta, n=n, a_hat=_lag_differences(pad[i, : num_lags + 1], paths[i], x_bars[i]),
+                      x_bar=x_bars[i])
+        for i in rows
+    ]
+
+
+def _lag_differences(r, path: SampledPath, x_bar: float) -> np.ndarray:
+    """a_hat(l delta) = (R(l) - R(l+1) - y_{n-l} y_n) / (n delta) for
+    l = 0..L-1, from r = R(0..L).  The transforms overwrote y, so y_0,
+    y_{n-l} and y_n come from x again; at L = n, R(n) = y_0 y_n is set in r
+    (see ``estimate_trawl``).  One temporary of L floats."""
+    x, n, num_lags = path.values, path.n, len(r) - 1
+    y_n = float(x[n]) - x_bar
+    if num_lags == n:
+        r[n] = (float(x[0]) - x_bar) * y_n
+    a_hat = np.subtract(r[:-1], r[1:])
+    tail = np.subtract(x[n : n - num_lags : -1], x_bar)  # y_{n-l}, l = 0..L-1
+    np.subtract(a_hat, np.multiply(tail, y_n, out=tail), out=a_hat)
+    np.divide(a_hat, n * path.delta, out=a_hat)
+    return a_hat
+
+
 def estimate_trawl(path: SampledPath, lags: Optional[int] = None) -> TrawlEstimate:
     """Estimate the trawl function at the first ``lags`` lags of an observed
     path, l = 0..L-1 with L = ``lags`` (default and at most n): the estimates
@@ -328,14 +401,15 @@ def estimate_trawl(path: SampledPath, lags: Optional[int] = None) -> TrawlEstima
       so R(n) = y_0 y_n is set directly.  At a power-of-two n this m is
       exactly 2n, the next power of two.
 
-    Each call allocates the padded path (m floats) and its packed spectrum
-    (m/2 complex), 16 * m bytes (8 MiB for all lags at n = 2^18).  The step
-    from Z to H and the inverse transform run in place on the spectrum, so
-    the padded path still holds y when y_0 y_n and y_{n-l} y_n are read.
-    Besides these the call takes a block scratch of 4 * min(_PACK_BLOCK, m/4)
-    floats, the result and one temporary of L floats; freed, they go back to
-    the allocator, whose policy decides whether the next call faults them in
-    again (see ``cli``).
+    Each call allocates the padded path, m floats or 8 * m bytes (4 MiB for
+    all lags at n = 2^18): both transforms and the step from Z to H run in
+    place on it, and pocketfft takes a working copy of about the same size
+    inside each transform.  Besides these the call takes a block scratch of
+    4 * min(_PACK_BLOCK, m/4) floats, the result and one temporary of L
+    floats; freed, they go back to the allocator, whose policy decides
+    whether the next call faults them in again (see ``cli``).  The transform
+    is the one-row case of ``_transform_estimates``, which
+    ``_estimate_all_lags`` runs on a stack of paths.
 
     A call with L < n first counts the steps S at which the path moves.  If
     |S| * (L + L0) < c * m * log2(m), with c = ``_JUMP_SUM_COST`` and
@@ -352,30 +426,42 @@ def estimate_trawl(path: SampledPath, lags: Optional[int] = None) -> TrawlEstima
     num_lags = n if lags is None else operator.index(lags)
     if not 1 <= num_lags <= n:
         raise ValueError(f"lags must lie in 1..n = {n}, got {num_lags}")
-    with np.errstate(invalid="ignore"):  # +inf and -inf in x: refused below
-        x_bar = float(np.mean(x[:n]))
-    # A non-finite value in x[:n] makes the mean non-finite, and so may an
-    # overflow; only then is the whole path checked.
-    if not (math.isfinite(x_bar) and math.isfinite(x[n])) and not np.all(np.isfinite(x)):
-        raise ValueError("path contains non-finite values")
+    x_bar = _path_mean(path)
     m = _transform_length(n + min(num_lags, n - 1) + 1)
     if num_lags < n:
         moved = x[1:] != x[:-1]
         if np.count_nonzero(moved) * (num_lags + _JUMP_SUM_ROW) < _JUMP_SUM_COST * m * math.log2(m):
             a_hat = np.divide(_jump_sum(x, x_bar, moved, num_lags, 2 * m), n * delta)
             return TrawlEstimate(delta=delta, n=n, a_hat=a_hat, x_bar=x_bar)
-    pad = np.empty(m)
-    y = np.subtract(x, x_bar, out=pad[: n + 1])
-    pad[n + 1 :] = 0.0
-    spec = np.fft.fft(pad.view(complex))
-    _packed_power(spec, m)
-    r = np.fft.ifft(spec, out=spec).view(float)[: num_lags + 1]
-    if num_lags == n:
-        r[n] = y[0] * y[n]
-    a_hat = np.subtract(r[:-1], r[1:])
-    np.subtract(a_hat, np.multiply(y[n : n - num_lags : -1], y[n]), out=a_hat)
-    np.divide(a_hat, n * delta, out=a_hat)
-    return TrawlEstimate(delta=delta, n=n, a_hat=a_hat, x_bar=x_bar)
+    return _transform_estimates([path], [x_bar], num_lags, m)[0]
+
+
+#: The longest transform at which all-lag estimates run two paths to a
+#: call; see the module docstring.
+_PAIR_MAX_LENGTH = 2**17
+
+
+def _pairs_fit(n: int) -> bool:
+    """Whether all-lag estimates of paths of n steps run two to a call: their
+    transform length ``_transform_length(2 * n)`` is at most
+    ``_PAIR_MAX_LENGTH``."""
+    return _transform_length(2 * n) <= _PAIR_MAX_LENGTH
+
+
+def _estimate_all_lags(paths) -> list:
+    """All-lag estimates of several paths with the same n and delta, their
+    transforms stacked into one pair of FFT calls; each is bitwise the
+    ``estimate_trawl(path)`` of its path.
+
+    A stacked call allocates one padded row per path, 8 * m bytes each, and
+    pocketfft's working copy of two rows takes about three rows more, so
+    the Monte Carlo harness stacks two paths, and only at the transform
+    lengths that ``_pairs_fit`` admits (see the module docstring)."""
+    n, delta = paths[0].n, paths[0].delta
+    if any(path.n != n or path.delta != delta for path in paths):
+        raise ValueError("stacked paths must share n and delta")
+    x_bars = [_path_mean(path) for path in paths]
+    return _transform_estimates(paths, x_bars, n, _transform_length(2 * n))
 
 
 def num_head_terms(delta: float, t: float) -> int:

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .estimators import TestFunction, estimate_trawl, functional_lags
+from .estimators import TestFunction, TrawlEstimate, estimate_trawl, functional_lags
 from .simulate import SampledPath
 
 __all__ = ["TestReport", "tau_test"]
@@ -45,19 +45,34 @@ class TestReport:
         return json.dumps(asdict(self), **kwargs)
 
 
+def _head_terms(n: int, delta: float, T: float, p: float) -> int:
+    """ceil(T/delta), the head's lag count, after refusing a T or p that the
+    test cannot take."""
+    if not 0 < T < math.inf:
+        raise ValueError("T must be positive and finite")
+    if not 0 < p < math.inf:
+        raise ValueError("p must be positive and finite")
+    return functional_lags("tau", n, delta, T)[1]
+
+
 def tau_test(path: SampledPath, T: float, p: float = 4.0) -> TestReport:
     """Compute the T-dependence ratio statistic on an observed path.
 
     ``p`` defaults to 4, the smallest integer satisfying the p > 3 moment
     condition of the divergence result; smaller p is allowed but flagged.
     """
-    if not 0 < T < math.inf:
-        raise ValueError("T must be positive and finite")
-    if not 0 < p < math.inf:
-        raise ValueError("p must be positive and finite")
-    n, delta = path.n, path.delta
-    _, head_terms = functional_lags("tau", n, delta, T)
-    est = estimate_trawl(path)
+    _head_terms(path.n, path.delta, T, p)  # refuse T and p before estimating
+    return _tau_report(estimate_trawl(path), T, p)
+
+
+def _tau_report(est: TrawlEstimate, T: float, p: float) -> TestReport:
+    """The ratio test on an estimate that holds all n lags: ``tau_test``
+    applies it to ``estimate_trawl(path)``, the Monte Carlo harness to the
+    estimates of a stacked pair of paths."""
+    n, delta = est.n, est.delta
+    head_terms = _head_terms(n, delta, T, p)
+    if est.lags != n:
+        raise ValueError(f"tau reads all n = {n} lags but the estimate holds {est.lags}")
     powers = TestFunction(p).g(est.a_hat)
     denominator = float(delta * np.sum(powers[:head_terms]))
     full = float(delta * np.sum(powers))

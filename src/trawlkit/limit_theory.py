@@ -29,7 +29,7 @@ import numpy as np
 from .estimators import TestFunction
 from .models import TrawlSpec
 
-__all__ = ["QuadratureError", "AvarKernel", "check_tail_clt"]
+__all__ = ["QuadratureError", "AvarKernel", "check_tail_clt", "check_finite_derivative"]
 
 #: Gauss nodes per panel (coarse, fine): of Phi, and per axis of a covariance.
 _INNER_NODES = (24, 32)
@@ -109,6 +109,7 @@ class AvarKernel:
         Product rule for dg(a(u)) Sigma_a(u, r) dg(a(r)) over [0, t] x [0, s].
         """
         _check_times(t, s)
+        check_finite_derivative(self.trawl, g, max(t, s))
         return self._limit_cov(g, (0.0, t, 0.0, s))
 
     def limit_cov_lambda(self, g: TestFunction, t: float, s: float) -> float:
@@ -120,6 +121,7 @@ class AvarKernel:
         """
         _check_times(t, s)
         check_tail_clt(self.trawl, g)
+        check_finite_derivative(self.trawl, g, math.inf)
         end = self.trawl.support_end
         if end < math.inf:
             return self._limit_cov(g, (min(t, end), end, min(s, end), end))
@@ -242,6 +244,20 @@ def check_tail_clt(trawl: TrawlSpec, g: TestFunction) -> None:
         raise ValueError(
             "tail CLT needs a test function of power order > 3 (quadratic g has a "
             "non-central limit instead); got exponent {:g}".format(g.exponent)
+        )
+
+
+def check_finite_derivative(trawl: TrawlSpec, g: TestFunction, end: float) -> None:
+    """Refuse a CLT whose dg(a(u)) factor is infinite on the range of a it
+    integrates, u in [0, end] for the head and [t, end = inf) for the tail.
+    g'(x) = p |x|^(p-1) sign(x) is finite at 0 only for p >= 1, and a falls
+    to 0 exactly from u = support_end on, so an exponent below 1 needs
+    end < support_end: a head time short of a compact trawl's support, or a
+    trawl that is not compact.  A closed form, like ``check_tail_clt``."""
+    if g.exponent < 1.0 and end >= trawl.support_end:
+        raise ValueError(
+            f"CLT needs g'(a(u)) finite up to u = {end:g}; exponent {g.exponent:g} < 1 makes g' infinite "
+            f"at 0, which a reaches at u = {trawl.support_end:g}"
         )
 
 

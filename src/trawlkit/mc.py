@@ -18,6 +18,17 @@ Everything is deterministic given the master seed: per-replication seeds are
 derived by keyed spawning, so results do not depend on the execution order
 or the worker count.
 
+The statistics that read all n lags, lambda_n (T3, T6) and tau (C1), run
+two replications per call of ``_one_replication`` wherever the estimator's
+pairing rule admits their transform length, m <= 2^17 or n <= 2^16 (see
+``estimators``): one stacked pair of FFT calls estimates both paths, and
+numpy's FFT runs two rows in the two lanes of its vector registers in less
+time than two one-row calls.  Each path still draws from its own substream
+and each estimate keeps the bits of a one-path call, so no statistic depends
+on the pairing.  A pair holds about 40 * m bytes of transform buffers, at
+most 5 MiB per worker, where one path holds 16 * m.  The other statistics,
+and every statistic at larger n, run one replication per call.
+
 With ``threads > 1`` the replications run on a thread pool inside the
 calling process.  Their heavy kernels (pocketfft, numpy's loops over large
 arrays, ``Generator`` draws) release the interpreter lock, and the estimator
@@ -40,6 +51,8 @@ import numpy as np
 
 from .estimators import (
     TestFunction,
+    _estimate_all_lags,
+    _pairs_fit,
     choose_window,
     estimate_trawl,
     functional_lags,
@@ -48,8 +61,8 @@ from .estimators import (
     num_head_terms,
     psi_n,
 )
-from .inference import tau_test
-from .limit_theory import AvarKernel, check_tail_clt
+from .inference import _tau_report, tau_test
+from .limit_theory import AvarKernel, check_finite_derivative, check_tail_clt
 from .models import _as_dict, _check_number, seed_from_dict, trawl_from_dict
 from .simulate import GridScheme, _write_csv, check_simulator, simulate
 
@@ -121,8 +134,11 @@ class ExperimentConfig:
     of a itself.  The simulator must be able to draw the seed at every n
     (``check_simulator``), and at every n the theorem's statistic must be
     able to read its time, t or C1's tdep_T (``functional_lags``).  A tail
-    target must be finite, and a tail CLT's limit must exist
-    (``check_tail_clt``); both rules are closed forms.
+    target must be finite, a tail CLT's limit must exist
+    (``check_tail_clt``), and a CLT's g' must be finite wherever its limit
+    variance reads a (``check_finite_derivative``): an exponent below 1 only
+    where a stays positive, on [0, t] for T5 and on [t, inf) for T6.  All
+    three rules are closed forms.
     """
 
     trawl: dict
@@ -182,13 +198,15 @@ class ExperimentConfig:
             )
         check_simulator(self.simulator, self.seed_model, max(self.n_grid))
         estimate, summary_kind = _THEOREMS[self.theorem]
-        if estimate in ("lambda", "lambda_bar"):  # the tail target, infinite at p * alpha <= 1
-            try:
+        try:
+            if estimate in ("lambda", "lambda_bar"):  # the tail target, infinite at p * alpha <= 1
                 self.trawl_model.power_tail_integral(self.t, self.g.exponent)
-                if summary_kind == "clt":
+            if summary_kind == "clt":  # the closed-form conditions of the limit variance
+                if estimate == "lambda":
                     check_tail_clt(self.trawl_model, self.g)
-            except ValueError as exc:
-                raise ValueError(f"test_function = {self.test_function!r} does not fit {self.theorem}: {exc}") from None
+                check_finite_derivative(self.trawl_model, self.g, self.t if estimate == "psi" else math.inf)
+        except ValueError as exc:
+            raise ValueError(f"test_function = {self.test_function!r} does not fit {self.theorem}: {exc}") from None
         name = "tdep_T" if estimate == "tau" else "t"
         for n in self.n_grid:
             # an explicit kappa outside its bounds fails in window_for
@@ -288,35 +306,55 @@ def _rep_seed(master_seed: int, n: int, rep: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _one_replication(cfg: ExperimentConfig, n: int, rep: int) -> float:
-    """One replication's raw statistic, the theorem's estimate: psi_n,
-    lambda_n, the windowed lambda_bar_n or the scaled ratio tau."""
+def _block_size(cfg: ExperimentConfig, n: int) -> int:
+    """Replications per call of ``_one_replication`` at n: two when the
+    statistic reads all n lags (lambda_n, tau) and ``_pairs_fit(n)``, so that
+    one stacked call estimates both paths, else one."""
+    return 2 if _THEOREMS[cfg.theorem][0] in ("lambda", "tau") and _pairs_fit(n) else 1
+
+
+def _one_replication(cfg: ExperimentConfig, n: int, rep: int) -> list:
+    """The raw statistics of the block of ``_block_size`` replications that
+    starts at ``rep``, cut short at the last replication: the theorem's
+    estimate psi_n, lambda_n, the windowed lambda_bar_n or the scaled ratio
+    tau of each.  Every replication draws its path from its own substream, so
+    a value does not depend on the block it ran in."""
     estimate = _THEOREMS[cfg.theorem][0]
-    scheme = GridScheme(n=n, delta=cfg.delta_for(n), master_seed=_rep_seed(cfg.master_seed, n, rep))
-    path = simulate(cfg.trawl_model, cfg.seed_model, scheme, cfg.simulator)
+    paths = [
+        simulate(cfg.trawl_model, cfg.seed_model,
+                 GridScheme(n=n, delta=cfg.delta_for(n), master_seed=_rep_seed(cfg.master_seed, n, r)),
+                 cfg.simulator)
+        for r in range(rep, min(rep + _block_size(cfg, n), cfg.replications))
+    ]
+    if len(paths) > 1:
+        ests = _estimate_all_lags(paths)
+        if estimate == "tau":
+            return [_tau_report(est, cfg.tdep_T, cfg.tdep_p).scaled for est in ests]
+        return [lambda_n(est, cfg.g, cfg.t) for est in ests]
+    (path,) = paths
     if estimate == "tau":
-        return tau_test(path, T=cfg.tdep_T, p=cfg.tdep_p).scaled
+        return [tau_test(path, T=cfg.tdep_T, p=cfg.tdep_p).scaled]
     if estimate == "lambda":
-        return lambda_n(estimate_trawl(path), cfg.g, cfg.t)
+        return [lambda_n(estimate_trawl(path), cfg.g, cfg.t)]
     # psi_n and lambda_bar_n read only the lags below t or below the window,
     # at most n (the config checked both).
     if estimate == "psi":
-        return psi_n(estimate_trawl(path, lags=max(num_head_terms(path.delta, cfg.t), 1)), cfg.g, cfg.t)
+        return [psi_n(estimate_trawl(path, lags=max(num_head_terms(path.delta, cfg.t), 1)), cfg.g, cfg.t)]
     window = cfg.window_for(n)
-    return lambda_bar_n(estimate_trawl(path, lags=window), cfg.g, cfg.t, window)
+    return [lambda_bar_n(estimate_trawl(path, lags=window), cfg.g, cfg.t, window)]
 
 
 def run_experiment(cfg: ExperimentConfig) -> McResult:
     """Run all replications over the n-grid and summarize.
 
-    Replications are independent work units, each drawing only from its own
-    substreams; with ``threads > 1`` they run on one thread pool for the
-    whole n-grid, gathered in order, so the result is bit-identical at any
-    worker count.  The theorem's row of ``_THEOREMS`` picks the target and
-    the summary: an RMSE summary compares the estimates with the true
-    functional; a CLT summary centres and scales them as
-    sqrt(n delta) (estimate - target) and compares their variance with the
-    limit variance of the same functional.
+    Blocks of one or two replications (``_block_size``) are independent
+    work units, each replication drawing only from its own substreams; with
+    ``threads > 1`` the blocks run on one thread pool for the whole n-grid,
+    gathered in order, so the result is bit-identical at any worker count.
+    The theorem's row of ``_THEOREMS`` picks the target and the summary: an
+    RMSE summary compares the estimates with the true functional; a CLT
+    summary centres and scales them as sqrt(n delta) (estimate - target) and
+    compares their variance with the limit variance of the same functional.
     """
     estimate, summary_kind = _THEOREMS[cfg.theorem]
     theory = {}
@@ -328,13 +366,13 @@ def run_experiment(cfg: ExperimentConfig) -> McResult:
         limit_cov = getattr(AvarKernel(cfg.trawl_model, k4=cfg.seed_model.kappa4), f"limit_cov_{estimate}")
         theory["limit_variance"] = limit_cov(cfg.g, cfg.t, cfg.t)
 
-    ns = [n for n in cfg.n_grid for _ in range(cfg.replications)]
-    reps = list(range(cfg.replications)) * len(cfg.n_grid)
+    ns, starts = zip(*((n, rep) for n in cfg.n_grid for rep in range(0, cfg.replications, _block_size(cfg, n))))
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            values = list(pool.map(_one_replication, repeat(cfg), ns, reps))
+            blocks = list(pool.map(_one_replication, repeat(cfg), ns, starts))
     else:
-        values = list(map(_one_replication, repeat(cfg), ns, reps))
+        blocks = list(map(_one_replication, repeat(cfg), ns, starts))
+    values = [value for block in blocks for value in block]
 
     all_stats, summaries = {}, {}
     for n, vals in zip(cfg.n_grid, np.reshape(values, (len(cfg.n_grid), cfg.replications))):

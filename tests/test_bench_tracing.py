@@ -1,5 +1,6 @@
-"""The benchmark's tracer still finds every name it wraps, and the
-program still keeps what the benchmark's checks call.
+"""The benchmark's tracer still finds every name it wraps, still sees the
+spans of a run, and the program still keeps what the benchmark's checks
+call.
 
 ``bench/tracing.py`` patches the package from outside, by name; a renamed or
 moved entry point would make its per-layer metrics read 0 without failing.
@@ -8,14 +9,16 @@ no simulator name reaches any more.
 """
 
 import importlib.util
+import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 import trawlkit
 import trawlkit.cli  # noqa: F401  (imports every module the tracer patches)
-from trawlkit import ExponentialTrawl, PoissonSeed
+from trawlkit import ExperimentConfig, ExponentialTrawl, PoissonSeed, mc
 from trawlkit.models import LevySeedSpec, TrawlSpec
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -67,3 +70,59 @@ def test_slices_workload_horizon_checks_pass():
     assert all(ok for results in checks.values() for _, ok, _ in results), checks
     delta = trawlkit.ExperimentConfig.from_dict(cfgs["T1-gaussian"]).delta_for(512)
     assert trawlkit.truncation_horizon(ExponentialTrawl(1.0), delta) == 417
+
+
+def test_tracer_spans_cover_the_tiny_clt_and_tdep_runs(tmp_path):
+    """The tiny ``clt`` and ``tdep`` configs run in this process under the
+    tracer on one worker, as a traced bench session runs them, with each
+    replication count made odd so that every paired n ends with a block of
+    one.  Every invocation exits 0; the replication spans start the blocks
+    that cover every replication; a block of one path shows the
+    ``estimate_trawl`` span, inside ``tau_test`` for C1, and a pair, which
+    estimates in the replication's own time, shows neither."""
+    tracing, workloads = _load_bench("tracing"), _load_bench("workloads")
+    cfgs = workloads.configs("clt", 23001, tiny=True) + workloads.configs("tdep", 23001, tiny=True)
+    tracer = tracing.Tracer()
+    tracer.install(trawlkit)
+    try:
+        assert tracer.missing == []
+        for index, (label, cfg) in enumerate(cfgs):
+            if cfg["replications"] % 2 == 0:
+                cfg["replications"] -= 1  # an odd count ends each paired n with a block of one
+            exp = tmp_path / f"{label}.json"
+            exp.write_text(json.dumps(cfg))
+            tracer.invocation = index
+            argv = ["mc", "--experiment", str(exp), "--out", str(tmp_path / f"{label}.out.json"), "--threads", "1"]
+            assert trawlkit.cli.main(argv) == 0, label
+    finally:
+        tracer.restore()
+    spans = tracer.spans
+    children = {}
+    for i, span in enumerate(spans):
+        children.setdefault(span[3], []).append(i)
+    paired = Counter()
+    for index, (label, cfg) in enumerate(cfgs):
+        config = ExperimentConfig.from_dict(cfg)
+        tau = config.theorem == "C1"
+        reps = config.replications
+        blocks = {}
+        for i, span in enumerate(spans):
+            if span[0] == "mc.replication" and span[4].startswith(f"{index}/"):
+                _, n, start = map(int, span[4].split("/"))
+                blocks[n, start] = i
+        for n in config.n_grid:
+            size = mc._block_size(config, n)
+            assert sorted(start for m, start in blocks if m == n) == list(range(0, reps, size)), (label, n)
+            for start in range(0, reps, size):
+                block = min(size, reps - start)
+                paired[label] += block == 2
+                kids = Counter(spans[c][0] for c in children.get(blocks[n, start], []))
+                assert kids["simulate.simulate_points"] == block
+                assert kids["inference.tau_test"] == (block == 1 and tau)
+                assert kids["estimators.estimate_trawl"] == (block == 1 and not tau)
+                assert kids["estimators.functionals"] == (0 if tau else block)
+    for i, span in enumerate(spans):
+        if span[0] == "inference.tau_test":
+            assert [spans[c][0] for c in children.get(i, [])] == ["estimators.estimate_trawl"]
+    # T6 and both C1 configs pair; T5's head statistic does not
+    assert paired["T5"] == 0 and min(paired["T6"], paired["C1-null"], paired["C1-alt"]) > 0

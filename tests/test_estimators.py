@@ -264,25 +264,69 @@ def test_estimate_does_not_alias_the_workspace():
     assert not np.shares_memory(first.a_hat, second.a_hat)
 
 
-def test_estimate_allocates_16_m_bytes_per_call():
-    """An all-lag estimate allocates the padded path and its packed
-    spectrum, m floats and m/2 complex, besides the result, its one
-    temporary and the block scratch of the step from Z to H.  The warm-up
-    call builds the cached twiddle table first, so it is not counted; the
-    lower bound fails if buffers are kept from one call to the next, the
-    upper one if the inverse transform copies instead of running in place."""
+@pytest.mark.parametrize("rows", [1, 2], ids=["single", "pair"])
+def test_estimate_allocates_8_m_bytes_per_row(rows):
+    """An all-lag estimate allocates its padded path, m floats, and both
+    transforms and the step from Z to H run in place on it; besides it each
+    row takes its result and one temporary of n floats, and the step from Z
+    to H a block scratch.  A pair stacks two padded rows and keeps the first
+    result while it finishes the second.  The warm-up call builds the cached
+    twiddle table first, so it is not counted; the lower bound fails if
+    buffers are kept from one call to the next, the upper one if a transform
+    copies its rows, or if a pair keeps its padded paths beside separate
+    spectra."""
     n = 2**15
-    path = _random_path(n, 3)
+    paths = [_random_path(n, 3 + k) for k in range(rows)]
     m = _transform_length(2 * n)
     scratch = 32 * min(estimators._PACK_BLOCK, m // 4)
-    estimate_trawl(path)
+    assert scratch < 8 * m
+    run = (lambda: estimate_trawl(paths[0])) if rows == 1 else (lambda: estimators._estimate_all_lags(paths))
+    run()
     tracemalloc.start()
     try:
-        estimate_trawl(path)
+        run()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 16 * m + 16 * n <= peak <= 16 * m + 16 * n + scratch
+    live = 8 * m * rows + 8 * n * (rows + 1)
+    assert live <= peak <= live + scratch
+
+
+#: n -> the all-lag transform length m = _transform_length(2n) of a pair test.
+_PAIR_LENGTHS = {4096: 8192, 1800: 3600, 1799: 3600, 3001: 6144}
+
+
+@pytest.mark.parametrize("n", _PAIR_LENGTHS, ids=["m-2^13", "m-3600", "odd-n-m-3600", "odd-n-m-6144"])
+def test_pair_matches_single_estimates_bitwise(n):
+    """Two paths estimated in one stacked call give the bits of two one-path
+    ``estimate_trawl`` calls, in either order: at a power-of-two m = 2n,
+    where lag n wraps around, at the 5-smooth m = 3600 = 2^4 3^2 5^2 for an
+    even and an odd n, and at m = 6144 = 2^11 3 for an odd n.  One path
+    has a large mean."""
+    assert _transform_length(2 * n) == _PAIR_LENGTHS[n]
+    first = _random_path(n, 40)
+    second = SampledPath(0.1, 100.0 + np.cumsum(np.random.default_rng(41).standard_normal(n + 1)))
+    single = [estimate_trawl(path) for path in (first, second)]
+    for pair, expected in (((first, second), single), ((second, first), single[::-1])):
+        for got, want in zip(estimators._estimate_all_lags(pair), expected):
+            assert got.lags == n and got.x_bar == want.x_bar
+            assert got.a_hat.tobytes() == want.a_hat.tobytes()
+
+
+def test_stacked_estimates_refuse_mismatched_paths():
+    with pytest.raises(ValueError, match="share n and delta"):
+        estimators._estimate_all_lags([_random_path(100, 1), _random_path(101, 2)])
+    with pytest.raises(ValueError, match="share n and delta"):
+        estimators._estimate_all_lags([_random_path(100, 1), _random_path(100, 2, delta=0.2)])
+    with pytest.raises(ValueError, match="non-finite"):
+        estimators._estimate_all_lags([_random_path(100, 1), SampledPath(0.1, np.full(101, np.inf))])
+
+
+def test_pairs_fit_up_to_m_2_17():
+    """The pairing rule on the transform length: T6's m = 2^16 (n = 2^15)
+    and C1's 2^17 (n = 2^16) pair, C1's 2^19 (n = 2^18) does not."""
+    assert estimators._pairs_fit(2**15) and estimators._pairs_fit(2**16)
+    assert not estimators._pairs_fit(2**16 + 1) and not estimators._pairs_fit(2**18)
 
 
 @pytest.mark.parametrize("m", [4, 8, 12, 20, 420, 4320, 2**16])

@@ -44,35 +44,37 @@ def _python(*argv):
 
 
 #: Minor page faults per replication of the experiment in argv[1], under the
-#: policy, after three warm-up replications per thread.  With ``threads > 1``
-#: the replications run on a thread pool, each thread in its own glibc arena.
+#: policy, after three warm-up blocks of replications per thread.  With
+#: ``threads > 1`` the blocks run on a thread pool, each thread in its own
+#: glibc arena.
 _FAULTS = """
 import json, resource, sys
 from concurrent.futures import ThreadPoolExecutor
 import trawlkit.cli as cli
-from trawlkit.mc import ExperimentConfig, _one_replication
+from trawlkit.mc import ExperimentConfig, _block_size, _one_replication
 cli._keep_freed_heap()
 cfg = ExperimentConfig.from_dict(json.loads(sys.argv[1]))
 n, warm = cfg.n_grid[0], 3 * cfg.threads
+starts = range(0, cfg.replications, _block_size(cfg, n))
 run = ThreadPoolExecutor(cfg.threads).map if cfg.threads > 1 else map
-list(run(_one_replication, [cfg] * warm, [n] * warm, range(warm)))
+list(run(_one_replication, [cfg] * warm, [n] * warm, starts[:warm]))
 start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-rest = cfg.replications - warm
-list(run(_one_replication, [cfg] * rest, [n] * rest, range(warm, cfg.replications)))
-print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start) / rest)
+rest = starts[warm:]
+list(run(_one_replication, [cfg] * len(rest), [n] * len(rest), rest))
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start) / (cfg.replications - rest[0]))
 """
 
 #: C1 at n = 2^16 on two threads: the estimator's buffers come from each
 #: thread's arena.
-C1_THREADS = {**C1, "n_grid": [2**16], "replications": 16}
+C1_THREADS = {**C1, "n_grid": [2**16], "replications": 26}
 
 
 @pytest.mark.skipif(not _glibc(), reason="the heap policy is glibc's")
 @pytest.mark.parametrize("config", [T6, C1_THREADS], ids=["T6", "C1-threads"])
 def test_policy_stops_the_fft_scratch_faults(config):
     """Without the policy every replication faults in its FFT buffers again
-    (about 740 faults for T6, 1570 for C1); with it the freed buffers are
-    reused."""
+    (hundreds of faults for T6, over a thousand for C1); with it the freed
+    buffers are reused.  Both configs pair their replications."""
     per_rep = float(_python("-c", _FAULTS, json.dumps(config)))
     assert per_rep < 10
 

@@ -356,6 +356,18 @@ def test_limit_cov_lambda_rejects_low_power():
         kern.limit_cov_lambda(G(3.0), 0.0, 0.0)
 
 
+def test_limit_covs_reject_an_infinite_derivative_where_a_vanishes():
+    """g = |x|^0.5 has g' infinite at 0: the limit covariances refuse a
+    range on which a reaches 0, before any quadrature, and run where a > 0."""
+    kern = AvarKernel(CompactTriangleTrawl(1.0), k4=1.0)
+    for call in (lambda: kern.limit_cov_psi(G(0.5), 1.0, 0.5), lambda: kern.limit_cov_psi(G(0.5), 2.0, 2.0),
+                 lambda: kern.limit_cov_lambda(G(0.5), 0.0, 0.0)):
+        with pytest.raises(ValueError, match="exponent 0.5 < 1 makes g' infinite at 0, which a reaches at u = 1"):
+            call()
+    assert kern.limit_cov_psi(G(0.5), 0.5, 0.5) > 0
+    assert kern.limit_cov_psi(G(1.0), 1.0, 1.0) > 0
+
+
 def test_limit_cov_lambda_compact_support():
     """Beyond the support end the tail covariance vanishes."""
     trawl = CompactTriangleTrawl(1.0)

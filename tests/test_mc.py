@@ -21,6 +21,7 @@ from trawlkit import (
     true_lambda,
     true_psi,
 )
+from trawlkit import mc
 from trawlkit.mc import test_function_from_dict as tf_from_dict
 
 EXPERIMENTS = Path(__file__).resolve().parent.parent / "experiments"
@@ -170,6 +171,10 @@ GAUSSIAN = {"family": "gaussian", "mean": 0.0, "var": 1.0}
 #: With g = |x|^0.6, q = p * alpha = 0.9: the head functional is finite, every tail infinite.
 POWER_LAW_15 = {"family": "powerlaw", "alpha": 1.5, "scale": 1.0}
 ROOT_06 = {"kind": "power", "exponent": 0.6}
+EXPONENTIAL = {"family": "exponential", "rate": 1.0}
+#: a(s) = max(0, 1 - s) reaches 0 at s = 1, where g = |x|^0.5 has an infinite derivative.
+TRIANGLE = {"family": "triangle", "support": 1.0}
+ROOT_05 = {"kind": "power", "exponent": 0.5}
 
 #: Configs that a replication could not serve, each refused when it is
 #: built, and the message that names the field (and n).  At n = 4096,
@@ -194,6 +199,13 @@ LATE_FAILURES = {
     "T6-infinite-target": ({"theorem": "T6", "trawl": POWER_LAW_15, "test_function": ROOT_06},
                             r"test_function = .* does not fit T6: need p \* alpha > 1"),
     "T6-exponent": ({"theorem": "T6"}, "test_function = .* does not fit T6: tail CLT needs .* order > 3"),
+    # g' = p |x|^(p-1) is infinite at 0 for p < 1, and the triangle's a reaches 0 at s = 1
+    "T5-root-at-support": ({"theorem": "T5", "t": 1.0, "trawl": TRIANGLE, "test_function": ROOT_05},
+                           r"test_function = .* does not fit T5: CLT needs g'\(a\(u\)\) finite up to u = 1; exponent 0.5"),
+    "T5-root-past-support": ({"theorem": "T5", "t": 2.0, "trawl": TRIANGLE, "test_function": ROOT_05},
+                             r"does not fit T5: CLT needs g'\(a\(u\)\) finite up to u = 2;"),
+    "T6-root-compact": ({"theorem": "T6", "t": 0.0, "trawl": TRIANGLE, "test_function": ROOT_05},
+                        r"does not fit T6: CLT needs g'\(a\(u\)\) finite up to u = inf;"),
 }
 
 
@@ -201,7 +213,6 @@ LATE_FAILURES = {
 def test_late_failures_fail_when_built(tmp_path, monkeypatch, overrides, message):
     """Each config fails when it is built, with an error that names the
     field (and n), and exits 2 through ``trawlkit mc``; no path is drawn."""
-    from trawlkit import mc
     from trawlkit.cli import main
 
     drawn = []
@@ -212,6 +223,16 @@ def test_late_failures_fail_when_built(tmp_path, monkeypatch, overrides, message
     exp.write_text(json.dumps({**_config().to_dict(), **overrides}))
     assert main(["mc", "--experiment", str(exp), "--out", str(tmp_path / "o.json")]) == 2
     assert drawn == [] and not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("trawl,t,exponent", [(EXPONENTIAL, 0.5, 0.5), (TRIANGLE, 0.5, 0.5), (TRIANGLE, 1.0, 1.0)],
+                         ids=["root-exponential", "root-triangle-inside", "linear-triangle-at-support"])
+def test_clt_exponent_below_1_runs_where_a_stays_positive(trawl, t, exponent):
+    """T5 with g = |x|^0.5 runs where a > 0 on [0, t]; at exponent 1, g' is
+    finite at 0, so T5 runs up to the triangle's support."""
+    res = run_experiment(_config(theorem="T5", t=t, trawl=trawl, replications=2,
+                                 test_function={"kind": "power", "exponent": exponent}))
+    assert math.isfinite(res.theory["limit_variance"]) and res.theory["limit_variance"] > 0
 
 
 @pytest.mark.parametrize("theorem", ["T1", "T5"])
@@ -299,14 +320,17 @@ def test_config_hash_stable_and_sensitive():
         {"theorem": "T1", "t": 0.5, "seed_spec": {"family": "gaussian", "mean": 1.0, "var": 1.0}},
         {"theorem": "T4"},
         {"theorem": "C1", "tdep_T": 1.0},
+        {"theorem": "T6", "test_function": {"kind": "power", "exponent": 4.0}, "replications": 7},
     ],
-    ids=["T3", "T5", "T1-gamma-points", "T1-gaussian-circulant", "T4", "C1"],
+    ids=["T3", "T5", "T1-gamma-points", "T1-gaussian-circulant", "T4", "C1", "T6-odd"],
 )
-def test_run_deterministic_and_thread_invariant(overrides):
+def test_run_deterministic_and_thread_invariant(overrides, monkeypatch):
     """One pool serves the whole n-grid, and T5 centres after the gather.
     Every sampler (points, circulant) and statistic gives the serial
-    bits on 2 and 3 threads, with the interpreter switching threads as often
-    as it can."""
+    bits on 1, 2 and 3 threads, with the interpreter switching threads as
+    often as it can.  T3, T6 and C1 estimate two replications per call; at
+    T6's odd count the last block runs alone, and every statistic keeps the
+    bits it has when each replication runs alone."""
     res1 = run_experiment(_config(n_grid=[128, 256], **overrides))
     res2 = run_experiment(_config(n_grid=[128, 256], **overrides))
     interval = sys.getswitchinterval()
@@ -315,12 +339,27 @@ def test_run_deterministic_and_thread_invariant(overrides):
         pooled = [run_experiment(_config(n_grid=[128, 256], threads=t, **overrides)) for t in (2, 3)]
     finally:
         sys.setswitchinterval(interval)
+    monkeypatch.setattr(mc, "_block_size", lambda cfg, n: 1)
+    alone = run_experiment(_config(n_grid=[128, 256], **overrides))
     for n in (128, 256):
         np.testing.assert_array_equal(res1.stats[n], res2.stats[n])
         for res_threads in pooled:
             np.testing.assert_array_equal(res1.stats[n], res_threads.stats[n])
+        assert res1.stats[n].tobytes() == alone.stats[n].tobytes()
+        assert len(res1.stats[n]) == res1.config.replications
     reseeded = run_experiment(_config(n_grid=[128, 256], master_seed=9, **overrides))
     assert not np.array_equal(res1.stats[256], reseeded.stats[256])
+
+
+@pytest.mark.parametrize("theorem,paired", [("T3", True), ("T6", True), ("C1", True), ("T1", False), ("T4", False), ("T5", False)])
+def test_blocks_pair_the_all_lag_statistics(theorem, paired):
+    """lambda_n and tau read all n lags, so their replications run two to a
+    call at a transform length the pairing rule admits; the lag-bounded
+    statistics run one to a call, and so does every statistic at n = 2^18."""
+    cfg = _config(theorem=theorem, test_function={"kind": "power", "exponent": 4.0}, t=1.0)
+    assert mc._block_size(cfg, 256) == (2 if paired else 1)
+    assert mc._block_size(cfg, 2**18) == 1
+    assert len(mc._one_replication(cfg, 256, 7)) == 1  # the last of 8 replications
 
 
 def test_thread_pool_starts_no_process(monkeypatch):
