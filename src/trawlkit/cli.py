@@ -44,9 +44,9 @@ from . import __version__
 from .estimators import (
     choose_window,
     estimate_trawl,
+    functional_lags,
     lambda_bar_n,
     lambda_n,
-    num_head_terms,
     psi_n,
 )
 from .inference import tau_test
@@ -126,7 +126,12 @@ def cmd_estimate(args) -> int:
         t_grid = [float(t) for t in args.t_grid.split(",")]
         rows = []
         for t in t_grid:
-            bar = lambda_bar_n(est, g, t, window) if num_head_terms(est.delta, t) < window else float("nan")
+            try:  # NaN where lambda_bar_n's lag rule refuses t
+                functional_lags("lambda_bar", est.n, est.delta, t, window)
+            except ValueError:
+                bar = float("nan")
+            else:
+                bar = lambda_bar_n(est, g, t, window)
             rows.append((t, psi_n(est, g, t), lambda_n(est, g, t), bar))
         _write_csv(args.functionals_out, ["t", "psi_n", "lambda_n", "lambda_bar_n"], rows)
         _sidecar(

@@ -66,13 +66,10 @@ several times slower.  Each transform allocates the padded path, 8 * m
 bytes, and runs both FFTs and the step from Z to H in place on it; y_0,
 y_{n-l} and y_n are read from x again afterwards.  It reads one cached
 read-only table of the m/4 - 1 complex v_k per length.
-The Monte Carlo harness asks for the lags that ``functional_lags`` gives
-psi_n (T1, T5, at least one) and lambda_bar_n (T4); lambda_n (T3, T6) and
-the T-dependence ratio (C1) read all n.
 
 Paths with the same n and delta can share their transforms: their padded
 rows are stacked and go through one forward FFT and one inverse along the
-rows (``_estimate_all_lags``).  numpy's pocketfft, built for the x86-64-v2
+rows (``_estimate_paths``).  numpy's pocketfft, built for the x86-64-v2
 baseline, transforms the rows of a stack two at a time, one in each lane
 of a 128-bit vector register, but runs a one-row transform as scalar code;
 each row gets the arithmetic of a one-row transform, so its bits do not
@@ -80,8 +77,8 @@ change.  So two rows take less time than two one-row calls, and four or
 eight save nothing more per row.  A stack costs memory: pocketfft works on
 an interleaved copy of the rows, so a pair holds about 40 * m bytes (its
 two padded rows and a working copy of about three rows) where one path
-holds 16 * m.  Hence the pairing rule: the Monte Carlo harness estimates
-two all-lag replications per call while m <= ``_PAIR_MAX_LENGTH`` = 2^17,
+holds 16 * m.  Hence the pairing rule (``_rows_per_call``): all-lag
+estimates run two paths per call while m <= ``_PAIR_MAX_LENGTH`` = 2^17,
 that is n <= 2^16, where a pair holds at most 5 MiB.  Beyond it the time a
 pair saves shrinks as the transforms outgrow the caches, while its memory
 keeps growing: at m = 2^19 (n = 2^18) a pair would hold 12 MiB more per
@@ -409,7 +406,7 @@ def estimate_trawl(path: SampledPath, lags: Optional[int] = None) -> TrawlEstima
     floats; freed, they go back to the allocator, whose policy decides
     whether the next call faults them in again (see ``cli``).  The transform
     is the one-row case of ``_transform_estimates``, which
-    ``_estimate_all_lags`` runs on a stack of paths.
+    ``_estimate_paths`` runs on a stack of paths.
 
     A call with L < n first counts the steps S at which the path moves.  If
     |S| * (L + L0) < c * m * log2(m), with c = ``_JUMP_SUM_COST`` and
@@ -441,25 +438,23 @@ def estimate_trawl(path: SampledPath, lags: Optional[int] = None) -> TrawlEstima
 _PAIR_MAX_LENGTH = 2**17
 
 
-def _pairs_fit(n: int) -> bool:
-    """Whether all-lag estimates of paths of n steps run two to a call: their
-    transform length ``_transform_length(2 * n)`` is at most
-    ``_PAIR_MAX_LENGTH``."""
-    return _transform_length(2 * n) <= _PAIR_MAX_LENGTH
+def _rows_per_call(n: int, num_lags: int) -> int:
+    """How many paths of n steps ``_estimate_paths`` estimates at L lags in
+    one call: two when L = n and their transform length
+    ``_transform_length(2 * n)`` is at most ``_PAIR_MAX_LENGTH``, else one."""
+    return 2 if num_lags == n and _transform_length(2 * n) <= _PAIR_MAX_LENGTH else 1
 
 
-def _estimate_all_lags(paths) -> list:
-    """All-lag estimates of several paths with the same n and delta, their
-    transforms stacked into one pair of FFT calls; each is bitwise the
-    ``estimate_trawl(path)`` of its path.
-
-    A stacked call allocates one padded row per path, 8 * m bytes each, and
-    pocketfft's working copy of two rows takes about three rows more, so
-    the Monte Carlo harness stacks two paths, and only at the transform
-    lengths that ``_pairs_fit`` admits (see the module docstring)."""
+def _estimate_paths(paths, num_lags: int) -> list:
+    """The estimates at lags 0..L-1 of a block of paths, each bitwise the
+    ``estimate_trawl(path, L)`` of its path.  One path goes through
+    ``estimate_trawl``; a stack must share n and delta and read all n lags,
+    and goes through one pair of FFT calls (see the module docstring)."""
+    if len(paths) == 1:
+        return [estimate_trawl(paths[0], num_lags)]
     n, delta = paths[0].n, paths[0].delta
-    if any(path.n != n or path.delta != delta for path in paths):
-        raise ValueError("stacked paths must share n and delta")
+    if num_lags != n or any(path.n != n or path.delta != delta for path in paths):
+        raise ValueError(f"stacked paths must share n and delta and read all n = {n} lags, got {num_lags}")
     x_bars = [_path_mean(path) for path in paths]
     return _transform_estimates(paths, x_bars, n, _transform_length(2 * n))
 
@@ -489,15 +484,22 @@ def functional_lags(functional: str, n: int, delta: float, t: float, window: Opt
     ``psi`` sums the floor(t/delta) lags below t, at most n; ``lambda`` the
     lags from floor(t/delta) to n - 1, so floor(t/delta) <= n - 1;
     ``lambda_bar`` those up to ``window - 1``, so floor(t/delta) < window <= n;
-    and ``tau``'s head the ceil(t/delta) lags below t = T, for T <= (n-1)*delta.
+    and ``tau``'s tail the lags from ceil(T/delta) to n - 1, for T in
+    (0, (n-1)*delta].  Each stop is the lag count the functional reads.  tau's
+    head keeps every lag below T, so that under the null, where a vanishes
+    beyond T, its tail holds only lags where a is 0; its tail and lambda_n's
+    agree only when T/delta is an integer.
+
     The functionals and ``tau_test`` read their lags here, and the Monte Carlo
     harness checks its configs here, before it draws a path.
     """
-    start = num_head_terms(delta, t)
     if functional == "tau":
+        if not 0 < t < math.inf:
+            raise ValueError("T must be positive and finite")
         if t > (n - 1) * delta:
             raise ValueError(f"T exceeds the observed horizon (n-1)*delta = {(n - 1) * delta!r} at n = {n}")
-        return 0, int(math.ceil(t / delta - 1e-12))
+        return int(math.ceil(t / delta - 1e-12)), n
+    start = num_head_terms(delta, t)
     if functional == "psi":
         if start > n:
             raise ValueError(f"t exceeds the observed horizon: psi_n sums floor(t/delta) = {start} lags, "

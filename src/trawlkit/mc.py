@@ -18,16 +18,11 @@ Everything is deterministic given the master seed: per-replication seeds are
 derived by keyed spawning, so results do not depend on the execution order
 or the worker count.
 
-The statistics that read all n lags, lambda_n (T3, T6) and tau (C1), run
-two replications per call of ``_one_replication`` wherever the estimator's
-pairing rule admits their transform length, m <= 2^17 or n <= 2^16 (see
-``estimators``): one stacked pair of FFT calls estimates both paths, and
-numpy's FFT runs two rows in the two lanes of its vector registers in less
-time than two one-row calls.  Each path still draws from its own substream
-and each estimate keeps the bits of a one-path call, so no statistic depends
-on the pairing.  A pair holds about 40 * m bytes of transform buffers, at
-most 5 MiB per worker, where one path holds 16 * m.  The other statistics,
-and every statistic at larger n, run one replication per call.
+A block of replications goes from paths to values one way: the lag count
+its statistic reads (``ExperimentConfig.lags_for``), one estimator call for
+all its paths, and the statistic on each estimate.  ``estimators`` sets how
+many paths one call takes (``_rows_per_call``), and each estimate keeps the
+bits of a one-path call.
 
 With ``threads > 1`` the replications run on a thread pool inside the
 calling process.  Their heavy kernels (pocketfft, numpy's loops over large
@@ -51,17 +46,15 @@ import numpy as np
 
 from .estimators import (
     TestFunction,
-    _estimate_all_lags,
-    _pairs_fit,
+    _estimate_paths,
+    _rows_per_call,
     choose_window,
-    estimate_trawl,
     functional_lags,
     lambda_bar_n,
     lambda_n,
-    num_head_terms,
     psi_n,
 )
-from .inference import _tau_report, tau_test
+from .inference import _tau_report
 from .limit_theory import AvarKernel, check_finite_derivative, check_tail_clt
 from .models import _as_dict, _check_number, seed_from_dict, trawl_from_dict
 from .simulate import GridScheme, _write_csv, check_simulator, simulate
@@ -86,6 +79,15 @@ __all__ = [
 _THEOREMS = {"T1": ("psi", "rmse"), "T3": ("lambda", "rmse"), "T4": ("lambda_bar", "rmse"),
              "T5": ("psi", "clt"), "T6": ("lambda", "clt"), "C1": ("tau", "quantiles")}
 THEOREM_TAGS = tuple(_THEOREMS)
+
+#: Estimate -> its statistic (cfg, trawl estimate) -> float.  Each entry looks
+#: its function up by name when called, so a wrapper set on this module sees it.
+_STATISTICS = {
+    "psi": lambda cfg, est: psi_n(est, cfg.g, cfg.t),
+    "lambda": lambda cfg, est: lambda_n(est, cfg.g, cfg.t),
+    "lambda_bar": lambda cfg, est: lambda_bar_n(est, cfg.g, cfg.t, cfg.window_for(est.n)),
+    "tau": lambda cfg, est: _tau_report(est, cfg.tdep_T, cfg.tdep_p).scaled,
+}
 
 
 def test_function_from_dict(cfg) -> TestFunction:
@@ -133,7 +135,7 @@ class ExperimentConfig:
     kappa2 * a, while the targets and the limit variances are functionals
     of a itself.  The simulator must be able to draw the seed at every n
     (``check_simulator``), and at every n the theorem's statistic must be
-    able to read its time, t or C1's tdep_T (``functional_lags``).  A tail
+    able to read its time, t or C1's tdep_T (``lags_for``).  A tail
     target must be finite, a tail CLT's limit must exist
     (``check_tail_clt``), and a CLT's g' must be finite wherever its limit
     variance reads a (``check_finite_derivative``): an exponent below 1 only
@@ -174,8 +176,8 @@ class ExperimentConfig:
         if not isinstance(self.n_grid, (list, tuple)) or not self.n_grid:
             raise ValueError(f"n_grid must be a non-empty list of integers, got {self.n_grid!r}")
         object.__setattr__(self, "n_grid", tuple(_whole("n_grid", n) for n in self.n_grid))
-        if min(self.n_grid) < 2:
-            raise ValueError(f"n_grid entries must be at least 2, got {self.n_grid!r}")
+        if min(self.n_grid) < 2 or len(set(self.n_grid)) < len(self.n_grid):
+            raise ValueError(f"n_grid entries must be distinct and at least 2, got {self.n_grid!r}")
         for name in ("replications", "threads", "master_seed"):
             object.__setattr__(self, name, _whole(name, getattr(self, name)))
         if self.replications < 1:
@@ -207,14 +209,22 @@ class ExperimentConfig:
                 check_finite_derivative(self.trawl_model, self.g, self.t if estimate == "psi" else math.inf)
         except ValueError as exc:
             raise ValueError(f"test_function = {self.test_function!r} does not fit {self.theorem}: {exc}") from None
+        if estimate == "lambda_bar":
+            self.window_for(self.n_grid[0])  # an explicit kappa outside its bounds fails here, unwrapped
         name = "tdep_T" if estimate == "tau" else "t"
         for n in self.n_grid:
-            # an explicit kappa outside its bounds fails in window_for
-            window = self.window_for(n) if estimate == "lambda_bar" else None
             try:
-                functional_lags(estimate, n, self.delta_for(n), getattr(self, name), window)
+                self.lags_for(n)
             except ValueError as exc:
                 raise ValueError(f"{name} = {getattr(self, name)!r} does not fit n = {n}: {exc}") from None
+
+    def lags_for(self, n: int) -> int:
+        """L, the lags the theorem's statistic reads at n: the stop of its
+        ``functional_lags``, at least 1 (psi_n at t < delta reads none)."""
+        estimate = _THEOREMS[self.theorem][0]
+        time = self.tdep_T if estimate == "tau" else self.t
+        window = self.window_for(n) if estimate == "lambda_bar" else None
+        return max(functional_lags(estimate, n, self.delta_for(n), time, window)[1], 1)
 
     def window_for(self, n: int) -> int:
         """The window of lambda_bar_n at n.  The floor(e)-th derivative of
@@ -307,41 +317,24 @@ def _rep_seed(master_seed: int, n: int, rep: int) -> int:
 
 
 def _block_size(cfg: ExperimentConfig, n: int) -> int:
-    """Replications per call of ``_one_replication`` at n: two when the
-    statistic reads all n lags (lambda_n, tau) and ``_pairs_fit(n)``, so that
-    one stacked call estimates both paths, else one."""
-    return 2 if _THEOREMS[cfg.theorem][0] in ("lambda", "tau") and _pairs_fit(n) else 1
+    """Replications per call of ``_one_replication`` at n: the paths that one
+    call of ``_estimate_paths`` estimates at the statistic's lag count."""
+    return _rows_per_call(n, cfg.lags_for(n))
 
 
 def _one_replication(cfg: ExperimentConfig, n: int, rep: int) -> list:
     """The raw statistics of the block of ``_block_size`` replications that
-    starts at ``rep``, cut short at the last replication: the theorem's
-    estimate psi_n, lambda_n, the windowed lambda_bar_n or the scaled ratio
-    tau of each.  Every replication draws its path from its own substream, so
-    a value does not depend on the block it ran in."""
-    estimate = _THEOREMS[cfg.theorem][0]
+    starts at ``rep``, cut short at the last replication: its paths, each
+    from its own substream, estimated in one call, and the row's statistic
+    on each estimate.  A value does not depend on the block it ran in."""
     paths = [
         simulate(cfg.trawl_model, cfg.seed_model,
                  GridScheme(n=n, delta=cfg.delta_for(n), master_seed=_rep_seed(cfg.master_seed, n, r)),
                  cfg.simulator)
         for r in range(rep, min(rep + _block_size(cfg, n), cfg.replications))
     ]
-    if len(paths) > 1:
-        ests = _estimate_all_lags(paths)
-        if estimate == "tau":
-            return [_tau_report(est, cfg.tdep_T, cfg.tdep_p).scaled for est in ests]
-        return [lambda_n(est, cfg.g, cfg.t) for est in ests]
-    (path,) = paths
-    if estimate == "tau":
-        return [tau_test(path, T=cfg.tdep_T, p=cfg.tdep_p).scaled]
-    if estimate == "lambda":
-        return [lambda_n(estimate_trawl(path), cfg.g, cfg.t)]
-    # psi_n and lambda_bar_n read only the lags below t or below the window,
-    # at most n (the config checked both).
-    if estimate == "psi":
-        return [psi_n(estimate_trawl(path, lags=max(num_head_terms(path.delta, cfg.t), 1)), cfg.g, cfg.t)]
-    window = cfg.window_for(n)
-    return [lambda_bar_n(estimate_trawl(path, lags=window), cfg.g, cfg.t, window)]
+    statistic = _STATISTICS[_THEOREMS[cfg.theorem][0]]
+    return [statistic(cfg, est) for est in _estimate_paths(paths, cfg.lags_for(n))]
 
 
 def run_experiment(cfg: ExperimentConfig) -> McResult:

@@ -280,7 +280,7 @@ def test_estimate_allocates_8_m_bytes_per_row(rows):
     m = _transform_length(2 * n)
     scratch = 32 * min(estimators._PACK_BLOCK, m // 4)
     assert scratch < 8 * m
-    run = (lambda: estimate_trawl(paths[0])) if rows == 1 else (lambda: estimators._estimate_all_lags(paths))
+    run = (lambda: estimate_trawl(paths[0])) if rows == 1 else (lambda: estimators._estimate_paths(paths, n))
     run()
     tracemalloc.start()
     try:
@@ -308,25 +308,32 @@ def test_pair_matches_single_estimates_bitwise(n):
     second = SampledPath(0.1, 100.0 + np.cumsum(np.random.default_rng(41).standard_normal(n + 1)))
     single = [estimate_trawl(path) for path in (first, second)]
     for pair, expected in (((first, second), single), ((second, first), single[::-1])):
-        for got, want in zip(estimators._estimate_all_lags(pair), expected):
+        for got, want in zip(estimators._estimate_paths(pair, n), expected):
             assert got.lags == n and got.x_bar == want.x_bar
             assert got.a_hat.tobytes() == want.a_hat.tobytes()
 
 
 def test_stacked_estimates_refuse_mismatched_paths():
+    """A stack shares one transform of all n lags, so paths of different n
+    or delta, and a stack asked for fewer lags, are refused."""
     with pytest.raises(ValueError, match="share n and delta"):
-        estimators._estimate_all_lags([_random_path(100, 1), _random_path(101, 2)])
+        estimators._estimate_paths([_random_path(100, 1), _random_path(101, 2)], 100)
     with pytest.raises(ValueError, match="share n and delta"):
-        estimators._estimate_all_lags([_random_path(100, 1), _random_path(100, 2, delta=0.2)])
+        estimators._estimate_paths([_random_path(100, 1), _random_path(100, 2, delta=0.2)], 100)
     with pytest.raises(ValueError, match="non-finite"):
-        estimators._estimate_all_lags([_random_path(100, 1), SampledPath(0.1, np.full(101, np.inf))])
+        estimators._estimate_paths([_random_path(100, 1), SampledPath(0.1, np.full(101, np.inf))], 100)
+    with pytest.raises(ValueError, match="read all n = 100 lags, got 99"):
+        estimators._estimate_paths([_random_path(100, 1), _random_path(100, 2)], 99)
 
 
-def test_pairs_fit_up_to_m_2_17():
+def test_rows_per_call_pairs_all_lags_up_to_m_2_17():
     """The pairing rule on the transform length: T6's m = 2^16 (n = 2^15)
-    and C1's 2^17 (n = 2^16) pair, C1's 2^19 (n = 2^18) does not."""
-    assert estimators._pairs_fit(2**15) and estimators._pairs_fit(2**16)
-    assert not estimators._pairs_fit(2**16 + 1) and not estimators._pairs_fit(2**18)
+    and C1's 2^17 (n = 2^16) pair, C1's 2^19 (n = 2^18) does not; an
+    estimate of fewer than n lags never pairs."""
+    assert estimators._rows_per_call(2**15, 2**15) == estimators._rows_per_call(2**16, 2**16) == 2
+    assert estimators._rows_per_call(2**16 + 1, 2**16 + 1) == estimators._rows_per_call(2**18, 2**18) == 1
+    for n in (2, 3, 256, 2**15, 2**16):
+        assert all(estimators._rows_per_call(n, lags) == 1 for lags in range(1, n))
 
 
 @pytest.mark.parametrize("m", [4, 8, 12, 20, 420, 4320, 2**16])

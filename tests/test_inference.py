@@ -55,18 +55,19 @@ def test_tau_is_tail_to_head_ratio():
 
 
 def test_tau_reads_its_lags_from_functional_lags():
-    """tau's head is the ceil(T/delta) lags below T, so an off-grid T takes
-    one lag more than psi_n's floor(t/delta); T may reach (n-1)*delta, and
-    one step more is refused with the horizon named."""
+    """tau's tail starts at lag ceil(T/delta), so an off-grid T leaves one
+    lag more in the head than psi_n's floor(t/delta), and the tail reads to
+    lag n - 1; T may reach (n-1)*delta, and one step more is refused with the
+    horizon named."""
     path = _poisson_path(ExponentialTrawl(1.0), n=256)  # delta = 1/16
     n, delta = path.n, path.delta
-    assert functional_lags("tau", n, delta, 1.0) == (0, 16)
-    assert functional_lags("tau", n, delta, 0.3) == (0, 5)
-    assert functional_lags("tau", n, 0.1, 0.3) == (0, 3)  # 0.3 / 0.1 = 2.9999999999999996
+    assert functional_lags("tau", n, delta, 1.0) == (16, n)
+    assert functional_lags("tau", n, delta, 0.3) == (5, n)
+    assert functional_lags("tau", n, 0.1, 0.3) == (3, n)  # 0.3 / 0.1 = 2.9999999999999996
     est = estimate_trawl(path)
     report = tau_test(path, T=0.3)
     assert report.denominator == pytest.approx(delta * np.sum(est.a_hat[:5] ** 4), rel=1e-12)
-    assert functional_lags("tau", n, delta, (n - 1) * delta) == (0, n - 1)
+    assert functional_lags("tau", n, delta, (n - 1) * delta) == (n - 1, n)
     tau_test(path, T=(n - 1) * delta)
     for reader in (lambda T: functional_lags("tau", n, delta, T), lambda T: tau_test(path, T=T)):
         with pytest.raises(ValueError, match=r"T exceeds the observed horizon \(n-1\)\*delta = 15.9375 at n = 256"):

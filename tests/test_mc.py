@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from trawlkit import TestFunction as G  # aliased: pytest would try to collect a Test* class
@@ -21,8 +23,9 @@ from trawlkit import (
     true_lambda,
     true_psi,
 )
-from trawlkit import mc
+from trawlkit import QuadratureError, SampledPath, estimate_trawl, mc
 from trawlkit.mc import test_function_from_dict as tf_from_dict
+from trawlkit.simulate import SIMULATORS
 
 EXPERIMENTS = Path(__file__).resolve().parent.parent / "experiments"
 
@@ -119,7 +122,7 @@ def test_config_validation():
         _config(varpi=3.5)
     with pytest.raises(ValueError):
         _config(replications=0)
-    for n_grid in ([], [1, 256]):
+    for n_grid in ([], [1, 256], [128, 256, 128]):
         with pytest.raises(ValueError, match="n_grid"):
             _config(n_grid=n_grid)
     for threads in (0, -3):
@@ -284,6 +287,95 @@ def test_seed_with_kappa2_other_than_one_is_a_config_error(seed_spec, theorem):
 def test_c1_takes_a_seed_with_any_kappa2():
     res = run_experiment(_config(theorem="C1", seed_spec=KAPPA2_SEEDS[1], n_grid=[512]))
     assert all(math.isfinite(stat) for _, _, stat in res.raw_rows())
+
+
+@pytest.mark.parametrize("time", [0.5, 0.3], ids=["on-grid", "off-grid"])
+@pytest.mark.parametrize("theorem", mc.THEOREM_TAGS)
+def test_lags_for_is_what_each_statistic_reads(theorem, time):
+    """At n = 64 and 256 (delta = 1/8 and 1/16), each row's statistic runs
+    on an estimate at ``lags_for(n)`` lags and, where that is more than one,
+    refuses an estimate one lag short."""
+    field = "tdep_T" if theorem == "C1" else "t"
+    g = {"test_function": {"kind": "power", "exponent": 4.0}} if theorem == "T6" else {}
+    cfg = _config(theorem=theorem, n_grid=[64, 256], **{field: time}, **g)
+    statistic = mc._STATISTICS[mc._THEOREMS[theorem][0]]
+    for n in cfg.n_grid:
+        assert (time / cfg.delta_for(n)).is_integer() == (time == 0.5)
+        path = SampledPath(cfg.delta_for(n), np.cumsum(np.random.default_rng(n).standard_normal(n + 1)))
+        lags = cfg.lags_for(n)
+        assert math.isfinite(statistic(cfg, estimate_trawl(path, lags)))
+        if lags > 1:
+            with pytest.raises(ValueError, match=f"reads {lags} lags but the estimate holds {lags - 1}"):
+                statistic(cfg, estimate_trawl(path, lags - 1))
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False)
+
+
+#: Experiments drawn over every field, at small n.  The ranges reach past
+#: several fields' limits, and the seeds include kappa2 = 1 and other values.
+EXPERIMENT_DICTS = st.fixed_dictionaries({
+    "trawl": st.one_of(
+        st.builds(lambda rate: {"family": "exponential", "rate": rate}, _floats(0.2, 5.0)),
+        st.builds(lambda alpha, scale: {"family": "powerlaw", "alpha": alpha, "scale": scale},
+                  _floats(1.05, 6.0), _floats(0.2, 3.0)),
+        st.builds(lambda support: {"family": "triangle", "support": support}, _floats(0.2, 5.0)),
+    ),
+    "seed_spec": st.one_of(
+        st.builds(lambda mean, var: {"family": "gaussian", "mean": mean, "var": var},
+                  _floats(-2.0, 2.0), st.sampled_from([1.0, 2.0])),
+        st.builds(lambda rate: {"family": "poisson", "rate": rate}, st.sampled_from([1.0, 0.3])),
+        st.sampled_from([{"family": "gamma", "shape": 1.0, "scale": 1.0},
+                         {"family": "gamma", "shape": 4.0, "scale": 0.5},
+                         {"family": "gamma", "shape": 0.6, "scale": 1.0}]),
+    ),
+    "theorem": st.sampled_from(mc.THEOREM_TAGS),
+    "n_grid": st.lists(st.integers(2, 64), min_size=1, max_size=3, unique=True),
+    "replications": st.integers(1, 3),
+    "varpi": _floats(1.05, 2.95),
+    "c": _floats(0.05, 2.0),
+    "t": _floats(0.0, 3.0),
+    "test_function": st.one_of(st.just({"kind": "square"}),
+                               st.builds(lambda e: {"kind": "power", "exponent": e}, _floats(0.3, 6.0))),
+    "theta": _floats(0.1, 4.0),
+    "kappa": st.one_of(st.none(), _floats(0.3, 1.0)),
+    "tdep_T": _floats(0.05, 3.0),
+    "tdep_p": _floats(0.5, 8.0),
+    "master_seed": st.integers(0, 2**32),
+    "simulator": st.sampled_from(SIMULATORS),
+    "threads": st.integers(1, 2),
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(EXPERIMENT_DICTS)
+def test_every_config_error_comes_before_the_first_path(experiment):
+    """Building the config raises ValueError, or the run draws every path
+    and summarises every n; paths are counted through ``mc.simulate``.  Two
+    late errors are admitted: the theory stage's QuadratureError, raised
+    before any path, and C1's refusal of a path flat over tau's head, which
+    a sparse seed can draw at small n: a refusal of the draw, not of the
+    config."""
+    try:
+        cfg = ExperimentConfig.from_dict(experiment)
+    except ValueError:
+        return
+    drawn, simulate = [], mc.simulate
+    mc.simulate = lambda *args: drawn.append(args[2].n) or simulate(*args)
+    try:
+        res = run_experiment(cfg)
+    except QuadratureError:
+        assert drawn == []
+        return
+    except ValueError as exc:
+        if cfg.theorem == "C1" and str(exc) == "degenerate path: head functional vanished":
+            return
+        raise
+    finally:
+        mc.simulate = simulate
+    assert sorted(drawn) == sorted(cfg.n_grid * cfg.replications)
+    assert sorted(res.summaries) == sorted(cfg.n_grid)
 
 
 @pytest.mark.parametrize("path", sorted(EXPERIMENTS.glob("*.json")), ids=lambda p: p.stem)
