@@ -9,7 +9,6 @@ from .estimators import (
     estimate_trawl,
     lambda_bar_n,
     lambda_n,
-    num_head_terms,
     psi_n,
     window_exponent_bounds,
 )

@@ -57,15 +57,21 @@ A statistic may need only the first L lags: the head functional
 ``int_0^t g(a(s)) ds`` reads floor(t / delta) of them and the windowed tail
 sum its window.  Lags 0..L-1 need R(0..L), which a circular correlation of
 length m gives free of wrap-around once m >= n + L + 1, so the transform
-shrinks from about 2n towards n; all n lags need m >= 2n.  m is the
-smallest 5-smooth multiple of 4 that suffices, 4 * (the smallest 5-smooth
-integer >= k / 4): a multiple of 4 makes M even, so that k = M/2 pairs with
-itself, and numpy's FFT has fast passes for the factors 2, 3 and 5 only; a
-length with a large prime factor falls back to Bluestein's algorithm,
-several times slower.  Each transform allocates the padded path, 8 * m
-bytes, and runs both FFTs and the step from Z to H in place on it; y_0,
-y_{n-l} and y_n are read from x again afterwards.  It reads one cached
-read-only table of the m/4 - 1 complex v_k per length.
+shrinks from about 2n towards n.  All n lags need m >= 2n, and then lag n
+is the only one that can wrap around: at m = 2n the circular correlation
+adds lag -n to it and doubles it, so R(n) = y_0 y_n is set directly.  m is
+the smallest 5-smooth multiple of 4 that suffices, 4 * (the smallest
+5-smooth integer >= k / 4): a multiple of 4 makes M even, so that k = M/2
+pairs with itself, and numpy's FFT has fast passes for the factors 2, 3
+and 5 only; a length with a large prime factor falls back to Bluestein's
+algorithm, several times slower.  Each transform allocates the padded
+path, 8 * m bytes, and runs both FFTs and the step from Z to H in place on
+it; y_0, y_{n-l} and y_n are read from x again afterwards.  pocketfft takes
+a working copy of about the same size inside each FFT, and the step from Z
+to H a scratch of 4 * min(``_PACK_BLOCK``, m/4) floats; freed, they go back
+to the allocator, whose policy decides whether the next call faults them
+in again (see ``cli``).  The step reads one cached read-only table of the
+m/4 - 1 complex v_k per length.
 
 Paths with the same n and delta can share their transforms: their padded
 rows are stacked and go through one forward FFT and one inverse along the
@@ -141,7 +147,6 @@ __all__ = [
     "psi_n",
     "lambda_n",
     "lambda_bar_n",
-    "num_head_terms",
     "functional_lags",
     "window_exponent_bounds",
     "choose_window",
@@ -185,7 +190,6 @@ class TrawlEstimate:
     delta: float
     n: int
     a_hat: np.ndarray
-    x_bar: float
 
     def __post_init__(self):
         self.a_hat = np.asarray(self.a_hat, dtype=float)
@@ -227,23 +231,12 @@ def _transform_length(k: int) -> int:
 @functools.lru_cache(maxsize=8)
 def _twiddles(m: int) -> np.ndarray:
     """v_k = cos(theta_k) exp(i theta_k) / 2 = (1 + exp(2i theta_k)) / 4,
-    theta_k = 2 pi k / m, for k = 1..m/4 - 1: complex, read only.
-
-    Each exp(2i theta_k) is the product exp(2i theta_{q s}) exp(2i theta_r),
-    k = q s + r with s about sqrt(m/4), of two of about 2 s exponentials, so
-    the table costs one pass of complex products and no temporary of its
-    size.  A cosine and a sine per entry, with their temporaries, took 0.1
-    to 0.2 ms at m = 4320 and 8640 in a fresh process (2-vCPU Intel Xeon)
-    and raised the peak memory by 0.25 MiB at m = 2^16.  The entries lie
-    within about 2e-16 of the direct formula."""
-    count = m // 4 - 1
-    step = math.isqrt(count) + 1
-    unit = 4j * math.pi / m
-    coarse = np.exp(unit * np.arange(0, count + step, step))
-    coarse *= 0.25
-    fine = np.exp(unit * np.arange(step))
-    table = np.multiply.outer(coarse, fine).reshape(-1)[1 : count + 1]
-    table.real += 0.25
+    theta_k = 2 pi k / m, for k = 1..m/4 - 1: complex, read only."""
+    table = np.arange(1, m // 4, dtype=complex)
+    table *= 4j * math.pi / m
+    np.exp(table, out=table)
+    table += 1.0
+    table *= 0.25
     table.flags.writeable = False
     return table
 
@@ -356,8 +349,7 @@ def _transform_estimates(paths, x_bars, num_lags: int, m: int) -> list:
         _packed_power(spec[i], m)
     np.fft.ifft(spec, axis=1, out=spec)
     return [
-        TrawlEstimate(delta=delta, n=n, a_hat=_lag_differences(pad[i, : num_lags + 1], paths[i], x_bars[i]),
-                      x_bar=x_bars[i])
+        TrawlEstimate(delta=delta, n=n, a_hat=_lag_differences(pad[i, : num_lags + 1], paths[i], x_bars[i]))
         for i in rows
     ]
 
@@ -366,7 +358,7 @@ def _lag_differences(r, path: SampledPath, x_bar: float) -> np.ndarray:
     """a_hat(l delta) = (R(l) - R(l+1) - y_{n-l} y_n) / (n delta) for
     l = 0..L-1, from r = R(0..L).  The transforms overwrote y, so y_0,
     y_{n-l} and y_n come from x again; at L = n, R(n) = y_0 y_n is set in r
-    (see ``estimate_trawl``).  One temporary of L floats."""
+    (see the module docstring).  One temporary of L floats."""
     x, n, num_lags = path.values, path.n, len(r) - 1
     y_n = float(x[n]) - x_bar
     if num_lags == n:
@@ -384,38 +376,16 @@ def estimate_trawl(path: SampledPath, lags: Optional[int] = None) -> TrawlEstima
     converge to kappa2 * a, the seed's variance per unit area times the trawl
     function.
 
-    The path is centred, y = x - xbar, and the autocorrelation R(0..L) of y
-    comes from one complex FFT of half length M = m/2 and its inverse, with y
-    packed into complex numbers (see the module docstring); then
-    a_hat(l * delta) = (R(l) - R(l+1) - y_{n-l} y_n) / (n * delta).  The
-    transform length m is the smallest 5-smooth multiple of 4 that keeps
-    R(0..L) exact:
-
-    * for L < n, m >= n + L + 1, so the circular correlation's wrapped lags
-      -(m - h) stay below -n, where R vanishes, for every h <= L;
-    * for L = n, m >= 2n.  Lag n is then the only one that can wrap around:
-      when m = 2n the circular correlation adds lag -n to it and doubles it,
-      so R(n) = y_0 y_n is set directly.  At a power-of-two n this m is
-      exactly 2n, the next power of two.
-
-    Each call allocates the padded path, m floats or 8 * m bytes (4 MiB for
-    all lags at n = 2^18): both transforms and the step from Z to H run in
-    place on it, and pocketfft takes a working copy of about the same size
-    inside each transform.  Besides these the call takes a block scratch of
-    4 * min(_PACK_BLOCK, m/4) floats, the result and one temporary of L
-    floats; freed, they go back to the allocator, whose policy decides
-    whether the next call faults them in again (see ``cli``).  The transform
-    is the one-row case of ``_transform_estimates``, which
-    ``_estimate_paths`` runs on a stack of paths.
-
-    A call with L < n first counts the steps S at which the path moves.  If
-    |S| * (L + L0) < c * m * log2(m), with c = ``_JUMP_SUM_COST`` and
-    L0 = ``_JUMP_SUM_ROW`` (see the module docstring), it skips the transform
-    and sums (X_{k delta} - X_{(k+1) delta}) * y_{k-l} over the k in S,
-    gathering y in blocks of at most 2 * m floats: the defining sum without
-    its zero terms.  A call for all n lags never counts.  The
-    O(n^2) oracle that evaluates the defining sum lag by lag lives in the
-    tests (``tests/oracles.py``).
+    The path is centred, y = x - xbar, and R(0..L), the autocorrelation of
+    y, comes from one packed FFT of a 5-smooth length m and its inverse; then
+    a_hat(l * delta) = (R(l) - R(l+1) - y_{n-l} y_n) / (n * delta).  A call
+    with L < n on a path that moves at few steps evaluates the defining sum
+    over those steps instead, by the rule of ``_JUMP_SUM_COST`` and
+    ``_JUMP_SUM_ROW``.  Either way the estimate agrees with the O(n^2)
+    oracle of the tests (``tests/oracles.py``) to rounding.  The module
+    docstring derives the transform, the rule for m, the memory a call takes
+    and the jump-sum rule.  A lag count outside 1..n and a path with a
+    non-finite value are refused.
     """
     x = path.values
     n = path.n
@@ -429,7 +399,7 @@ def estimate_trawl(path: SampledPath, lags: Optional[int] = None) -> TrawlEstima
         moved = x[1:] != x[:-1]
         if np.count_nonzero(moved) * (num_lags + _JUMP_SUM_ROW) < _JUMP_SUM_COST * m * math.log2(m):
             a_hat = np.divide(_jump_sum(x, x_bar, moved, num_lags, 2 * m), n * delta)
-            return TrawlEstimate(delta=delta, n=n, a_hat=a_hat, x_bar=x_bar)
+            return TrawlEstimate(delta=delta, n=n, a_hat=a_hat)
     return _transform_estimates([path], [x_bar], num_lags, m)[0]
 
 
@@ -457,15 +427,6 @@ def _estimate_paths(paths, num_lags: int) -> list:
         raise ValueError(f"stacked paths must share n and delta and read all n = {n} lags, got {num_lags}")
     x_bars = [_path_mean(path) for path in paths]
     return _transform_estimates(paths, x_bars, n, _transform_length(2 * n))
-
-
-def num_head_terms(delta: float, t: float) -> int:
-    """floor(t / delta), the number of lags below t: the head sum's length
-    and the tail sums' first lag.  The 1e-12 slack keeps a t on the grid
-    from losing a lag to rounding (0.3 / 0.1 = 2.9999999999999996)."""
-    if not 0 <= t < math.inf:
-        raise ValueError("t must be non-negative and finite")
-    return int(math.floor(t / delta + 1e-12))
 
 
 def _sum_g(est: TrawlEstimate, g: TestFunction, start: int, stop: int, name: str) -> float:
@@ -499,7 +460,11 @@ def functional_lags(functional: str, n: int, delta: float, t: float, window: Opt
         if t > (n - 1) * delta:
             raise ValueError(f"T exceeds the observed horizon (n-1)*delta = {(n - 1) * delta!r} at n = {n}")
         return int(math.ceil(t / delta - 1e-12)), n
-    start = num_head_terms(delta, t)
+    if not 0 <= t < math.inf:
+        raise ValueError("t must be non-negative and finite")
+    # floor(t/delta), the lags below t; the 1e-12 slack keeps a t on the grid
+    # from losing a lag to rounding (0.3 / 0.1 = 2.9999999999999996)
+    start = int(math.floor(t / delta + 1e-12))
     if functional == "psi":
         if start > n:
             raise ValueError(f"t exceeds the observed horizon: psi_n sums floor(t/delta) = {start} lags, "

@@ -19,9 +19,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
-from .estimators import TestFunction, TrawlEstimate, estimate_trawl, functional_lags
+from .estimators import TestFunction, TrawlEstimate, _sum_g, estimate_trawl, functional_lags
 from .simulate import SampledPath
 
 __all__ = ["TestReport", "tau_test"]
@@ -57,17 +55,15 @@ def tau_test(path: SampledPath, T: float, p: float = 4.0) -> TestReport:
 def _tau_report(est: TrawlEstimate, T: float, p: float) -> TestReport:
     """The ratio test on an estimate that holds all n lags: ``tau_test``
     applies it to ``estimate_trawl(path)``, the Monte Carlo harness to the
-    estimates of its blocks of paths.  It refuses a p, and through
+    estimates of its blocks of paths.  Both sums are ``_sum_g``'s, which
+    refuses an estimate of fewer lags.  It refuses a p, and through
     ``functional_lags`` a T, that the test cannot take."""
     if not 0 < p < math.inf:
         raise ValueError("p must be positive and finite")
-    n, delta = est.n, est.delta
+    n, delta, g = est.n, est.delta, TestFunction(p)
     head_terms, stop = functional_lags("tau", n, delta, T)
-    if est.lags != stop:
-        raise ValueError(f"tau reads {stop} lags but the estimate holds {est.lags}")
-    powers = TestFunction(p).g(est.a_hat)
-    denominator = float(delta * np.sum(powers[:head_terms]))
-    full = float(delta * np.sum(powers))
+    denominator = _sum_g(est, g, 0, head_terms, "tau")
+    full = _sum_g(est, g, 0, stop, "tau")
     numerator = full - denominator
     if denominator <= 0.0:
         raise ValueError("degenerate path: head functional vanished")

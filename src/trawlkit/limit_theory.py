@@ -89,14 +89,13 @@ class AvarKernel:
             cuts = np.clip([0 * h, end - h, h - end, h / 2, 0 * h + end], 0.0, end)
             w, dw = _panels(np.sort(cuts, axis=0), m)
         else:  # geometric grid on [0, h/2]; [h/2, inf) mapped onto [0, 1)
-            scale, alpha = self.trawl.leb_A, self.trawl.tail_exponent
+            scale = self.trawl.leb_A
             x, xw = _gauss(m)
-            y, yw = _gauss(m, 2.0 * alpha - 2.0 if alpha < math.inf else 0.0)
             half = h[:, None] / 2.0
             growth = np.log1p(half / scale)
             grid = scale * np.exp(growth * x)
-            w = np.hstack([grid - scale, half + (half + scale) * y / (1.0 - y)])
-            dw = np.hstack([growth * grid * xw, (half + scale) * yw / (1.0 - y) ** 2])
+            tail, tail_w = self._mapped_tail(half, half + scale, m)
+            w, dw = np.hstack([grid - scale, tail]), np.hstack([growth * grid * xw, tail_w])
         h = h[:, None]
         head = np.where(w < h / 2.0, a(np.abs(h - w)), 0.0)
         return 2.0 * np.sum(dw * a(w) * (a(w + h) - head), axis=1)
@@ -215,17 +214,24 @@ class AvarKernel:
         """C(p, q) = int_0^inf a(v + p) a(v + q) dv for columns p, q >= 0.
 
         A compact trawl needs one panel, up to end - max(p, q), where the
-        product vanishes.  Otherwise [0, inf) is mapped onto [0, 1) by
-        v = L x / (1 - x) with L = min(p, q) + A(0), as in ``_phi``.
+        product vanishes.  Otherwise [0, inf) is mapped onto [0, 1) with the
+        length L = min(p, q) + A(0) (``_mapped_tail``).
         """
         a, end = self.trawl.a, self.trawl.support_end
         if end < math.inf:
             return _segment(lambda v: a(v + p) * a(v + q), 0.0, end - np.maximum(p, q), (), m)
+        v, w = self._mapped_tail(0.0, np.minimum(p, q) + self.trawl.leb_A, m)
+        return np.sum(w * (a(v + p) * a(v + q)), axis=1, keepdims=True)
+
+    def _mapped_tail(self, lo, length, m):
+        """Nodes u and weights of ``m`` points for int_lo^inf f(u) du, per
+        column of ``lo`` and ``length`` L: u = lo + L y / (1 - y) maps
+        [lo, inf) onto [0, 1), and the Gauss-Jacobi weight (1 - y)^(2 alpha - 2)
+        of ``_gauss`` takes the decay of a mapped integrand that falls like
+        a(u)^2."""
         alpha = self.trawl.tail_exponent
-        length = np.minimum(p, q) + self.trawl.leb_A
-        x, w = _gauss(m, 2.0 * alpha - 2.0 if alpha < math.inf else 0.0)
-        v = length * x / (1.0 - x)
-        return np.sum((w * length / (1.0 - x) ** 2) * (a(v + p) * a(v + q)), axis=1, keepdims=True)
+        y, w = _gauss(m, 2.0 * alpha - 2.0 if alpha < math.inf else 0.0)
+        return lo + length * y / (1.0 - y), length * w / (1.0 - y) ** 2
 
     def decomposition_residual(self, s: float, r: float) -> float:
         """|sum of all (symmetrized) limit kernels - Sigma_a(s, r)|."""

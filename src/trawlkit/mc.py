@@ -56,7 +56,7 @@ from .estimators import (
 )
 from .inference import _tau_report
 from .limit_theory import AvarKernel, check_finite_derivative, check_tail_clt
-from .models import _as_dict, _check_number, seed_from_dict, trawl_from_dict
+from .models import _as_dict, _check_number, _whole, seed_from_dict, trawl_from_dict
 from .simulate import GridScheme, _write_csv, check_simulator, simulate
 
 __all__ = [
@@ -112,15 +112,6 @@ def true_psi(trawl, g: TestFunction, t: float) -> float:
 def true_lambda(trawl, g: TestFunction, t: float) -> float:
     """Ground-truth tail functional ``int_t^inf g(a(s)) ds`` of g(x) = |x|^p."""
     return float(trawl.power_tail_integral(t, g.exponent))
-
-
-def _whole(name, value) -> int:
-    """``value`` as an int; a float is accepted only when it is integral."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -184,6 +175,8 @@ class ExperimentConfig:
             raise ValueError("need at least one replication")
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be non-negative, got {self.master_seed}")
         if _THEOREMS[self.theorem][1] != "rmse":  # sqrt(n delta)-scaled: the CLTs and tau
             n_max = max(self.n_grid)
             nd3 = n_max * self.delta_for(n_max) ** 3

@@ -53,12 +53,22 @@ def _check_power(p):
     return p
 
 
-def _check_number(name, value):
-    """``value`` itself if it is a real number; a string, list or None is a
-    config error that names ``name``."""
-    if not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, got {value!r}")
+def _check_number(name, value, what="a number"):
+    """``value`` itself if it is a real number; a string, list, None or bool
+    is a config error that names ``name`` and says it must be ``what``.
+    JSON's true and false parse as Python bools, which are ints."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
     return value
+
+
+def _whole(name, value) -> int:
+    """``value`` as an int: a number (``_check_number``) that is an integer
+    or a float with no fractional part."""
+    _check_number(name, value, "an integer")
+    if not isinstance(value, numbers.Integral) and not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _as_dict(what, cfg) -> dict:

@@ -87,6 +87,8 @@ class GridScheme:
             raise ValueError("n must be at least 2")
         if not 0 < self.delta < math.inf:  # also rejects NaN
             raise ValueError("delta must be positive and finite")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be non-negative, got {self.master_seed}")
 
 
 @dataclass

@@ -355,7 +355,8 @@ def test_mc_rejects_an_infinite_t(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "field,value",
-    [("c", math.inf), ("replications", 2.5), ("threads", 1.5), ("master_seed", 1.5), ("n_grid", [100.7])],
+    [("c", math.inf), ("replications", 2.5), ("threads", 1.5), ("master_seed", 1.5), ("master_seed", -1),
+     ("n_grid", [100.7])],
 )
 def test_mc_rejects_infinite_c_and_non_integral_counts(tmp_path, capsys, field, value):
     """Each would run to NaN summaries, crash with a TypeError or silently
@@ -385,9 +386,15 @@ _THEOREM3 = json.loads((EXPERIMENTS / "theorem3.json").read_text())
         ("simulate", {**SIM_SPEC, "delta": [0.1]}, "delta"),
         ("simulate", 7, "simulate spec"),
         ("kernels", 5, "trawl"),
+        ("mc", {**_THEOREM3, "c": True, "replications": True}, "c must be a number, got True"),
+        ("mc", {**_THEOREM3, "replications": True}, "replications must be an integer, got True"),
+        ("mc", {**_THEOREM3, "trawl": {"family": "exponential", "rate": True}}, "'rate' must be a number"),
+        ("simulate", {**SIM_SPEC, "delta": True}, "delta must be a number, got True"),
+        ("simulate", {**SIM_SPEC, "n": False}, "n must be an integer, got False"),
     ],
     ids=["no-replications", "trawl-5", "rate-fast", "n_grid-int", "varpi-str", "exponent-list",
-         "spec-trawl-5", "spec-delta-list", "spec-7", "kernels-trawl-5"],
+         "spec-trawl-5", "spec-delta-list", "spec-7", "kernels-trawl-5",
+         "c-true", "replications-true", "rate-true", "spec-delta-true", "spec-n-false"],
 )
 def test_malformed_config_is_a_usage_error(tmp_path, capsys, command, config, field):
     """Each once crashed with a TypeError, a runtime error (exit 3); each is
@@ -446,6 +453,18 @@ def test_mc_seed_overrides_the_master_seed(tmp_path):
     assert raw_a == raw_b
     assert main(["mc", "--experiment", str(exp), "--out", str(tmp_path / "c.json")]) == 0
     assert (tmp_path / "c.json.raw.csv").read_bytes() != raw_a
+
+
+@pytest.mark.parametrize("command", ["mc", "simulate"])
+def test_a_negative_seed_flag_is_refused_by_name(tmp_path, capsys, sim_spec_file, command):
+    """``--seed -1`` once built its config and failed in numpy's seeding,
+    with a message that named no field."""
+    flag, source = {"mc": ("--experiment", EXPERIMENTS / "theorem3.json"),
+                    "simulate": ("--spec", sim_spec_file)}[command]
+    out = tmp_path / "out"
+    assert main([command, flag, str(source), "--out", str(out), "--seed", "-1"]) == 2
+    assert "master_seed must be non-negative, got -1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_estimate_rejects_nan_delta(tmp_path, capsys):

@@ -26,13 +26,12 @@ from trawlkit import (
     estimate_trawl,
     lambda_bar_n,
     lambda_n,
-    num_head_terms,
     psi_n,
     simulate_points,
     window_exponent_bounds,
 )
 from trawlkit import estimators
-from trawlkit.estimators import _fast_length, _transform_length
+from trawlkit.estimators import _fast_length, _transform_length, functional_lags
 from trawlkit.simulate import simulate
 
 from oracles import naive_trawl_estimate
@@ -46,7 +45,6 @@ def test_hand_worked_example():
     np.testing.assert_allclose(naive_trawl_estimate(path.values, path.delta), [0.5, -0.25])
     est = estimate_trawl(path)
     np.testing.assert_allclose(est.a_hat, [0.5, -0.25], atol=1e-15)
-    assert est.x_bar == 0.5
 
 
 # An even 5-smooth n gives an FFT length of exactly 2n, where lag n wraps
@@ -105,14 +103,14 @@ def test_lag_bounded_estimate_matches_full_and_oracle(case):
     g = G(2.0)
     for lags in sorted({1, 2, n // 2, n - 1, n} - {0}):
         est = estimate_trawl(path, lags=lags)
-        assert (est.n, est.lags, est.x_bar) == (n, lags, full.x_bar)
+        assert (est.n, est.lags) == (n, lags)
         np.testing.assert_allclose(est.a_hat, naive[:lags], rtol=0, atol=1e-12)
         np.testing.assert_allclose(est.a_hat, full.a_hat[:lags], rtol=0, atol=1e-12)
         if case == "constant":
             assert not np.any(est.a_hat)
         t = lags * path.delta  # the head reads exactly L lags
         assert psi_n(est, g, t) == pytest.approx(psi_n(full, g, t), rel=1e-12, abs=1e-12)
-        start = num_head_terms(path.delta, t / 2)
+        start = functional_lags("psi", n, path.delta, t / 2)[1]
         if start < lags:
             assert lambda_bar_n(est, g, t / 2, lags) == pytest.approx(
                 lambda_bar_n(full, g, t / 2, lags), rel=1e-12, abs=1e-12
@@ -309,7 +307,7 @@ def test_pair_matches_single_estimates_bitwise(n):
     single = [estimate_trawl(path) for path in (first, second)]
     for pair, expected in (((first, second), single), ((second, first), single[::-1])):
         for got, want in zip(estimators._estimate_paths(pair, n), expected):
-            assert got.lags == n and got.x_bar == want.x_bar
+            assert got.lags == n
             assert got.a_hat.tobytes() == want.a_hat.tobytes()
 
 
@@ -338,9 +336,8 @@ def test_rows_per_call_pairs_all_lags_up_to_m_2_17():
 
 @pytest.mark.parametrize("m", [4, 8, 12, 20, 420, 4320, 2**16])
 def test_twiddles_match_the_direct_formula(m):
-    """v_k = cos(theta_k) exp(i theta_k) / 2, theta_k = 2 pi k / m, built
-    from products of two short tables of exponentials; m/4 is 1, 2, 3, 5,
-    105, 1080 and 2^14 here."""
+    """v_k = cos(theta_k) exp(i theta_k) / 2, theta_k = 2 pi k / m, from
+    (1 + exp(2i theta_k)) / 4; m/4 is 1, 2, 3, 5, 105, 1080 and 2^14 here."""
     theta = np.arange(1, m // 4) * (2 * np.pi / m)
     direct = np.cos(theta) * np.exp(1j * theta) / 2
     twiddles = estimators._twiddles(m)
@@ -474,14 +471,14 @@ def test_functionals_refuse_lags_beyond_the_estimate(short_path):
 def test_trawl_estimate_validation():
     """1 to n lags are accepted; none, more than n and non-finite values are
     not."""
-    est = TrawlEstimate(delta=0.1, n=3, a_hat=np.zeros(2), x_bar=0.0)
+    est = TrawlEstimate(delta=0.1, n=3, a_hat=np.zeros(2))
     assert est.lags == 2
     np.testing.assert_allclose(est.lag_times, [0.0, 0.1])
     for values in (np.zeros(0), np.zeros(4)):
         with pytest.raises(ValueError, match="a_hat must hold 1 to n = 3 lags"):
-            TrawlEstimate(delta=0.1, n=3, a_hat=values, x_bar=0.0)
+            TrawlEstimate(delta=0.1, n=3, a_hat=values)
     with pytest.raises(ValueError, match="non-finite"):
-        TrawlEstimate(delta=0.1, n=2, a_hat=np.array([np.inf, 0.0]), x_bar=0.0)
+        TrawlEstimate(delta=0.1, n=2, a_hat=np.array([np.inf, 0.0]))
 
 
 # -- test functions ------------------------------------------------------

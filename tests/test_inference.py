@@ -41,14 +41,20 @@ def test_report_fields_and_json():
 
 
 def test_tau_is_tail_to_head_ratio():
-    """With T/delta an integer the head and tail are psi_n and lambda_n."""
+    """tau = full / head - 1, bit for bit, for the sums delta * sum g(a_hat)
+    over the ceil(T/delta) head lags and over all n lags.  With T/delta an
+    integer the head and tail are psi_n and lambda_n."""
     path = _poisson_path(ExponentialTrawl(1.0))  # delta = 1/64
     est = estimate_trawl(path)
     for T, p in ((1.0, 4.0), (0.5, 3.5)):
         report = tau_test(path, T=T, p=p)
+        g = G(p)
+        powers = g.g(est.a_hat)
+        head = float(path.delta * np.sum(powers[: math.ceil(T / path.delta)]))
+        full = float(path.delta * np.sum(powers))
+        assert (report.denominator, report.numerator, report.tau) == (head, full - head, full / head - 1.0)
         assert report.tau == pytest.approx(report.numerator / report.denominator, rel=1e-12)
         assert report.tau >= 0.0 or report.numerator < 0.0
-        g = G(p)
         assert report.numerator + report.denominator == pytest.approx(lambda_n(est, g, 0.0), rel=1e-9)
         assert report.denominator == pytest.approx(psi_n(est, g, T), rel=1e-9)
         assert report.numerator == pytest.approx(lambda_n(est, g, T), rel=1e-9)

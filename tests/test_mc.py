@@ -128,6 +128,11 @@ def test_config_validation():
     for threads in (0, -3):
         with pytest.raises(ValueError, match="threads"):
             _config(threads=threads)
+    with pytest.raises(ValueError, match="master_seed must be non-negative, got -1"):
+        _config(master_seed=-1)
+    for field, kind in (("c", "a number"), ("replications", "an integer"), ("master_seed", "an integer")):
+        with pytest.raises(ValueError, match=f"{field} must be {kind}, got True"):
+            _config(**{field: True})
     for c in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="c must be positive"):
             _config(c=c)
@@ -342,7 +347,7 @@ EXPERIMENT_DICTS = st.fixed_dictionaries({
     "kappa": st.one_of(st.none(), _floats(0.3, 1.0)),
     "tdep_T": _floats(0.05, 3.0),
     "tdep_p": _floats(0.5, 8.0),
-    "master_seed": st.integers(0, 2**32),
+    "master_seed": st.integers(-4096, 2**32),
     "simulator": st.sampled_from(SIMULATORS),
     "threads": st.integers(1, 2),
 })

@@ -299,6 +299,7 @@ def test_seed_dict_round_trip(seed_spec):
         {},
         {"family": "exponential", "rate": 1.0, "bogus": 2},
         {"family": "triangle", "rate": 1.0},
+        {"family": "exponential", "rate": True},
     ],
 )
 def test_trawl_from_dict_rejects_bad_config(cfg):

@@ -638,6 +638,7 @@ def test_provenance_records_master_seed(method):
         {"n": 10, "delta": -1.0},
         {"n": 10, "delta": float("nan")},
         {"n": 10, "delta": float("inf")},
+        {"n": 10, "delta": 0.1, "master_seed": -1},
     ],
 )
 def test_grid_scheme_validation(kwargs):
