@@ -12,9 +12,10 @@ from .estimators import (
     psi_n,
     window_exponent_bounds,
 )
-from .inference import TestReport, tau_test
+from .inference import DegeneratePathError, TestReport, tau_test
 from .limit_theory import AvarKernel, QuadratureError
 from .mc import (
+    DegenerateDrawError,
     ExperimentConfig,
     McResult,
     convergence_slope,

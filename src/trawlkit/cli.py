@@ -15,18 +15,16 @@ and ``M_TRIM_THRESHOLD`` to 64 MiB, the values glibc's own dynamic policy
 reaches at its 64-bit ceiling, so that freed heap is kept for reuse.
 Otherwise every estimate that transforms hands its buffers back to the
 kernel when it frees them and faults them in again on the next call: the
-padded paths (8 * m bytes each) and the O(m) working copy of each
-``np.fft.fft``/``ifft``.  An all-lag estimate of one path takes 192 minor
-faults at m = 2^15, 672 at m = 2^16 and 5537 at m = 2^19; a stacked pair,
-as the Monte Carlo harness runs at m <= 2^17, takes 448 at m = 2^15, 960
-at 2^16 and 1984 at 2^17; and a T6 replication at n = 2^15 takes about 740
-(0.1 with the policy).  Both values are set because setting either one
-alone switches off glibc's adjustment of the other, and every estimate
-still faults: at m = 2^15 and 2^16, with the trim threshold alone one path
-takes 130 and 708 faults and a pair 645 and 1736; with the mmap threshold
-alone, 192 and 544, and 448 and 1312.  Only the command line sets the
-policy: it is process-wide, and a library caller of ``run_experiment``
-keeps its own.  The policy changes no arithmetic and no random stream.
+padded paths (8 * m bytes each) and the working copy of two half rows
+(8 * m bytes) inside each ``np.fft.fft``/``ifft``, hundreds of minor faults
+per estimate at the Monte Carlo harness's lengths and thousands at m =
+2^19, against under one per replication with the policy.  Both values are
+set because setting either one alone switches off glibc's adjustment of
+the other, and every estimate still faults.  CHANGES.md has the counts per
+estimate and per replication with and without the policy and with either
+threshold alone.  Only the command line sets the policy: it is
+process-wide, and a library caller of ``run_experiment`` keeps its own.
+The policy changes no arithmetic and no random stream.
 """
 
 from __future__ import annotations

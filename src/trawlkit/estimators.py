@@ -20,12 +20,11 @@ variance would lose about five digits.
 
 The transforms are complex and of half length M = m/2: the padded y is
 packed as z_j = y_{2j} + i y_{2j+1} (Sorensen, Jones, Heideman & Burrus
-1987); numpy's complex FFT of length M runs about 1.4 times faster than its
-real FFT of length m at m = 2^17 to 2^19.  With Z = FFT_M(z), the halves
-y_{2j} and y_{2j+1} have the transforms E_k = (Z_k + conj(Z_{M-k})) / 2 and
-O_k = (Z_k - conj(Z_{M-k})) / (2i), and with W = exp(-2 pi i / m) the real
-transform of y is Y_k = E_k + W^k O_k, Y_{k+M} = E_k - W^k O_k.  R is the
-inverse transform of P_k = |Y_k|^2; split into even and odd lags,
+1987).  With Z = FFT_M(z), the halves y_{2j} and y_{2j+1} have the
+transforms E_k = (Z_k + conj(Z_{M-k})) / 2 and O_k = (Z_k - conj(Z_{M-k})) /
+(2i), and with W = exp(-2 pi i / m) the real transform of y is Y_k = E_k +
+W^k O_k, Y_{k+M} = E_k - W^k O_k.  R is the inverse transform of P_k =
+|Y_k|^2; split into even and odd lags,
 
     R(2j) + i R(2j+1) = (1/2) IFFT_M(F)_j,
     F_k = (P_k + P_{k+M}) + i W^{-k} (P_k - P_{k+M}).
@@ -39,19 +38,46 @@ With A = Z_k, B = Z_{M-k} and theta_k = 2 pi k / m = pi k / M,
 so F_k = (G - S sin(theta_k)) + i S cos(theta_k).  At M - k, A and B swap
 and theta becomes pi - theta_k, so S changes sign and F_{M-k} =
 (G + S sin(theta_k)) + i S cos(theta_k).  With conj(Phi) = |A|^2 - |B|^2 -
-2i Im(A B) and v_k = cos(theta_k) exp(i theta_k) / 2, the halves H = F / 2
-are, as expanding the products shows,
+2i Im(A B) and v_k = cos(theta_k) exp(i theta_k) / 2 = (1 + w_k) / 4,
+w_k = exp(2i theta_k), the halves H = F / 2 are, as expanding the products
+shows,
 
     H_k = |A|^2 - v_k conj(Phi),    H_{M-k} = |B|^2 + conj(v_k conj(Phi)),
 
 and H_0 = |Z_0|^2 + 2i Re(Z_0) Im(Z_0), H_{M/2} = |Z_{M/2}|^2, so that
-R(2j) + i R(2j+1) = IFFT_M(H)_j.  One complex product with a table of v
-per pair (k, M - k), k = 1..M/2 - 1, turns Z into H in place.  That step
-is a dozen numpy calls, whose fixed cost is about what the shorter
-transforms save at m of a few thousand; the saving grows with m, so the
-packed transform pays where transforms are long, at the all-lag estimates
-that dominate a Monte Carlo run, and every length uses it (the timings
-are in CHANGES.md).
+R(2j) + i R(2j+1) = IFFT_M(H)_j.  One complex product per pair (k, M - k),
+k = 1..M/2 - 1, turns Z into H in place.
+
+Each transform of length M runs as two of length h = M/2 = m/4, after one
+radix-2 step of decimation in frequency (Cooley & Tukey 1965) done in
+numpy.  With V = exp(-2 pi i / M) = W^2, so that w_k = V^-k, V^h = -1 and
+V^2 = exp(-2 pi i / h),
+
+    Z_k = sum_{j<h} (z_j + (-1)^k z_{j+h}) V^(jk),
+
+so the rows e_j = z_j + z_{j+h} and o_j = (z_j - z_{j+h}) V^j, j = 0..h-1,
+have FFT_h(e)_c = Z_{2c} and FFT_h(o)_c = Z_{2c+1}: the forward transforms
+give Z in split order, the even k and then the odd k.  The butterfly
+multiplies by -V^j = w_{h-j} instead, which negates the odd half; H is
+quadratic in each half, so the sign drops out.  The step from Z to H runs
+in the split order: an even k = 2c pairs with M - k = 2(h - c) and an odd
+k = 2c + 1 with M - k = 2(h - 1 - c) + 1, so each half pairs with itself.
+The inverse splits the same way,
+
+    IFFT_M(H)_j = (1/2) (IFFT_h(H_{2c})_j + w_j IFFT_h(H_{2c+1})_j),
+
+so after the two inverse transforms one product with w_j and one sum give
+R(2j) + i R(2j+1) at the j <= L/2 the lags need; numpy's inverse runs
+unscaled, and the factor M goes into the division by n delta.  One cached
+read-only table of w_1..w_h per length serves all three steps.  numpy's
+pocketfft, built for the x86-64-v2 baseline, transforms the rows of a stack
+two at a time, one in each lane of a 128-bit vector register, but runs a
+one-row transform as scalar code, so the two half rows put even a single
+path on the vector code.  The butterfly, the step in split order and the
+recombination are array passes that cost more than the shorter transforms
+save at m of a few thousand and less from m of about 2^15 on, where the
+all-lag estimates that dominate a Monte Carlo run lie; every length uses
+them (CHANGES.md has the timings).
 
 A statistic may need only the first L lags: the head functional
 ``int_0^t g(a(s)) ds`` reads floor(t / delta) of them and the windowed tail
@@ -65,31 +91,28 @@ the smallest 5-smooth multiple of 4 that suffices, 4 * (the smallest
 pairs with itself, and numpy's FFT has fast passes for the factors 2, 3
 and 5 only; a length with a large prime factor falls back to Bluestein's
 algorithm, several times slower.  Each transform allocates the padded
-path, 8 * m bytes, and runs both FFTs and the step from Z to H in place on
-it; y_0, y_{n-l} and y_n are read from x again afterwards.  pocketfft takes
-a working copy of about the same size inside each FFT, and the step from Z
-to H a scratch of 4 * min(``_PACK_BLOCK``, m/4) floats; freed, they go back
-to the allocator, whose policy decides whether the next call faults them
-in again (see ``cli``).  The step reads one cached read-only table of the
-m/4 - 1 complex v_k per length.
+path, 8 * m bytes, and runs the butterfly, both FFTs, the step from Z to H
+and the recombination in place on it; y_0, y_{n-l} and y_n are read from x
+again afterwards.  Where y reaches the second half of z, which only a
+lag-bounded call's does by more than one float, the butterfly takes a
+temporary of those differences.  pocketfft takes a working copy of two
+half rows, 8 * m bytes, inside each FFT, and the step from Z to H a scratch
+of 2 floats per pair, at most 32 * ``_PACK_BLOCK`` bytes; freed, they go
+back to the allocator, whose policy decides whether the next call faults
+them in again (see ``cli``).
 
-Paths with the same n and delta can share their transforms: their padded
+Paths with the same n and delta can share their transforms: their half
 rows are stacked and go through one forward FFT and one inverse along the
-rows (``_estimate_paths``).  numpy's pocketfft, built for the x86-64-v2
-baseline, transforms the rows of a stack two at a time, one in each lane
-of a 128-bit vector register, but runs a one-row transform as scalar code;
-each row gets the arithmetic of a one-row transform, so its bits do not
-change.  So two rows take less time than two one-row calls, and four or
-eight save nothing more per row.  A stack costs memory: pocketfft works on
-an interleaved copy of the rows, so a pair holds about 40 * m bytes (its
-two padded rows and a working copy of about three rows) where one path
-holds 16 * m.  Hence the pairing rule (``_rows_per_call``): all-lag
-estimates run two paths per call while m <= ``_PAIR_MAX_LENGTH`` = 2^17,
-that is n <= 2^16, where a pair holds at most 5 MiB.  Beyond it the time a
-pair saves shrinks as the transforms outgrow the caches, while its memory
-keeps growing: at m = 2^19 (n = 2^18) a pair would hold 12 MiB more per
-worker than two single calls, for a few per cent of estimate time.
-Lag-bounded estimates run one path per call.
+rows (``_estimate_paths``).  Each row gets the arithmetic of a one-row
+transform, so its bits do not depend on the stack.  A pair saves the
+fixed cost of a second call, and costs memory: it holds two padded rows,
+16 * m bytes, where one path holds 8 * m, beside pocketfft's working copy
+of two half rows either way.  Hence the pairing rule (``_rows_per_call``):
+all-lag estimates run two paths per call while m <= ``_PAIR_MAX_LENGTH``
+= 2^17, that is n <= 2^16, where a pair takes a few per cent less time
+than two single calls; beyond it the saving vanishes while the memory
+keeps growing (CHANGES.md has the measurements).  Lag-bounded estimates
+run one path per call.
 
 Sampled at a small delta, a path of an integer-valued trawl process is flat
 almost everywhere: a T5 path of the ``clt`` benchmark (n = 2^14, delta =
@@ -109,14 +132,9 @@ floats, the 16 * m bytes the transform would allocate.  Calls for all n
 lags never count the steps, and a dense path, such as any Gaussian one,
 fails the rule, so both keep the transform.  A step of the sum costs L
 multiply-adds and the gathering of its row, which costs about as much as
-L0 more; the transform costs about m * log2(m).  c = 1.5 and L0 = 24 were
-measured on a 2-vCPU Intel Xeon with numpy 2.4, timing both ways at n in
-{2^12, 2^13, 2^14, 2^16}, L in {16, 64, 256, 1024} and |S| * L /
-(m * log2(m)) from 0.1 to 10: that ratio at which the sum stops winning
-grows with L, from 0.52-0.69 at L = 16 to 1.14-2.02 at L = 1024, as
-c * L / (L + L0) does (0.60 and 1.47).  Over the 263 timed cells this rule
-costs 0.5% more than the faster way on average and 20% at worst; the rule
-|S| * L < 1.5 * m * log2(m) without L0 cost 2.6% and 64%.
+L0 more; the transform costs about m * log2(m).  c = 1.5 and L0 = 24 put
+the switch where the sum stops winning in timings of both ways over n, L
+and |S| (CHANGES.md has them).
 
 For a trawl process Cov(X_0, X_h) = kappa2 * A(h), so a_hat estimates
 kappa2 * a: the trawl function itself only for a seed with kappa2 = 1.
@@ -230,13 +248,11 @@ def _transform_length(k: int) -> int:
 
 @functools.lru_cache(maxsize=8)
 def _twiddles(m: int) -> np.ndarray:
-    """v_k = cos(theta_k) exp(i theta_k) / 2 = (1 + exp(2i theta_k)) / 4,
-    theta_k = 2 pi k / m, for k = 1..m/4 - 1: complex, read only."""
-    table = np.arange(1, m // 4, dtype=complex)
+    """w_k = exp(4 pi i k / m) = V^-k, V = exp(-2 pi i / M) and M = m/2,
+    for k = 1..m/4 (see the module docstring): complex, read only."""
+    table = np.arange(1, m // 4 + 1, dtype=complex)
     table *= 4j * math.pi / m
     np.exp(table, out=table)
-    table += 1.0
-    table *= 0.25
     table.flags.writeable = False
     return table
 
@@ -249,52 +265,67 @@ _JUMP_SUM_COST = 1.5
 _JUMP_SUM_ROW = 24
 
 
-#: pairs (k, M - k) per block of ``_packed_power``: a block's slices of Z,
-#: of the table and of the scratch, 0.75 MiB, stay in a core's L2 cache
-#: between the block's twelve array operations.  At m = 2^19 this takes the
-#: step from about 2.2 to 1.6 ms on a 2-vCPU Intel Xeon; up to m = 2^15
-#: there is one block.
+#: pairs (k, M - k) per half of the split spectrum in a block of
+#: ``_packed_power``: a block's slices of the spectrum, of the table and of
+#: the scratch, about 1 MiB, stay in a core's L2 cache between the block's
+#: array operations (CHANGES.md has the timings).
 _PACK_BLOCK = 8192
 
 
-def _packed_power(spec, m: int) -> None:
-    """Overwrite the packed spectrum Z_k (k = 0..M-1, M = m/2) of a real
-    sequence y with the H whose inverse transform is the circular
-    autocorrelation of y, packed as y is: R(2j) + i R(2j+1).  With A = Z_k,
-    B = Z_{M-k}, conj(Phi) = |A|^2 - |B|^2 - 2i Im(A B) and v_k from
-    ``_twiddles`` (see the module docstring), for k = 1..M/2 - 1
+def _packed_power(spec, table) -> None:
+    """Overwrite the packed spectrum Z (length M = m/2) of a real sequence
+    y, held in split order, E_c = Z_{2c} and then O_c = +-Z_{2c+1} for c =
+    0..h-1 (h = m/4), with the H in the same order whose inverse transform
+    is the circular autocorrelation of y, packed as y is.  With A = Z_k,
+    B = Z_{M-k}, conj(Phi) = |A|^2 - |B|^2 - 2i Im(A B) and v_k = (1 + w_k)
+    / 4 (see the module docstring), for k = 1..M/2 - 1
 
         H_k = |A|^2 - v_k conj(Phi),    H_{M-k} = |B|^2 + conj(v_k conj(Phi)),
 
-    and H_0 = |Z_0|^2 + 2i Re(Z_0) Im(Z_0), H_{M/2} = |Z_{M/2}|^2.  The
-    pairs are taken ``_PACK_BLOCK`` at a time; a scratch of 4 floats per
-    pair of a block holds its A B and squared moduli."""
-    big_m, half = m // 2, m // 4
-    twiddles = _twiddles(m)
-    scratch = np.empty(4 * min(_PACK_BLOCK, half))
-    z = spec.view(float)
-    r0, i0, rh, ih = float(z[0]), float(z[1]), float(z[2 * half]), float(z[2 * half + 1])
-    for start in range(1, half, _PACK_BLOCK):
-        stop = min(start + _PACK_BLOCK, half)
-        size = stop - start
-        a = spec[start:stop]
-        b = spec[big_m - stop + 1 : big_m - start + 1]  # Z_{M-k} for k = stop - 1 down to start
-        phi = np.multiply(a, b[::-1], out=scratch[: 2 * size].view(complex))
-        norm_a, norm_b = scratch[2 * size : 3 * size], scratch[3 * size : 4 * size]
-        for zs, norm in ((a, norm_a), (b, norm_b)):
-            zs_float = zs.view(float)
-            np.square(zs_float, out=zs_float)
-            np.add(zs_float[0::2], zs_float[1::2], out=norm)
-        norm_b = norm_b[::-1]
-        np.subtract(norm_a, norm_b, out=phi.real)
-        phi.imag *= -2.0  # phi is conj(Phi) now
-        phi *= twiddles[start - 1 : stop - 1]
-        np.subtract(norm_a, phi.real, out=a.real)
-        np.negative(phi.imag, out=a.imag)
-        np.add(norm_b, phi.real, out=b.real[::-1])
-        b.imag[::-1] = a.imag
-    z[0], z[1] = r0 * r0 + i0 * i0, 2.0 * r0 * i0
-    z[2 * half], z[2 * half + 1] = rh * rh + ih * ih, 0.0
+    and H_0 = |Z_0|^2 + 2i Re(Z_0) Im(Z_0), H_{M/2} = |Z_{M/2}|^2.  An even
+    k = 2c pairs E_c with E_{h-c}, an odd k = 2c+1 pairs O_c with
+    O_{h-1-c}, so the sign of O does not matter.  The first (h-1)//2 pairs
+    of both halves go through one set of array operations on (2, columns)
+    views, ``_PACK_BLOCK`` columns at a time.  A scratch of 2 floats per
+    pair holds A B; the squared moduli go into B's slots and 1 + w_k into
+    A's.  Z_0, Z_{M/2} (E_{h/2} for even h, O_{(h-1)/2} for odd h) and, for
+    even h, O's middle pair (O_{h/2-1}, O_{h/2}) are Python scalars."""
+    h = len(spec) // 2
+    pairs = (h - 1) // 2
+    firsts = spec[1 : 2 * h - 1].reshape(2, h - 1)[:, :pairs]  # E_1.., O_0..
+    partners = spec.reshape(2, h)[:, h - pairs :]  # ..E_{h-1}, ..O_{h-1}: the partners, last first
+    twiddles = table[: 2 * pairs].reshape(pairs, 2).T[::-1]  # w_2, w_4..; w_1, w_3..
+    scratch = np.empty((2, min(_PACK_BLOCK, pairs)), dtype=complex)
+    for start in range(0, pairs, _PACK_BLOCK):
+        stop = min(start + _PACK_BLOCK, pairs)
+        a = firsts[:, start:stop]
+        b = partners[:, pairs - stop : pairs - start]
+        phi = np.multiply(a, b[:, ::-1], out=scratch[:, : stop - start])
+        a_float, b_float = a.view(float), b.view(float)
+        np.square(b_float, out=b_float)
+        np.add(b.real, b.imag, out=b.real)
+        np.square(a_float, out=a_float)
+        np.add(a_float[:, 0::2], a_float[:, 1::2], out=b.imag[:, ::-1])
+        norm_a, norm_b = b.imag[:, ::-1], b.real[:, ::-1]  # |A|^2 and |B|^2, in the order of a
+        re, im = phi.real, phi.imag
+        np.subtract(norm_a, norm_b, out=re)
+        re *= 0.25
+        im *= -0.5  # phi is conj(Phi) / 4 now
+        np.add(twiddles[:, start:stop], 1.0, out=a)
+        phi *= a
+        np.subtract(norm_a, phi, out=a)
+        np.add(norm_b, re, out=norm_b)
+        b.imag[:, ::-1] = a.imag
+    mid = h // 2 if h % 2 == 0 else h + h // 2  # Z_{M/2}
+    z0, z_mid = spec[0].item(), spec[mid].item()
+    spec[0] = complex(z0.real * z0.real + z0.imag * z0.imag, 2.0 * z0.real * z0.imag)
+    spec[mid] = z_mid.real * z_mid.real + z_mid.imag * z_mid.imag
+    if h % 2 == 0:
+        j = h + h // 2 - 1  # O_{h/2-1}, k = M/2 - 1, and then its partner
+        a, b = spec[j : j + 2].tolist()
+        norm_a, norm_b = a.real * a.real + a.imag * a.imag, b.real * b.real + b.imag * b.imag
+        phi = complex(0.25 * (norm_a - norm_b), -0.5 * (a * b).imag) * (1.0 + table[h - 2].item())
+        spec[j : j + 2] = norm_a - phi, norm_b + phi.conjugate()
 
 
 def _jump_sum(x, x_bar, moved, num_lags: int, block: int) -> np.ndarray:
@@ -333,40 +364,55 @@ def _path_mean(path: SampledPath) -> float:
 
 def _transform_estimates(paths, x_bars, num_lags: int, m: int) -> list:
     """The estimates at lags 0..L-1 of paths that share n and delta, from
-    one stacked transform of length m: each row is padded, all rows go
-    through one forward FFT and one inverse, both in place, and each row's
-    autocorrelation R(0..L) is differenced.  A row's bits do not depend on
-    the other rows: pocketfft runs the same arithmetic on every row, and
-    runs two rows at a time in the two lanes of a vector register."""
-    n, delta, rows = paths[0].n, paths[0].delta, range(len(paths))
+    one stacked transform of half rows (see the module docstring): each
+    path's padded row, packed as z of length M = m/2, becomes e_j = z_j +
+    z_{j+h} and o_j = (z_j - z_{j+h}) w_{h-j} = -(z_j - z_{j+h}) V^j in
+    place (h = m/4), all 2 * paths rows of length h go through one forward
+    FFT and one unscaled inverse, both in place, and e_j + w_j o_j = M
+    (R(2j) + i R(2j+1)) is formed for the j the lags need.  A row's bits
+    do not depend on the other rows: pocketfft runs the same arithmetic on
+    every row, two rows at a time in the two lanes of a vector register."""
+    n, delta = paths[0].n, paths[0].delta
+    half, h = m // 2, m // 4
+    moved = (max(n + 1 - half, 0) + 1) // 2  # the j < h at which y reaches z_{j+h}
     pad = np.empty((len(paths), m))
-    for i in rows:
-        np.subtract(paths[i].values, x_bars[i], out=pad[i, : n + 1])
-    pad[:, n + 1 :] = 0.0
-    spec = pad.view(complex)
-    np.fft.fft(spec, axis=1, out=spec)
-    for i in rows:
-        _packed_power(spec[i], m)
-    np.fft.ifft(spec, axis=1, out=spec)
+    for row, path, x_bar in zip(pad, paths, x_bars):
+        np.subtract(path.values, x_bar, out=row[: n + 1])
+    pad[:, n + 1 : half + 2 * moved] = 0.0  # the rest of z_{j+h} is never read
+    stack = pad.view(complex).reshape(2 * len(paths), h)  # rows z_{0..h-1}, z_{h..M-1}; then e, o
+    e, o = stack[0::2], stack[1::2]
+    table = _twiddles(m)
+    mirrored = table[::-1]  # w_{h-j} = -V^j at j
+    spilled = np.subtract(e[:, :moved], o[:, :moved])
+    e[:, :moved] += o[:, :moved]
+    np.multiply(spilled, mirrored[:moved], out=o[:, :moved])
+    np.multiply(e[:, moved:], mirrored[moved:], out=o[:, moved:])
+    np.fft.fft(stack, axis=1, out=stack)
+    for row in pad:
+        _packed_power(row.view(complex), table)
+    np.fft.ifft(stack, axis=1, out=stack, norm="forward")  # unscaled: h times numpy's inverse
+    stop = min(num_lags // 2 + 1, h)  # at L = n = M, R(n) is set later
+    o[:, 1:stop] *= table[: stop - 1]
+    e[:, :stop] += o[:, :stop]
     return [
-        TrawlEstimate(delta=delta, n=n, a_hat=_lag_differences(pad[i, : num_lags + 1], paths[i], x_bars[i]))
-        for i in rows
+        TrawlEstimate(delta=delta, n=n, a_hat=_lag_differences(row[: num_lags + 1], path, x_bar, half))
+        for row, path, x_bar in zip(pad, paths, x_bars)
     ]
 
 
-def _lag_differences(r, path: SampledPath, x_bar: float) -> np.ndarray:
+def _lag_differences(r, path: SampledPath, x_bar: float, scale: int) -> np.ndarray:
     """a_hat(l delta) = (R(l) - R(l+1) - y_{n-l} y_n) / (n delta) for
-    l = 0..L-1, from r = R(0..L).  The transforms overwrote y, so y_0,
-    y_{n-l} and y_n come from x again; at L = n, R(n) = y_0 y_n is set in r
-    (see the module docstring).  One temporary of L floats."""
+    l = 0..L-1, from r = scale * R(0..L).  The transforms overwrote y, so
+    y_0, y_{n-l} and y_n come from x again; at L = n, R(n) = y_0 y_n is set
+    in r (see the module docstring).  One temporary of L floats."""
     x, n, num_lags = path.values, path.n, len(r) - 1
     y_n = float(x[n]) - x_bar
     if num_lags == n:
-        r[n] = (float(x[0]) - x_bar) * y_n
+        r[n] = scale * (float(x[0]) - x_bar) * y_n
     a_hat = np.subtract(r[:-1], r[1:])
     tail = np.subtract(x[n : n - num_lags : -1], x_bar)  # y_{n-l}, l = 0..L-1
-    np.subtract(a_hat, np.multiply(tail, y_n, out=tail), out=a_hat)
-    np.divide(a_hat, n * path.delta, out=a_hat)
+    np.subtract(a_hat, np.multiply(tail, scale * y_n, out=tail), out=a_hat)
+    np.divide(a_hat, scale * n * path.delta, out=a_hat)
     return a_hat
 
 

@@ -22,7 +22,12 @@ from dataclasses import asdict, dataclass
 from .estimators import TestFunction, TrawlEstimate, _sum_g, estimate_trawl, functional_lags
 from .simulate import SampledPath
 
-__all__ = ["TestReport", "tau_test"]
+__all__ = ["DegeneratePathError", "TestReport", "tau_test"]
+
+
+class DegeneratePathError(ValueError):
+    """The ratio is undefined on the path: its estimate vanishes at every
+    lag of tau's head, so the denominator is 0."""
 
 
 @dataclass(frozen=True)
@@ -66,7 +71,7 @@ def _tau_report(est: TrawlEstimate, T: float, p: float) -> TestReport:
     full = _sum_g(est, g, 0, stop, "tau")
     numerator = full - denominator
     if denominator <= 0.0:
-        raise ValueError("degenerate path: head functional vanished")
+        raise DegeneratePathError("degenerate path: head functional vanished")
     tau = full / denominator - 1.0
     return TestReport(
         T=T,

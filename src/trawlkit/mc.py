@@ -54,12 +54,13 @@ from .estimators import (
     lambda_n,
     psi_n,
 )
-from .inference import _tau_report
+from .inference import DegeneratePathError, _tau_report
 from .limit_theory import AvarKernel, check_finite_derivative, check_tail_clt
 from .models import _as_dict, _check_number, _whole, seed_from_dict, trawl_from_dict
 from .simulate import GridScheme, _write_csv, check_simulator, simulate
 
 __all__ = [
+    "DegenerateDrawError",
     "ExperimentConfig",
     "McResult",
     "run_experiment",
@@ -88,6 +89,12 @@ _STATISTICS = {
     "lambda_bar": lambda cfg, est: lambda_bar_n(est, cfg.g, cfg.t, cfg.window_for(est.n)),
     "tau": lambda cfg, est: _tau_report(est, cfg.tdep_T, cfg.tdep_p).scaled,
 }
+
+
+class DegenerateDrawError(RuntimeError):
+    """A drawn path on which the row's statistic is undefined, such as C1's
+    ratio on a path flat over tau's head: a fault of the draw, not of the
+    config, so the command line reports it as a runtime error."""
 
 
 def test_function_from_dict(cfg) -> TestFunction:
@@ -319,7 +326,9 @@ def _one_replication(cfg: ExperimentConfig, n: int, rep: int) -> list:
     """The raw statistics of the block of ``_block_size`` replications that
     starts at ``rep``, cut short at the last replication: its paths, each
     from its own substream, estimated in one call, and the row's statistic
-    on each estimate.  A value does not depend on the block it ran in."""
+    on each estimate.  A value does not depend on the block it ran in.  A
+    statistic undefined on a drawn path raises ``DegenerateDrawError``,
+    naming the replication and n."""
     paths = [
         simulate(cfg.trawl_model, cfg.seed_model,
                  GridScheme(n=n, delta=cfg.delta_for(n), master_seed=_rep_seed(cfg.master_seed, n, r)),
@@ -327,7 +336,13 @@ def _one_replication(cfg: ExperimentConfig, n: int, rep: int) -> list:
         for r in range(rep, min(rep + _block_size(cfg, n), cfg.replications))
     ]
     statistic = _STATISTICS[_THEOREMS[cfg.theorem][0]]
-    return [statistic(cfg, est) for est in _estimate_paths(paths, cfg.lags_for(n))]
+    values = []
+    for r, est in enumerate(_estimate_paths(paths, cfg.lags_for(n)), start=rep):
+        try:
+            values.append(statistic(cfg, est))
+        except DegeneratePathError as exc:
+            raise DegenerateDrawError(f"replication {r} at n = {n}: {exc}") from None
+    return values
 
 
 def run_experiment(cfg: ExperimentConfig) -> McResult:

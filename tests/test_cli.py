@@ -440,6 +440,33 @@ def test_runtime_failure_exits_3(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_mc_path_flat_over_the_tau_head_exits_3(tmp_path, capsys):
+    """A C1 config that builds can draw a path whose estimate vanishes over
+    tau's head, where the ratio is undefined: a fault of the draw, reported
+    as a runtime error that names the replication and n, not as a config
+    error."""
+    exp = tmp_path / "exp.json"
+    exp.write_text(json.dumps({
+        "theorem": "C1", "trawl": {"family": "exponential", "rate": 2.59},
+        "seed_spec": {"family": "poisson", "rate": 0.3}, "n_grid": [21], "replications": 1,
+        "varpi": 1.01, "c": 2.77, "tdep_T": 1.5, "tdep_p": 0.5, "master_seed": 0,
+    }))
+    out = tmp_path / "result.json"
+    assert main(["mc", "--experiment", str(exp), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "runtime error: replication 0 at n = 21: degenerate path: head functional vanished\n"
+    )
+    assert not out.exists()
+
+
+def test_tdep_on_a_flat_path_is_a_usage_error(tmp_path, capsys):
+    """The same refusal on a user's path is an error of the input."""
+    flat = tmp_path / "x.csv"
+    flat.write_text("x\n" + "2.0\n" * 40)
+    assert main(["tdep", "--input", str(flat), "--delta", "0.1", "--T", "1.0"]) == 2
+    assert capsys.readouterr().err == "error: degenerate path: head functional vanished\n"
+
+
 def test_mc_seed_overrides_the_master_seed(tmp_path):
     """``--seed`` runs what a file with that ``master_seed`` runs."""
     small = {**_THEOREM3, "n_grid": [256], "replications": 5}

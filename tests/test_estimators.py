@@ -334,15 +334,67 @@ def test_rows_per_call_pairs_all_lags_up_to_m_2_17():
         assert all(estimators._rows_per_call(n, lags) == 1 for lags in range(1, n))
 
 
-@pytest.mark.parametrize("m", [4, 8, 12, 20, 420, 4320, 2**16])
+#: m/4 is 1, 2, 3, 5, 105, 1080 and 2^14: odd and even, and a self-paired
+#: middle entry or a middle pair in the odd half of the split spectrum.
+_TWIDDLE_LENGTHS = [4, 8, 12, 20, 420, 4320, 2**16]
+
+
+@pytest.mark.parametrize("m", _TWIDDLE_LENGTHS)
 def test_twiddles_match_the_direct_formula(m):
-    """v_k = cos(theta_k) exp(i theta_k) / 2, theta_k = 2 pi k / m, from
-    (1 + exp(2i theta_k)) / 4; m/4 is 1, 2, 3, 5, 105, 1080 and 2^14 here."""
-    theta = np.arange(1, m // 4) * (2 * np.pi / m)
-    direct = np.cos(theta) * np.exp(1j * theta) / 2
+    """w_k = W^-k = exp(2 pi i k / M), M = m/2, for k = 1..m/4, from the
+    cosine and sine of 4 pi k / m; w_{m/4} = -1."""
+    angle = np.arange(1, m // 4 + 1) * (4 * np.pi / m)
+    direct = np.cos(angle) + 1j * np.sin(angle)
     twiddles = estimators._twiddles(m)
-    assert len(twiddles) == m // 4 - 1 and not twiddles.flags.writeable
+    assert len(twiddles) == m // 4 and not twiddles.flags.writeable
     np.testing.assert_allclose(twiddles, direct, rtol=0, atol=1e-15)
+    assert abs(twiddles[-1] + 1) < 1e-15
+
+
+@pytest.mark.parametrize("m", _TWIDDLE_LENGTHS[:-1])
+def test_packed_power_matches_its_formula_in_split_order(m):
+    """The step from Z to H, given Z in split order (the even k, then the
+    odd k), returns H in that order, entry by entry as the module docstring
+    defines it from the natural order: H_0 and H_{M/2} from one entry,
+    every other k from the pair (Z_k, Z_{M-k}) and v_k = (1 + W^-k) / 4.
+    Negating the odd half, as the butterfly does, changes nothing."""
+    big_m = m // 2
+    z = np.random.default_rng(m).standard_normal(m).view(complex)
+    h = np.empty(big_m, dtype=complex)
+    h[0] = abs(z[0]) ** 2 + 2j * z[0].real * z[0].imag
+    h[big_m // 2] = abs(z[big_m // 2]) ** 2
+    for k in range(1, big_m // 2):
+        a, b = z[k], z[big_m - k]
+        v = (1 + np.exp(2j * np.pi * k / big_m)) / 4
+        phi = v * (abs(a) ** 2 - abs(b) ** 2 - 2j * (a * b).imag)
+        h[k], h[big_m - k] = abs(a) ** 2 - phi, abs(b) ** 2 + np.conj(phi)
+    for sign in (1, -1):
+        spec = np.concatenate([z[0::2], sign * z[1::2]])
+        estimators._packed_power(spec, estimators._twiddles(m))
+        np.testing.assert_allclose(spec, np.concatenate([h[0::2], h[1::2]]), rtol=1e-13, atol=1e-13)
+
+
+def test_every_transform_runs_at_least_two_rows_of_m_over_4(monkeypatch):
+    """pocketfft runs a one-row transform as scalar code and two rows at a
+    time in the two lanes of a vector register, so the estimator splits each
+    path's row into two half rows of length m/4: every forward and inverse
+    FFT it calls gets at least two rows, for one path, a pair and a
+    lag-bounded estimate."""
+    calls = []
+    for name in ("fft", "ifft"):
+        transform = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda a, *args, _name=name, _transform=transform, **kwargs:
+                            calls.append((_name, a.shape)) or _transform(a, *args, **kwargs))
+    n = 1000
+    pair = [_random_path(n, 1), _random_path(n, 2)]
+    for run, rows, m in (
+        (lambda: estimate_trawl(pair[0]), 1, _transform_length(2 * n)),
+        (lambda: estimators._estimate_paths(pair, n), 2, _transform_length(2 * n)),
+        (lambda: estimate_trawl(pair[0], lags=100), 1, _transform_length(n + 101)),
+    ):
+        calls.clear()
+        run()
+        assert calls == [("fft", (2 * rows, m // 4)), ("ifft", (2 * rows, m // 4))]
 
 
 def test_estimate_independent_of_call_order():
