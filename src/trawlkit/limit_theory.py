@@ -9,13 +9,14 @@ K(s, S) + K(r, S) = K(S, S),
     Sigma_a(s, r) = k4 a(max(s, r)) + 2 C(D) - 2 C(S) - K(D, D) + K(s, S) + K(r, S)
                   = k4 a(max(s, r)) + Phi(D) - Phi(S),   Phi(h) = 2 C(h) - K(h, h).
 
-Every integral is an array evaluation on fixed Gauss panels split at every
-kink, with infinite ranges mapped onto [0, 1) by the length scale A(0) and
-a Gauss-Jacobi weight for the power-law decay of the mapped integrand.
-Each is computed at two node counts, and a disagreement beyond ``_ABS_TOL``
-and ``_REL_TOL`` raises ``QuadratureError``.  The adaptive sigma kernels,
-sigma_a^2 and block kernels that the identity was derived from live in the
-tests, as oracles.
+Every integral over u runs in one variable, w = -log(A(u)/A(0)) with A the
+tail integral (``AvarKernel._nodes``).  Every family has a = e^(-gamma w)
+(``TrawlSpec.log_slope``), so a panel of fixed width in w spans a fixed fall
+of A and of a: in a long head [0, t], in a slowly decaying tail, and where a
+compact trawl nears 0.  Each result is computed at two node counts, and a
+disagreement beyond ``_ABS_TOL`` and ``_REL_TOL`` raises ``QuadratureError``.
+The adaptive sigma kernels, sigma_a^2 and block kernels that the identity
+was derived from live in the tests, as oracles.
 """
 
 from __future__ import annotations
@@ -31,9 +32,13 @@ from .models import TrawlSpec
 
 __all__ = ["QuadratureError", "AvarKernel", "check_tail_clt", "check_finite_derivative"]
 
-#: Gauss nodes per panel (coarse, fine): of Phi, and per axis of a covariance.
+#: Nodes (coarse, fine) per Gauss-Legendre panel and Laguerre tail in w, of Phi and per covariance axis.
 _INNER_NODES = (24, 32)
 _OUTER_NODES = (20, 28)
+#: Panels in w at most _PANEL / max(rate, gamma) wide for an integrand that
+#: falls like e^(-rate w), ridge steps of _RIDGE / (gamma - 1), and the fall,
+#: e^-_CUTOFF ~ 2e-16, past which an integrand's kinks no longer split panels.
+_PANEL, _RIDGE, _CUTOFF = 12.0, 1.0, 36.0
 #: Kernel points per block, which keeps the points x nodes arrays small.
 _BLOCK = 512
 #: How far the two node counts may differ: absolute, or relative to the result.
@@ -76,29 +81,18 @@ class AvarKernel:
 
     def _sigma_a(self, s, r, m):
         """Sigma_a on 1-D arrays with ``m`` nodes per panel of Phi, unchecked."""
-        sigma1 = self.k4 * self.trawl.a(np.maximum(s, r))
-        return sigma1 + self._phi(np.abs(s - r), m) - self._phi(s + r, m)
+        phi = self._phi(np.concatenate([np.abs(s - r), s + r]), m)
+        return self.k4 * self.trawl.a(np.maximum(s, r)) + phi[: s.size] - phi[s.size :]
 
     def _phi(self, h, m):
-        """Phi(h) = 2 int_0^inf a(w) (a(w + h) - [w < h/2] a(h - w)) dw.
+        """Phi(h) = 2 int_0^inf a(v) (a(v + h) - [v < h/2] a(h - v)) dv, whose
+        second term is K(h, h), with an integrand symmetric about h/2."""
+        a, end, h = self.trawl.a, self.trawl.support_end, h[:, None]
 
-        The second term is K(h, h), whose integrand is symmetric about h/2.
-        """
-        a, end = self.trawl.a, self.trawl.support_end
-        if end < math.inf:  # panels between the kinks, on [0, end] where a > 0
-            cuts = np.clip([0 * h, end - h, h - end, h / 2, 0 * h + end], 0.0, end)
-            w, dw = _panels(np.sort(cuts, axis=0), m)
-        else:  # geometric grid on [0, h/2]; [h/2, inf) mapped onto [0, 1)
-            scale = self.trawl.leb_A
-            x, xw = _gauss(m)
-            half = h[:, None] / 2.0
-            growth = np.log1p(half / scale)
-            grid = scale * np.exp(growth * x)
-            tail, tail_w = self._mapped_tail(half, half + scale, m)
-            w, dw = np.hstack([grid - scale, tail]), np.hstack([growth * grid * xw, tail_w])
-        h = h[:, None]
-        head = np.where(w < h / 2.0, a(np.abs(h - w)), 0.0)
-        return 2.0 * np.sum(dw * a(w) * (a(w + h) - head), axis=1)
+        def f(v):
+            return a(v) * (a(v + h) - np.where(v < h / 2.0, a(np.abs(h - v)), 0.0))
+
+        return 2.0 * self._segment(f, 0.0, math.inf, (h / 2.0, end - h, h - end), m)[:, 0]
 
     # -- limit covariances -------------------------------------------------
 
@@ -121,40 +115,41 @@ class AvarKernel:
         _check_times(t, s)
         check_tail_clt(self.trawl, g)
         check_finite_derivative(self.trawl, g, math.inf)
-        end = self.trawl.support_end
-        if end < math.inf:
-            return self._limit_cov(g, (min(t, end), end, min(s, end), end))
-        scale = self.trawl.leb_A
-        return self._limit_cov(g, (t / (t + scale), 1.0, s / (s + scale), 1.0), scale)
+        return self._limit_cov(g, (t, math.inf, s, math.inf))
 
-    def _limit_cov(self, g, box, scale=None):
-        """int int dg(a(u)) Sigma_a(u, r) dg(a(r)) over box = (u0, u1, r0, r1).
+    def _limit_cov(self, g, box):
+        """int int dg(a(u)) Sigma_a(u, r) dg(a(r)) over box = (u0, u1, r0, r1),
+        the symmetric integrand's part below the ridge r = u plus that of the
+        swapped box.  A part's r axis is split at r = u - A(0), at the ridge
+        steps and where a(r), Phi(u - r) or Phi(u + r) of a compact trawl
+        kinks, its u axis where such a line meets an edge.  In w, dg(a(u)) du
+        falls like e^(-rate w), rate = gamma (p - 2) + 1."""
+        trawl = self.trawl
+        a, end, gamma, scale = trawl.a, trawl.support_end, trawl.log_slope, trawl.leb_A
+        kinks = [(0.0, end), (1.0, -end), (1.0, -2 * end), (-1.0, end), (-1.0, 2 * end)] if end < math.inf else []
+        lines = [(1.0, 0.0), (1.0, -scale)] + kinks
+        rate = gamma * (g.exponent - 2.0) + 1.0
 
-        Iterated Gauss panels split at the ridge r = u and, for a compact
-        trawl, at the kinks of a and Phi; all are lines r = slope u + c.  With
-        ``scale``, both axes are x = u / (u + scale), which makes them finite.
-        """
-        a, end = self.trawl.a, self.trawl.support_end
-        u0, u1, r0, r1 = box
-        lines = [(1.0, 0.0)]
-        if end < math.inf:
-            kinks = (end, -end, 2 * end, -2 * end)
-            lines += [(0.0, end), (-1.0, end), (-1.0, 2 * end)] + [(1.0, c) for c in kinks]
-        ucuts = {u0, u1, end} | {(rb - c) / sl for sl, c in lines if sl for rb in (r0, r1)}
-        ucuts = np.array(sorted(c for c in ucuts if u0 <= c <= u1))[:, None]
-
-        def rule(n, m):
-            u, du = (v.ravel() for v in _panels(ucuts, n))
-            rcuts = np.clip([0 * u + r0, 0 * u + r1] + [sl * u + c for sl, c in lines], r0, r1)
-            r, dr = _panels(np.sort(rcuts, axis=0), n)
-            u, weight = np.broadcast_to(u[:, None], r.shape), du[:, None] * dr
-            if scale is not None:
-                weight = weight * scale**2 / ((1.0 - u) * (1.0 - r)) ** 2
-                u, r = scale * u / (1.0 - u), scale * r / (1.0 - r)
-            weight = weight * g.dg(a(u)) * g.dg(a(r))
+        def below_ridge(u0, u1, r0, r1, n, m):
+            ucuts = [(rb - c) / sl for sl, c in lines if sl for rb in (r0, r1) if rb < math.inf]
+            ucuts += [c / (1.0 - sl) for sl, c in kinks if sl != 1.0]
+            u, du, fallen = (v.ravel() for v in self._nodes(u0, u1, ucuts, n, rate))
+            # Where gamma > 1, panels of fixed width in w grow geometrically in u while Phi(u - r) keeps its
+            # scale in u - r: steps of _RIDGE / (gamma - 1) in w(u - r) grade them towards the ridge.
+            reach = (1.0 - gamma) * math.log(trawl.tail_integral(u.max(initial=r0) - r0) / scale) if gamma > 1 else 0
+            steps = trawl.tail_integral_inverse(scale * np.exp(-np.arange(_RIDGE, reach, _RIDGE) / (gamma - 1.0)))
+            rcuts = [sl * u + c for sl, c in lines] + [u - d for d in steps]
+            r, dr, _ = self._nodes(r0, np.minimum(u, r1), rcuts, n, rate, fallen)
+            u, weight = np.broadcast_to(u[:, None], r.shape), du[:, None] * dr * g.dg(a(r))
+            weight = weight * g.dg(a(u))
             keep = weight != 0.0
             return float(np.dot(weight[keep], _blockwise(self._sigma_a, u[keep], r[keep], m)))
 
+        u0, u1, r0, r1 = box
+        if (u0, u1) == (r0, r1):
+            rule = lambda n, m: 2.0 * below_ridge(*box, n, m)
+        else:
+            rule = lambda n, m: below_ridge(*box, n, m) + below_ridge(r0, r1, u0, u1, n, m)
         coarse, fine = (rule(n, m) for n, m in zip(_OUTER_NODES, _INNER_NODES))
         return _agree(coarse, fine, "limit covariance")
 
@@ -189,11 +184,11 @@ class AvarKernel:
         elif (l1, l2) == (4, 4):
             out = A(hi) - C(hi, 0.0, m)
         elif (l1, l2) == (1, 2):
-            out = _segment(lambda u: a(u) * a(s + r - u), r, s + r, (end, s + r - end), m)
+            out = self._segment(lambda u: a(u) * a(s + r - u), r, s + r, (end, s + r - end), m)
         elif (l1, l2) == (1, 3):
             # int_hi^inf (a(u - s) - a(u)) (gap - a(u - r)) du
             part1 = gap * (A(hi - s) - A(hi)) - C(hi - s, hi - r, m) + C(hi, hi - r, m)
-            part2 = _segment(
+            part2 = self._segment(
                 lambda u: a(u) * (a(np.maximum(s - r - u, 0.0)) - gap), 0.0, s, (end, s - r, s - r - end), m
             )
             out = -part1 - part2
@@ -211,27 +206,44 @@ class AvarKernel:
         return out[:, 0]
 
     def _overlap(self, p, q, m):
-        """C(p, q) = int_0^inf a(v + p) a(v + q) dv for columns p, q >= 0.
-
-        A compact trawl needs one panel, up to end - max(p, q), where the
-        product vanishes.  Otherwise [0, inf) is mapped onto [0, 1) with the
-        length L = min(p, q) + A(0) (``_mapped_tail``).
-        """
+        """C(p, q) = int_0^inf a(v + p) a(v + q) dv for columns p, q >= 0."""
         a, end = self.trawl.a, self.trawl.support_end
-        if end < math.inf:
-            return _segment(lambda v: a(v + p) * a(v + q), 0.0, end - np.maximum(p, q), (), m)
-        v, w = self._mapped_tail(0.0, np.minimum(p, q) + self.trawl.leb_A, m)
-        return np.sum(w * (a(v + p) * a(v + q)), axis=1, keepdims=True)
+        return self._segment(lambda v: a(v + p) * a(v + q), 0.0, math.inf, (end - np.maximum(p, q),), m)
 
-    def _mapped_tail(self, lo, length, m):
-        """Nodes u and weights of ``m`` points for int_lo^inf f(u) du, per
-        column of ``lo`` and ``length`` L: u = lo + L y / (1 - y) maps
-        [lo, inf) onto [0, 1), and the Gauss-Jacobi weight (1 - y)^(2 alpha - 2)
-        of ``_gauss`` takes the decay of a mapped integrand that falls like
-        a(u)^2."""
-        alpha = self.trawl.tail_exponent
-        y, w = _gauss(m, 2.0 * alpha - 2.0 if alpha < math.inf else 0.0)
-        return lo + length * y / (1.0 - y), length * w / (1.0 - y) ** 2
+    def _segment(self, f, lo, hi, kinks, m):
+        """int_lo^hi f(u) du for columns lo, hi (0 where hi <= lo), for an f that falls like a
+        product of two values of a, at rate 1 + gamma.  Summed in order, so that the empty
+        panels that pad a column leave its sum bitwise that of the column alone."""
+        u, du, _ = self._nodes(lo, hi, kinks, m, 1.0 + self.trawl.log_slope)
+        return np.cumsum(du * f(u), axis=1)[:, -1:]
+
+    def _nodes(self, lo, hi, kinks, n, rate, fallen=0.0):
+        """Nodes u, weights du and w - w(lo) of ``n``-point rules for
+        int_lo^hi f(u) du per column, for an f that falls like e^(-rate w):
+        in w, with u = A^-1(A(0) e^-w) and du = A(u)/a(u) dw, Gauss-Legendre
+        panels of equal width fill each gap between kinks, and Gauss-Laguerre
+        at ``rate`` the rest of a range to w = inf.  Kinks past a fall of
+        e^-_CUTOFF from w(lo), less ``fallen``, move back to it, and a finite
+        range ends there."""
+        trawl, scale = self.trawl, self.trawl.leb_A
+        lo, hi, *kinks = np.broadcast_arrays(*(np.reshape(k, (-1, 1)) for k in (lo, hi, *kinks)))
+        fall = trawl.tail_integral(np.clip([lo, hi, *kinks], lo, np.maximum(hi, lo))[..., 0]) / scale
+        w = -np.log(fall, out=np.full_like(fall, -math.inf), where=fall > 0)  # inf from the support's end on
+        finite = np.isfinite(w)
+        tail = finite[0] & ~finite[1]
+        w = np.where(finite, w, np.max(w, axis=0, where=finite, initial=0.0))
+        w = np.minimum(w, w[0] + np.maximum(_CUTOFF / rate - fallen, 0.0)) if rate > 0 else w
+        cuts = _split(np.sort(w, axis=0), _PANEL / max(rate, trawl.log_slope))
+        xg, wg, y, dy = _gauss(n)
+        lo, width = cuts[:-1].T[:, :, None], np.diff(cuts, axis=0).T[:, :, None]
+        x, dx = (lo + width * xg).reshape(len(lo), -1), (width * wg).reshape(len(lo), -1)
+        if np.any(tail):  # in the columns without a tail, empty nodes at the last cut
+            x = np.concatenate([x, cuts[-1][:, None] + np.where(tail[:, None], y / rate, 0.0)], axis=1)
+            dx = np.concatenate([dx, np.where(tail[:, None], dy / rate, 0.0)], axis=1)
+        fall = np.exp(-x)
+        u = trawl.tail_integral_inverse(scale * fall)
+        a = trawl.a(u)
+        return u, np.divide(scale * fall * dx, a, out=np.zeros_like(a), where=a > 0), x - w[0][:, None]
 
     def decomposition_residual(self, s: float, r: float) -> float:
         """|sum of all (symmetrized) limit kernels - Sigma_a(s, r)|."""
@@ -251,6 +263,15 @@ def check_tail_clt(trawl: TrawlSpec, g: TestFunction) -> None:
             "tail CLT needs a test function of power order > 3 (quadratic g has a "
             "non-central limit instead); got exponent {:g}".format(g.exponent)
         )
+
+
+def _check_nonzero_limit(trawl: TrawlSpec, t: float, tail: bool) -> None:
+    """Refuse a CLT whose limit variance is 0 by construction: the head
+    functional at t = 0, and the tail functional from a compact support's
+    end on, where dg(a(u)) vanishes.  A closed form, like ``check_tail_clt``."""
+    if t >= trawl.support_end if tail else t == 0.0:
+        why = f"a vanishes from u = {trawl.support_end:g} on" if tail else "the head [0, t] is empty"
+        raise ValueError(f"the limit variance is 0 by construction: {why}")
 
 
 def check_finite_derivative(trawl: TrawlSpec, g: TestFunction, end: float) -> None:
@@ -284,14 +305,6 @@ def _blockwise(rule, s, r, m):
     return out
 
 
-def _segment(f, lo, hi, kinks, m):
-    """int_lo^hi f(u) du for columns lo, hi (0 where hi <= lo), on Gauss
-    panels of ``m`` nodes between the ``kinks`` clipped into [lo, hi]."""
-    lo, hi, *kinks = np.broadcast_arrays(lo, np.maximum(hi, lo), *kinks)
-    u, du = _panels(np.sort(np.clip([lo, hi, *kinks], lo, hi), axis=0)[..., 0], m)
-    return np.sum(du * f(u), axis=1, keepdims=True)
-
-
 def _check_times(*values):
     for v in values:
         v = np.asarray(v)
@@ -300,39 +313,25 @@ def _check_times(*values):
 
 
 @functools.lru_cache(maxsize=None)
-def _gauss(n, beta=0.0):
-    """Gauss nodes on [0, 1] for integrands (1 - x)^beta times a smooth function.
+def _gauss(n):
+    """Gauss-Legendre nodes and weights on [0, 1], and Gauss-Laguerre nodes y
+    and weights e^y w for int_0^inf f(y) dy; read-only, as every caller shares them."""
+    from numpy.polynomial import laguerre, legendre
 
-    Legendre for beta = 0, else Jacobi, with 1/(1 - x)^beta in the weights:
-    where a ~ v^-alpha, the mapped tail of Phi goes like (1 - x)^(2 alpha - 2).
-    Golub-Welsch: the nodes on [-1, 1] are the eigenvalues of the symmetric
-    tridiagonal Jacobi matrix of the weight (1 - x)^beta, and each weight is
-    the reciprocal of sum_k p_k(x)^2 over the orthonormal polynomials, which
-    keeps the small weights near the ends accurate to rounding.
-    """
-    k = np.arange(1.0, n)
-    s = 2.0 * k + beta
-    diag = np.append(-beta / (beta + 2.0), -(beta**2) / (s * (s + 2.0)))
-    off = 2.0 * k * (k + beta) / (s * np.sqrt(s * s - 1.0))
-    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    # p_k / p_0 by the three-term recurrence; sum_k p_k^2 = total / mu0.
-    prev, cur, total = np.zeros(n), np.ones(n), np.ones(n)
-    for j in range(n - 1):
-        prev, cur = cur, ((x - diag[j]) * cur - (off[j - 1] * prev if j else 0.0)) / off[j]
-        total += cur * cur
-    x = (x + 1.0) / 2.0
-    # mu0 = 2^(beta + 1) / (beta + 1); mapping onto [0, 1] divides it by 2^(beta + 1).
-    w = 1.0 / ((beta + 1.0) * total * (1.0 - x) ** beta)
-    x.flags.writeable = w.flags.writeable = False  # shared by every caller of the cache
-    return x, w
+    (x, w), (y, v) = legendre.leggauss(n), laguerre.laggauss(n)
+    rules = ((x + 1.0) / 2.0, w / 2.0, y, v * np.exp(y))
+    for rule in rules:
+        rule.flags.writeable = False
+    return rules
 
 
-def _panels(cuts, n):
-    """Gauss nodes and weights on the panels between the sorted rows of ``cuts``.
-
-    ``cuts`` has shape (panels + 1, columns); both results (columns, panels * n).
-    """
-    x, w = _gauss(n)
-    lo, width = cuts[:-1, :, None], np.diff(cuts, axis=0)[:, :, None]
-    shape = (cuts.shape[1], (len(cuts) - 1) * n)
-    return np.moveaxis(lo + width * x, 0, 1).reshape(shape), np.moveaxis(width * w, 0, 1).reshape(shape)
+def _split(cuts, width):
+    """The sorted rows of ``cuts``, each gap of each column split into the
+    fewest equal parts no wider than ``width`` and padded with empty ones to
+    the most any column needs; gaps empty in every column are dropped."""
+    rows = [cuts[:1]]
+    for lo, hi in [(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]) if np.any(hi > lo)] or [(cuts[0], cuts[-1])]:
+        parts = np.maximum(np.ceil((hi - lo) / width), 1.0)
+        j = np.arange(1.0, np.max(parts) + 1.0)[:, None]
+        rows.append(np.where(j < parts, lo + (hi - lo) * (j / parts), hi))
+    return np.vstack(rows)

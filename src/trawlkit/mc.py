@@ -55,7 +55,7 @@ from .estimators import (
     psi_n,
 )
 from .inference import DegeneratePathError, _tau_report
-from .limit_theory import AvarKernel, check_finite_derivative, check_tail_clt
+from .limit_theory import AvarKernel, _check_nonzero_limit, check_finite_derivative, check_tail_clt
 from .models import _as_dict, _check_number, _whole, seed_from_dict, trawl_from_dict
 from .simulate import GridScheme, _write_csv, check_simulator, simulate
 
@@ -135,10 +135,11 @@ class ExperimentConfig:
     (``check_simulator``), and at every n the theorem's statistic must be
     able to read its time, t or C1's tdep_T (``lags_for``).  A tail
     target must be finite, a tail CLT's limit must exist
-    (``check_tail_clt``), and a CLT's g' must be finite wherever its limit
+    (``check_tail_clt``), a CLT's g' must be finite wherever its limit
     variance reads a (``check_finite_derivative``): an exponent below 1 only
-    where a stays positive, on [0, t] for T5 and on [t, inf) for T6.  All
-    three rules are closed forms.
+    where a stays positive, on [0, t] for T5 and on [t, inf) for T6, and a
+    CLT's limit variance must not be 0 by construction: T5 at t = 0, T6
+    from a compact trawl's support end on.  All four rules are closed forms.
     """
 
     trawl: dict
@@ -209,6 +210,11 @@ class ExperimentConfig:
                 check_finite_derivative(self.trawl_model, self.g, self.t if estimate == "psi" else math.inf)
         except ValueError as exc:
             raise ValueError(f"test_function = {self.test_function!r} does not fit {self.theorem}: {exc}") from None
+        if summary_kind == "clt":
+            try:
+                _check_nonzero_limit(self.trawl_model, self.t, estimate == "lambda")
+            except ValueError as exc:
+                raise ValueError(f"t = {self.t!r} does not fit {self.theorem}: {exc}") from None
         if estimate == "lambda_bar":
             self.window_for(self.n_grid[0])  # an explicit kappa outside its bounds fails here, unwrapped
         name = "tdep_T" if estimate == "tau" else "t"
@@ -392,7 +398,9 @@ def run_experiment(cfg: ExperimentConfig) -> McResult:
             summary["rmse"] = float(np.sqrt(np.mean((vals - target) ** 2)))
         elif summary_kind == "clt":
             limit_var = theory["limit_variance"]
-            summary["variance_ratio"] = summary["variance"] / limit_var if limit_var > 0 else math.inf
+            # None where the limit variance rounds to 0 (a head far shorter than the
+            # trawl's scale): strict JSON has no Infinity
+            summary["variance_ratio"] = summary["variance"] / limit_var if limit_var > 0 else None
             if len(vals) >= 20 and limit_var > 0:
                 summary["ks_distance"] = ks_distance(vals / math.sqrt(limit_var))
         else:

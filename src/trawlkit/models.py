@@ -96,6 +96,10 @@ class TrawlSpec:
     #: End of the support of a (infinity when a > 0 everywhere).
     support_end = math.inf
 
+    #: gamma with a(s) = (A(s) / A(0))^gamma exactly: the slope of log a
+    #: against log A, so that a falls like e^(-gamma w) in w = -log(A/A(0)).
+    log_slope = 1.0
+
     def a(self, s):
         raise NotImplementedError
 
@@ -178,6 +182,10 @@ class PowerLawTrawl(TrawlSpec):
     def tail_exponent(self):
         return self.alpha
 
+    @property
+    def log_slope(self):
+        return self.alpha / (self.alpha - 1.0)
+
     def a(self, s):
         return (1.0 + np.asarray(s, dtype=float) / self.scale) ** (-self.alpha)
 
@@ -214,6 +222,7 @@ class CompactTriangleTrawl(TrawlSpec):
     """
 
     support: float = 1.0
+    log_slope = 0.5
 
     def __post_init__(self):
         if not 0 < self.support < math.inf:

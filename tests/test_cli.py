@@ -741,3 +741,30 @@ def test_no_scipy_at_run_time(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
+
+
+#: Runs in a fresh interpreter: the numpy.polynomial modules loaded after
+#: ``import trawlkit``, and after a first limit-theory call.
+_NO_POLYNOMIAL = """
+import sys
+import trawlkit
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("numpy.polynomial"))
+
+print(loaded())
+trawlkit.AvarKernel(trawlkit.ExponentialTrawl(1.0)).sigma_a_matrix(0.5, 0.2)
+print(loaded())
+"""
+
+
+def test_import_loads_no_numpy_polynomial():
+    """The quadrature's Gauss nodes come from numpy.polynomial, imported on
+    first use: ``import trawlkit``, which every command pays for, loads none
+    of it, and the first limit-theory call loads the Legendre and Laguerre
+    rules."""
+    proc = subprocess.run([sys.executable, "-c", _NO_POLYNOMIAL], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.splitlines()
+    assert before == "[]"
+    assert "numpy.polynomial.legendre" in after and "numpy.polynomial.laguerre" in after

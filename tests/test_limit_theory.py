@@ -9,8 +9,8 @@ quadrature down hard:
     Sigma_a(s, r) = k4 exp(-max(s,r)) + sigma2~ + sigma3~
     sigma_a^2(t)  = k4 exp(-t) + 1 + (2t - 1) exp(-2t)
 
-    limit_cov_psi(x^2; 1, 1)       = (8 e k4 - 3(4 k4 + 3) e^2
-                                      + (4 k4 + 3) e^4 + 6) e^{-4} / 3
+    limit_cov_psi(x^2; t, t)       = (8 k4 e^t + 6 t + (4 k4 + 3) e^{4t}
+                                      + 3 (2 t^2 - 4 t - 4 k4 - 1) e^{2t}) e^{-4t} / 3
     limit_cov_lambda(|x|^4; 0, 0)  = 8 k4 / 7 + 1/2
 """
 
@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, special
+from scipy import integrate
 
 from trawlkit import TestFunction as G  # aliased: pytest would try to collect a Test* class
 from trawlkit import (
@@ -29,7 +29,7 @@ from trawlkit import (
     QuadratureError,
 )
 from trawlkit import limit_theory
-from trawlkit.limit_theory import _ABS_TOL, _INNER_NODES, _gauss
+from trawlkit.limit_theory import _ABS_TOL, _INNER_NODES
 
 from oracles import AdaptiveKernel
 
@@ -43,9 +43,11 @@ ORACLE_FAMILIES = [PowerLawTrawl(2.5, 1.0), PowerLawTrawl(1.5, 1.0), CompactTria
 # Iterated adaptive quadrature of dg(a(u)) Sigma_a(u, r) dg(a(r)), the inner
 # integral split at the ridge r = u, with the inner tolerance 10 * _ABS_TOL;
 # the outer integral is split at u = s, where the inner one has a kink.
-# It shares only Sigma_a with the product rule, and Sigma_a is checked
-# against the adaptive sigma kernels of ``oracles.AdaptiveKernel`` below; one
-# node count keeps the many scalar calls affordable.
+# Each returns its value and the outer rule's error estimate, which a test
+# reads before it compares.  It shares only Sigma_a with the product rule,
+# and Sigma_a is checked against the adaptive sigma kernels of
+# ``oracles.AdaptiveKernel`` below; one node count keeps the many scalar
+# calls affordable.
 
 
 def _scalar_sigma_a(kern):
@@ -59,13 +61,11 @@ def _inner_kernel(kern):
 
 def _outer_quad(inner, lo, hi, kink):
     cuts = [lo, kink, hi] if lo < kink < hi else [lo, hi]
-    res = sum(
-        integrate.quad(inner, a, b, epsabs=1e-7, epsrel=1e-5, limit=80)[0]
-        for a, b in zip(cuts, cuts[1:])
-    )
+    parts = [integrate.quad(inner, a, b, epsabs=1e-10, epsrel=3e-7, limit=80) for a, b in zip(cuts, cuts[1:])]
+    res, err = (sum(part[i] for part in parts) for i in (0, 1))
     if not math.isfinite(res):
         raise QuadratureError("outer quadrature diverged")
-    return res
+    return res, err
 
 
 def adaptive_limit_cov_psi(kern, g, t, s):
@@ -167,6 +167,14 @@ def test_sigma_a_matrix_arrays_match_sigma_kernels(trawl):
     assert got.shape == (3, 5)
     np.testing.assert_allclose(got.ravel(), expect, rtol=0.0, atol=1e-9)
     assert isinstance(kern.sigma_a_matrix(0.4, 1.1), float)
+
+
+@pytest.mark.parametrize("trawl", [PowerLawTrawl(1.02, 1.0), PowerLawTrawl(1.1, 1.0)], ids=repr)
+@pytest.mark.parametrize("s,r", [(0.5, 0.3), (2.0, 0.0)])
+def test_sigma_a_matrix_long_memory_matches_sigma_kernels(trawl, s, r):
+    """As alpha nears 1, a decays too slowly for a fixed length scale."""
+    kern, oracle = AvarKernel(trawl, k4=0.6), AdaptiveKernel(trawl, k4=0.6)
+    assert kern.sigma_a_matrix(s, r) == pytest.approx(oracle.sigma_a(s, r), rel=1e-9)
 
 
 def test_sigma2_via_raw_quadrature():
@@ -280,12 +288,21 @@ def test_appendix_f_validation():
 # -- limit covariances ---------------------------------------------------
 
 
-@pytest.mark.parametrize("k4", [0.0, 1.0])
-def test_limit_cov_psi_exponential_closed_form(k4):
+def exp_limit_cov_psi(t, k4):
+    """limit_cov_psi(x^2; t, t) of the unit exponential trawl, in the
+    docstring's form multiplied out by e^{-4t}."""
+    return (8 * k4 * math.exp(-3 * t) + 6 * t * math.exp(-4 * t) + 4 * k4 + 3
+            + 3 * (2 * t * t - 4 * t - 4 * k4 - 1) * math.exp(-2 * t)) / 3
+
+
+@pytest.mark.parametrize(
+    "t,k4", [pytest.param(t, k4, id=str(k4) if t == 1.0 else f"t{t:g}-{k4}") for t in (1.0, 5.0, 50.0, 100.0) for k4 in (0.0, 1.0)]
+)
+def test_limit_cov_psi_exponential_closed_form(t, k4):
+    """At large t the head spans many scales of a; as t grows the
+    covariance tends to 4 k4 / 3 + 1."""
     kern = AvarKernel(EXP, k4=k4)
-    e = math.e
-    expect = (8 * e * k4 - 3 * (4 * k4 + 3) * e**2 + (4 * k4 + 3) * e**4 + 6) * e**-4 / 3
-    assert kern.limit_cov_psi(G(2.0), 1.0, 1.0) == pytest.approx(expect, rel=1e-5)
+    assert kern.limit_cov_psi(G(2.0), t, t) == pytest.approx(exp_limit_cov_psi(t, k4), rel=1e-9)
 
 
 @pytest.mark.parametrize("k4", [0.0, 1.0, 2.0])
@@ -295,24 +312,39 @@ def test_limit_cov_lambda_exponential_closed_form(k4):
     assert kern.limit_cov_lambda(G(4.0), 0.0, 0.0) == pytest.approx(expect, rel=1e-5)
 
 
-@pytest.mark.parametrize("trawl", ORACLE_FAMILIES, ids=repr)
-def test_limit_cov_psi_matches_adaptive_oracle(trawl):
+def _oracle_match(got, expect_and_err):
+    """``got`` within 1e-6 relative of the oracle, whose own error
+    estimate is checked first to be at most a quarter of that."""
+    expect, err = expect_and_err
+    assert err <= 2.5e-7 * abs(expect)
+    assert got == pytest.approx(expect, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "trawl,g,t,s",
+    [pytest.param(trawl, G(2.0), 1.0, 0.4, id=repr(trawl)) for trawl in ORACLE_FAMILIES]
+    + [
+        # a head over many scales of a; a slowly decaying trawl; g' steep near the end of a compact support
+        pytest.param(PowerLawTrawl(2.5, 1.0), G(2.0), 20.0, 0.4, id="PowerLawTrawl(alpha=2.5)-t20"),
+        pytest.param(PowerLawTrawl(1.02, 1.0), G(2.0), 1.0, 1.0, id="PowerLawTrawl(alpha=1.02)"),
+        pytest.param(CompactTriangleTrawl(1.0), G(0.5), 0.4, 0.999, id="CompactTriangleTrawl(support=1)-root-s0.999"),
+    ],
+)
+def test_limit_cov_psi_matches_adaptive_oracle(trawl, g, t, s):
     kern = AvarKernel(trawl, k4=1.0)
-    g = G(2.0)
-    expect = adaptive_limit_cov_psi(kern, g, 1.0, 0.4)
-    assert kern.limit_cov_psi(g, 1.0, 0.4) == pytest.approx(expect, rel=1e-6)
+    _oracle_match(kern.limit_cov_psi(g, t, s), adaptive_limit_cov_psi(kern, g, t, s))
 
 
 @pytest.mark.parametrize(
     "trawl,t,s",
     [pytest.param(trawl, 0.3, 0.8, id=repr(trawl)) for trawl in ORACLE_FAMILIES]
-    + [pytest.param(CompactTriangleTrawl(1.5), 0.8, 1.1, id="CompactTriangleTrawl(support=1.5)-0.8-1.1")],
+    + [pytest.param(CompactTriangleTrawl(1.5), 0.8, 1.1, id="CompactTriangleTrawl(support=1.5)-0.8-1.1")]
+    + [pytest.param(PowerLawTrawl(alpha, 1.0), 0.0, 0.0, id=f"PowerLawTrawl(alpha={alpha})-0-0") for alpha in (1.02, 1.05, 1.1)],
 )
 def test_limit_cov_lambda_matches_adaptive_oracle(trawl, t, s):
     kern = AvarKernel(trawl, k4=1.0)
     g = G(4.0)
-    expect = adaptive_limit_cov_lambda(kern, g, t, s)
-    assert kern.limit_cov_lambda(g, t, s) == pytest.approx(expect, rel=1e-6)
+    _oracle_match(kern.limit_cov_lambda(g, t, s), adaptive_limit_cov_lambda(kern, g, t, s))
 
 
 def test_limit_cov_psi_constant_beyond_support_end():
@@ -365,6 +397,7 @@ def test_limit_covs_reject_an_infinite_derivative_where_a_vanishes():
         with pytest.raises(ValueError, match="exponent 0.5 < 1 makes g' infinite at 0, which a reaches at u = 1"):
             call()
     assert kern.limit_cov_psi(G(0.5), 0.5, 0.5) > 0
+    assert kern.limit_cov_psi(G(0.5), 0.999, 0.999) > 0  # g' steep where a nears 0
     assert kern.limit_cov_psi(G(1.0), 1.0, 1.0) > 0
 
 
@@ -375,27 +408,3 @@ def test_limit_cov_lambda_compact_support():
     assert kern.limit_cov_lambda(G(4.0), 2.0, 2.0) == 0.0
     inside = kern.limit_cov_lambda(G(4.0), 0.0, 0.0)
     assert inside > 0.0
-
-
-# -- Gauss rules -----------------------------------------------------------
-
-
-@pytest.mark.parametrize("n", [20, 24, 28, 32])
-@pytest.mark.parametrize("beta", [0.0, 0.2, 1.0, 3.0])
-def test_gauss_matches_roots_jacobi(n, beta):
-    x, w = _gauss(n, beta)
-    xr, wr = special.roots_jacobi(n, beta, 0.0)
-    xr = (xr + 1.0) / 2.0
-    wr = wr / 2.0 ** (beta + 1.0) / (1.0 - xr) ** beta
-    np.testing.assert_allclose(x, xr, rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(w, wr, rtol=1e-12, atol=0.0)
-
-
-@pytest.mark.parametrize("beta", [0.0, 0.2, 1.0, 3.0])
-def test_gauss_integrates_jacobi_moments(beta):
-    """n nodes integrate (1 - x)^beta x^k exactly for k < 2n: the Beta function."""
-    n = 24
-    x, w = _gauss(n, beta)
-    for k in range(2 * n):
-        exact = math.exp(math.lgamma(k + 1.0) + math.lgamma(beta + 1.0) - math.lgamma(k + beta + 2.0))
-        assert np.sum(w * (1.0 - x) ** beta * x**k) == pytest.approx(exact, rel=1e-13)

@@ -23,7 +23,7 @@ from trawlkit import (
     true_lambda,
     true_psi,
 )
-from trawlkit import DegenerateDrawError, QuadratureError, SampledPath, estimate_trawl, mc
+from trawlkit import DegenerateDrawError, SampledPath, estimate_trawl, mc
 from trawlkit.mc import test_function_from_dict as tf_from_dict
 from trawlkit.simulate import SIMULATORS
 
@@ -143,6 +143,14 @@ def test_config_validation():
     # CLT regime guard: n * delta^3 must vanish
     with pytest.raises(ValueError):
         _config(theorem="T5", varpi=2.9, c=2.0, n_grid=[64])
+    # a limit variance of 0 by construction once wrote "variance_ratio": Infinity
+    with pytest.raises(ValueError, match=r"t = 0.0 does not fit T5: the limit variance is 0 .*head \[0, t\] is empty"):
+        _config(theorem="T5", t=0.0)
+    quartic, triangle = {"kind": "power", "exponent": 4.0}, {"family": "triangle", "support": 1.0}
+    for t in (1.0, 1.5):
+        with pytest.raises(ValueError, match=f"t = {t} does not fit T6: .* a vanishes from u = 1 on"):
+            _config(theorem="T6", t=t, trawl=triangle, test_function=quartic)
+    assert _config(theorem="T6", t=0.9, trawl=triangle, test_function=quartic).t == 0.9
 
 
 @pytest.mark.parametrize(
@@ -214,6 +222,10 @@ LATE_FAILURES = {
                              r"does not fit T5: CLT needs g'\(a\(u\)\) finite up to u = 2;"),
     "T6-root-compact": ({"theorem": "T6", "t": 0.0, "trawl": TRIANGLE, "test_function": ROOT_05},
                         r"does not fit T6: CLT needs g'\(a\(u\)\) finite up to u = inf;"),
+    # a limit variance of 0 by construction: an empty head, or a tail where a vanishes
+    "T5-zero-t": ({"theorem": "T5", "t": 0.0}, "t = 0.0 does not fit T5: the limit variance is 0"),
+    "T6-past-support": ({"theorem": "T6", "t": 1.5, "trawl": TRIANGLE, "test_function": {"kind": "power", "exponent": 4.0}},
+                        "t = 1.5 does not fit T6: the limit variance is 0"),
 }
 
 
@@ -356,12 +368,11 @@ EXPERIMENT_DICTS = st.fixed_dictionaries({
 @settings(max_examples=300, deadline=None)
 @given(EXPERIMENT_DICTS)
 def test_every_config_error_comes_before_the_first_path(experiment):
-    """Building the config raises ValueError, or the run draws every path
-    and summarises every n; paths are counted through ``mc.simulate``.  Two
-    late errors are admitted: the theory stage's QuadratureError, raised
-    before any path, and C1's refusal of a path flat over tau's head, which
-    a sparse seed can draw at small n: a refusal of the draw, not of the
-    config."""
+    """Building the config raises ValueError, or the run draws every path,
+    summarises every n and writes a summary that strict JSON can read;
+    paths are counted through ``mc.simulate``.  One late error is admitted:
+    C1's refusal of a path flat over tau's head, which a sparse seed can
+    draw at small n: a refusal of the draw, not of the config."""
     try:
         cfg = ExperimentConfig.from_dict(experiment)
     except ValueError:
@@ -370,9 +381,6 @@ def test_every_config_error_comes_before_the_first_path(experiment):
     mc.simulate = lambda *args: drawn.append(args[2].n) or simulate(*args)
     try:
         res = run_experiment(cfg)
-    except QuadratureError:
-        assert drawn == []
-        return
     except DegenerateDrawError as exc:
         if cfg.theorem == "C1" and str(exc).endswith(": degenerate path: head functional vanished"):
             return
@@ -381,6 +389,17 @@ def test_every_config_error_comes_before_the_first_path(experiment):
         mc.simulate = simulate
     assert sorted(drawn) == sorted(cfg.n_grid * cfg.replications)
     assert sorted(res.summaries) == sorted(cfg.n_grid)
+    json.dumps(res.summary_dict(), allow_nan=False)
+
+
+def test_a_limit_variance_that_rounds_to_zero_gives_no_ratio():
+    """A head far shorter than the trawl's scale has a limit variance that
+    rounds to 0: the summary gives no variance ratio, where it once wrote
+    an Infinity that strict JSON cannot read."""
+    res = run_experiment(_config(theorem="T5", t=1e-300, replications=3))
+    assert res.theory["limit_variance"] == 0.0
+    assert [s["variance_ratio"] for s in res.summaries.values()] == [None]
+    json.dumps(res.summary_dict(), allow_nan=False)
 
 
 @pytest.mark.parametrize("path", sorted(EXPERIMENTS.glob("*.json")), ids=lambda p: p.stem)

@@ -91,6 +91,14 @@ def test_leb_A_is_integral_of_a(trawl):
     assert float(trawl.a(0.0)) == pytest.approx(1.0)
 
 
+def test_a_is_a_power_of_the_tail_integral(trawl):
+    """a = (A / A(0))^gamma with gamma = ``log_slope``, which the limit
+    theory's change of variables w = -log(A / A(0)) rests on."""
+    s = np.array([0.0, 0.3, 0.9, 2.0, 7.5])
+    expect = (trawl.tail_integral(s) / trawl.leb_A) ** trawl.log_slope
+    np.testing.assert_allclose(trawl.a(s), expect, rtol=1e-12, atol=0.0)
+
+
 def test_autocorrelation_normalized(trawl):
     """The process autocorrelation A(h) / Leb(A) starts at 1 and decays in [0, 1]."""
     h = np.array([0.0, 0.5, 1.5, 4.0])
