@@ -11,7 +11,7 @@ K(s, S) + K(r, S) = K(S, S),
 
 Every integral over u runs in one variable, w = -log(A(u)/A(0)) with A the
 tail integral (``AvarKernel._nodes``).  Every family has a = e^(-gamma w)
-(``TrawlSpec.log_slope``), so a panel of fixed width in w spans a fixed fall
+(``TrawlSpec._log_slope``), so a panel of fixed width in w spans a fixed fall
 of A and of a: in a long head [0, t], in a slowly decaying tail, and where a
 compact trawl nears 0.  Each result is computed at two node counts, and a
 disagreement beyond ``_ABS_TOL`` and ``_REL_TOL`` raises ``QuadratureError``.
@@ -124,8 +124,7 @@ class AvarKernel:
         steps and where a(r), Phi(u - r) or Phi(u + r) of a compact trawl
         kinks, its u axis where such a line meets an edge.  In w, dg(a(u)) du
         falls like e^(-rate w), rate = gamma (p - 2) + 1."""
-        trawl = self.trawl
-        a, end, gamma, scale = trawl.a, trawl.support_end, trawl.log_slope, trawl.leb_A
+        a, end, gamma, scale = self.trawl.a, self.trawl.support_end, self.trawl._log_slope, self.trawl.leb_A
         kinks = [(0.0, end), (1.0, -end), (1.0, -2 * end), (-1.0, end), (-1.0, 2 * end)] if end < math.inf else []
         lines = [(1.0, 0.0), (1.0, -scale)] + kinks
         rate = gamma * (g.exponent - 2.0) + 1.0
@@ -136,21 +135,17 @@ class AvarKernel:
             u, du, fallen = (v.ravel() for v in self._nodes(u0, u1, ucuts, n, rate))
             # Where gamma > 1, panels of fixed width in w grow geometrically in u while Phi(u - r) keeps its
             # scale in u - r: steps of _RIDGE / (gamma - 1) in w(u - r) grade them towards the ridge.
-            reach = (1.0 - gamma) * math.log(trawl.tail_integral(u.max(initial=r0) - r0) / scale) if gamma > 1 else 0
-            steps = trawl.tail_integral_inverse(scale * np.exp(-np.arange(_RIDGE, reach, _RIDGE) / (gamma - 1.0)))
+            step = _RIDGE / (gamma - 1.0) if gamma > 1 else 0.0
+            steps = self._u(np.arange(step, self._w(u.max(initial=r0) - r0), step))[0] if step else ()
             rcuts = [sl * u + c for sl, c in lines] + [u - d for d in steps]
             r, dr, _ = self._nodes(r0, np.minimum(u, r1), rcuts, n, rate, fallen)
-            u, weight = np.broadcast_to(u[:, None], r.shape), du[:, None] * dr * g.dg(a(r))
-            weight = weight * g.dg(a(u))
+            u, weight = np.broadcast_to(u[:, None], r.shape), (du * g.dg(a(u)))[:, None] * dr * g.dg(a(r))
             keep = weight != 0.0
             return float(np.dot(weight[keep], _blockwise(self._sigma_a, u[keep], r[keep], m)))
 
         u0, u1, r0, r1 = box
-        if (u0, u1) == (r0, r1):
-            rule = lambda n, m: 2.0 * below_ridge(*box, n, m)
-        else:
-            rule = lambda n, m: below_ridge(*box, n, m) + below_ridge(r0, r1, u0, u1, n, m)
-        coarse, fine = (rule(n, m) for n, m in zip(_OUTER_NODES, _INNER_NODES))
+        parts = [(2.0, box)] if (u0, u1) == (r0, r1) else [(1.0, box), (1.0, (r0, r1, u0, u1))]
+        coarse, fine = (sum(c * below_ridge(*b, n, m) for c, b in parts) for n, m in zip(_OUTER_NODES, _INNER_NODES))
         return _agree(coarse, fine, "limit covariance")
 
     # -- martingale-block limit kernels -----------------------------------
@@ -214,36 +209,42 @@ class AvarKernel:
         """int_lo^hi f(u) du for columns lo, hi (0 where hi <= lo), for an f that falls like a
         product of two values of a, at rate 1 + gamma.  Summed in order, so that the empty
         panels that pad a column leave its sum bitwise that of the column alone."""
-        u, du, _ = self._nodes(lo, hi, kinks, m, 1.0 + self.trawl.log_slope)
+        u, du, _ = self._nodes(lo, hi, kinks, m, 1.0 + self.trawl._log_slope)
         return np.cumsum(du * f(u), axis=1)[:, -1:]
 
     def _nodes(self, lo, hi, kinks, n, rate, fallen=0.0):
-        """Nodes u, weights du and w - w(lo) of ``n``-point rules for
-        int_lo^hi f(u) du per column, for an f that falls like e^(-rate w):
-        in w, with u = A^-1(A(0) e^-w) and du = A(u)/a(u) dw, Gauss-Legendre
-        panels of equal width fill each gap between kinks, and Gauss-Laguerre
-        at ``rate`` the rest of a range to w = inf.  Kinks past a fall of
-        e^-_CUTOFF from w(lo), less ``fallen``, move back to it, and a finite
-        range ends there."""
-        trawl, scale = self.trawl, self.trawl.leb_A
+        """Nodes u, weights du and w - w(lo) of ``n``-point rules for int_lo^hi f(u) du per column,
+        for an f that falls like e^(-rate w): Gauss-Legendre panels of equal width in w fill each
+        gap between kinks, and Gauss-Laguerre at ``rate`` the rest of a range to w = inf.  Kinks
+        past a fall of e^-_CUTOFF from w(lo), less ``fallen``, move back to it, and a finite range
+        ends there."""
         lo, hi, *kinks = np.broadcast_arrays(*(np.reshape(k, (-1, 1)) for k in (lo, hi, *kinks)))
-        fall = trawl.tail_integral(np.clip([lo, hi, *kinks], lo, np.maximum(hi, lo))[..., 0]) / scale
-        w = -np.log(fall, out=np.full_like(fall, -math.inf), where=fall > 0)  # inf from the support's end on
+        w = self._w(np.clip([lo, hi, *kinks], lo, np.maximum(hi, lo))[..., 0])
         finite = np.isfinite(w)
         tail = finite[0] & ~finite[1]
         w = np.where(finite, w, np.max(w, axis=0, where=finite, initial=0.0))
         w = np.minimum(w, w[0] + np.maximum(_CUTOFF / rate - fallen, 0.0)) if rate > 0 else w
-        cuts = _split(np.sort(w, axis=0), _PANEL / max(rate, trawl.log_slope))
+        cuts = _split(np.sort(w, axis=0), _PANEL / max(rate, self.trawl._log_slope))
         xg, wg, y, dy = _gauss(n)
         lo, width = cuts[:-1].T[:, :, None], np.diff(cuts, axis=0).T[:, :, None]
         x, dx = (lo + width * xg).reshape(len(lo), -1), (width * wg).reshape(len(lo), -1)
         if np.any(tail):  # in the columns without a tail, empty nodes at the last cut
             x = np.concatenate([x, cuts[-1][:, None] + np.where(tail[:, None], y / rate, 0.0)], axis=1)
             dx = np.concatenate([dx, np.where(tail[:, None], dy / rate, 0.0)], axis=1)
-        fall = np.exp(-x)
-        u = trawl.tail_integral_inverse(scale * fall)
-        a = trawl.a(u)
-        return u, np.divide(scale * fall * dx, a, out=np.zeros_like(a), where=a > 0), x - w[0][:, None]
+        u, du = self._u(x)
+        return u, du * dx, x - w[0][:, None]
+
+    def _w(self, u):
+        """w = -log(A(u)/A(0)), inf from a compact support's end on.  As a = (A/A(0))^gamma makes
+        du/dw = A(0) e^(kappa w), kappa = gamma - 1, w = log1p(kappa u/A(0))/kappa: exact near u = 0."""
+        kappa, x = self.trawl._log_slope - 1.0, np.minimum(u, self.trawl.support_end) / self.trawl.leb_A
+        with np.errstate(divide="ignore"):  # log1p(-1) at a compact support's end
+            return np.log1p(kappa * x) / kappa if kappa else x
+
+    def _u(self, w):
+        """The inverse of ``_w``, u = A(0) expm1(kappa w)/kappa, and du/dw = A(u)/a(u) = A(0) e^(kappa w)."""
+        kappa, scale = self.trawl._log_slope - 1.0, self.trawl.leb_A
+        return scale * (np.expm1(kappa * w) / kappa if kappa else w), scale * np.exp(kappa * w)
 
     def decomposition_residual(self, s: float, r: float) -> float:
         """|sum of all (symmetrized) limit kernels - Sigma_a(s, r)|."""
@@ -306,10 +307,9 @@ def _blockwise(rule, s, r, m):
 
 
 def _check_times(*values):
-    for v in values:
-        v = np.asarray(v)
-        if not np.all((v >= 0) & (v < math.inf)):  # also rejects NaN
-            raise ValueError("time arguments must be non-negative and finite")
+    v = np.asarray(values)
+    if not np.all((v >= 0) & (v < math.inf)):  # also rejects NaN
+        raise ValueError("time arguments must be non-negative and finite")
 
 
 @functools.lru_cache(maxsize=None)

@@ -84,7 +84,7 @@ class TrawlSpec:
 
     Subclasses implement ``a`` and three private formulas: ``_power_tail``,
     ``_inverse_a`` (the generalized inverse ``sup{s : a(s) >= y}``) and
-    ``_tail_inverse``.  The public methods check and convert their arguments
+    ``_tail_inverse``, and set ``_log_slope`` where it is not 1.  The public methods check and convert their arguments
     once, here.  Every family has a(0) = 1.  All methods accept scalars or
     arrays and are vectorized.
     """
@@ -98,7 +98,8 @@ class TrawlSpec:
 
     #: gamma with a(s) = (A(s) / A(0))^gamma exactly: the slope of log a
     #: against log A, so that a falls like e^(-gamma w) in w = -log(A/A(0)).
-    log_slope = 1.0
+    #: The limit theory maps u to w and back through this identity alone.
+    _log_slope = 1.0
 
     def a(self, s):
         raise NotImplementedError
@@ -183,7 +184,7 @@ class PowerLawTrawl(TrawlSpec):
         return self.alpha
 
     @property
-    def log_slope(self):
+    def _log_slope(self):
         return self.alpha / (self.alpha - 1.0)
 
     def a(self, s):
@@ -222,7 +223,7 @@ class CompactTriangleTrawl(TrawlSpec):
     """
 
     support: float = 1.0
-    log_slope = 0.5
+    _log_slope = 0.5
 
     def __post_init__(self):
         if not 0 < self.support < math.inf:

@@ -305,6 +305,16 @@ def test_limit_cov_psi_exponential_closed_form(t, k4):
     assert kern.limit_cov_psi(G(2.0), t, t) == pytest.approx(exp_limit_cov_psi(t, k4), rel=1e-9)
 
 
+@pytest.mark.parametrize("trawl", [ExponentialTrawl(3.5), PowerLawTrawl(1.5, 2.0), CompactTriangleTrawl(4.0)], ids=repr)
+@pytest.mark.parametrize("t", [1e-10, 1e-20])
+def test_limit_cov_psi_of_a_short_head(trawl, t):
+    """On a head far shorter than A(0), Sigma_a = k4 + O(t) and dg(a) = 2 + O(t),
+    so limit_cov_psi(x^2; t, t) = 4 k4 t^2 (1 + O(t)): the nodes near u = 0
+    keep their relative precision."""
+    kern = AvarKernel(trawl, k4=6.0)
+    assert kern.limit_cov_psi(G(2.0), t, t) == pytest.approx(24.0 * t * t, rel=1e-9, abs=0.0)
+
+
 @pytest.mark.parametrize("k4", [0.0, 1.0, 2.0])
 def test_limit_cov_lambda_exponential_closed_form(k4):
     kern = AvarKernel(EXP, k4=k4)

@@ -92,10 +92,10 @@ def test_leb_A_is_integral_of_a(trawl):
 
 
 def test_a_is_a_power_of_the_tail_integral(trawl):
-    """a = (A / A(0))^gamma with gamma = ``log_slope``, which the limit
+    """a = (A / A(0))^gamma with gamma = ``_log_slope``, which the limit
     theory's change of variables w = -log(A / A(0)) rests on."""
     s = np.array([0.0, 0.3, 0.9, 2.0, 7.5])
-    expect = (trawl.tail_integral(s) / trawl.leb_A) ** trawl.log_slope
+    expect = (trawl.tail_integral(s) / trawl.leb_A) ** trawl._log_slope
     np.testing.assert_allclose(trawl.a(s), expect, rtol=1e-12, atol=0.0)
 
 
